@@ -16,8 +16,10 @@ equality is componentwise rational equality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 ZERO = Fraction(0)
@@ -195,6 +197,11 @@ class Edge:
     v: str
     label: "Node"
 
+    @cached_property
+    def holds_pswitch(self) -> bool:
+        """Whether the label contains a pswitch; computed once per edge."""
+        return _holds_pswitch(self.label)
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -335,24 +342,36 @@ def validate_node(node: Node, states: int) -> None:
                 if not 0 <= el.state < states:
                     raise ValidationError(f"det state {el.state} out of range for N={states}")
         elif isinstance(n, Graph):
-            _check_graph_connected(n)
+            if not _connected(((e.u, e.v) for e in n.edges), n.s, n.t):
+                raise ValidationError("graph terminals are not connected")
 
 
-def _check_graph_connected(graph: Graph) -> None:
-    adj: dict[str, set[str]] = {}
-    for e in graph.edges:
-        adj.setdefault(e.u, set()).add(e.v)
-        adj.setdefault(e.v, set()).add(e.u)
-    seen = {graph.s}
-    frontier = [graph.s]
+def _holds_pswitch(node: Node) -> bool:
+    # Nested graphs answer from their edges' cached flags, so no label is
+    # walked twice.
+    if isinstance(node, Leaf):
+        return isinstance(node.element, Pswitch)
+    if isinstance(node, Graph):
+        return any(e.holds_pswitch for e in node.edges)
+    return any(_holds_pswitch(c) for c in node.children)
+
+
+def _connected(edges: Iterable[tuple[str, str]], s: str, t: str) -> bool:
+    """Whether ``t`` is reachable from ``s`` over undirected edges ``(u, v)``."""
+    adj: dict[str, list[str]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {s}
+    frontier = [s]
     while frontier:
-        u = frontier.pop()
-        for v in adj.get(u, ()):
+        for v in adj.get(frontier.pop(), ()):
+            if v == t:
+                return True
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
-    if graph.t not in seen:
-        raise ValidationError("graph terminals are not connected")
+    return False
 
 
 def count_switches(circuit: Circuit) -> tuple[int, int, int]:
@@ -430,10 +449,16 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
              graph_cap: int = DEFAULT_GRAPH_CAP) -> Distribution:
     """Exact output distribution of a circuit.
 
-    Series/parallel trees are evaluated by recursive composition. Graph
-    nodes are evaluated by enumerating the joint outcome of every pswitch
-    they contain and taking max-over-paths of min-along-path per outcome;
-    a graph with more than ``graph_cap`` pswitches raises ``CapacityError``.
+    Series/parallel trees are evaluated by recursive composition. Edge
+    labels of a graph are independent (pswitch ids are unique), and the
+    graph's output is >= k exactly when s and t are joined by edges whose
+    label is >= k. So each level's P(X >= k) is a two-terminal reliability:
+    labels without a pswitch resolve to one state, the others are evaluated
+    recursively, and each level enumerates the up/down subsets of the edges
+    that are neither certain nor impossible at that level. ``graph_cap``
+    bounds, per graph, the number of edges whose label holds a pswitch
+    (each level enumerates up to 2^that subsets); a graph with more raises
+    ``CapacityError``.
     """
     assignment = assignment or {}
     return _eval_node(circuit.root, circuit.states, assignment, graph_cap)
@@ -450,11 +475,11 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
     assignment = assignment or {}
     states = circuit.states
     switches = collect_pswitches(circuit.root)
-    total = 1
-    for sw in switches:
-        total *= len(sw.dist.support())
-        if total > max_outcomes:
-            raise CapacityError(f"outcome product exceeds cap {max_outcomes}")
+    total = math.prod(len(sw.dist.support()) for sw in switches)
+    if total > max_outcomes:
+        raise CapacityError(
+            f"{len(switches)} pswitches have {total} joint outcomes, cap is "
+            f"{max_outcomes}; raise max_outcomes (CLI --max-outcomes)")
     probs = [ZERO] * states
     for outcome, weight in _joint_outcomes(switches):
         value = resolve(circuit.root, states, assignment, outcome)
@@ -500,14 +525,33 @@ def _input_value(el: Input, states: int, assignment: Assignment) -> int:
 
 
 def _eval_graph(node: Graph, states: int, assignment: Assignment, cap: int) -> Distribution:
-    switches = collect_pswitches(node)
-    if len(switches) > cap:
+    live = sum(e.holds_pswitch for e in node.edges)
+    if live > cap:
         raise CapacityError(
-            f"graph has {len(switches)} pswitches, enumeration cap is {cap}")
-    probs = [ZERO] * states
-    for outcome, weight in _joint_outcomes(switches):
-        probs[_resolve_graph(node, states, assignment, outcome)] += weight
-    return Distribution(probs)
+            f"graph has {live} edges holding pswitches (2^{live} subsets per "
+            f"level), cap is {cap}; raise graph_cap (CLI --graph-cap)")
+    edges = []  # (u, v, P(label >= k) for k = 0..N)
+    for e in node.edges:
+        if e.holds_pswitch:
+            tail = _suffix_sums(_eval_node(e.label, states, assignment, cap))
+        else:
+            state = resolve(e.label, states, assignment, {})
+            tail = [ONE] * (state + 1) + [ZERO] * (states - state)
+        edges.append((e.u, e.v, tail))
+    # P(X >= k) = P(s and t are joined by edges whose label is >= k)
+    tails = [ONE]
+    for k in range(1, states):
+        up = [(u, v) for u, v, tail in edges if tail[k] == 1]
+        unsure = [(u, v, tail[k]) for u, v, tail in edges if 0 < tail[k] < 1]
+        level = ZERO
+        for picks in itertools.product((True, False), repeat=len(unsure)):
+            chosen = [(u, v) for pick, (u, v, _) in zip(picks, unsure) if pick]
+            if _connected(up + chosen, node.s, node.t):
+                level += math.prod(p if pick else 1 - p
+                                   for pick, (_, _, p) in zip(picks, unsure))
+        tails.append(level)
+    tails.append(ZERO)
+    return Distribution(tails[k] - tails[k + 1] for k in range(states))
 
 
 def _joint_outcomes(switches: list[Pswitch]):
@@ -549,20 +593,7 @@ def _resolve_graph(node: Graph, states: int, assignment: Assignment,
     values = [(e.u, e.v, resolve(e.label, states, assignment, outcome))
               for e in node.edges]
     for k in range(states - 1, 0, -1):
-        adj: dict[str, list[str]] = {}
-        for u, v, val in values:
-            if val >= k:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-        seen = {node.s}
-        frontier = [node.s]
-        while frontier:
-            u = frontier.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        if node.t in seen:
+        if _connected(((u, v) for u, v, val in values if val >= k), node.s, node.t):
             return k
     return 0
 

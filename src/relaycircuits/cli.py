@@ -15,8 +15,8 @@ import sys
 from . import netlist
 from .bounds import complexity_bound, complexity_bound_recursive
 from .circuits import (
-    CapacityError, Circuit, Distribution, RelayError, count_switches, dual,
-    evaluate, evaluate_oracle,
+    DEFAULT_GRAPH_CAP, DEFAULT_ORACLE_CAP, CapacityError, Circuit, Distribution,
+    RelayError, count_switches, dual, evaluate, evaluate_oracle,
 )
 from .lattice import (
     LatticeDistribution, SearchSpec, lattice_from_json, search_expressible,
@@ -33,6 +33,9 @@ from .upg import CONSTRUCTIONS, UpgSpec, build_upg, encode_input, upg_truth_tabl
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
+
+GRAPH_CAP_HELP = ("cap on the edges of one graph whose label holds a pswitch; "
+                  "each level enumerates 2^that edge subsets")
 
 
 def _emit(payload) -> None:
@@ -180,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a netlist")
         p.add_argument("--netlist", required=True)
         p.add_argument("--assign", default="", help='input bindings, e.g. "r0=1,r1=0"')
-        p.add_argument("--graph-cap", type=int, default=20)
-        p.add_argument("--max-outcomes", type=int, default=1 << 20)
+        p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP,
+                       help=GRAPH_CAP_HELP)
+        p.add_argument("--max-outcomes", type=int, default=DEFAULT_ORACLE_CAP,
+                       help="oracle-eval: cap on the number of joint pswitch outcomes")
 
     p = sub.add_parser("dual", help="emit the dual netlist")
     p.add_argument("--netlist", required=True)
@@ -206,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=list(CONSTRUCTIONS), default="reduced_sp")
     p.add_argument("--truth-table", action="store_true")
     p.add_argument("--target", default=None, help="dyadic target to encode and evaluate")
-    p.add_argument("--graph-cap", type=int, default=64)
+    p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP,
+                   help=GRAPH_CAP_HELP)
 
     p = sub.add_parser("lattice-search", help="search sp expressibility on a lattice")
     p.add_argument("--lattice", required=True, help="lattice JSON file")

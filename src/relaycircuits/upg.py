@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .circuits import (
-    Circuit, Det, Distribution, Edge, Graph, IdGen, Leaf, Node, ONE,
-    RelayError, ValidationError, ZERO, clamp_node, det, evaluate, inp,
+    DEFAULT_GRAPH_CAP, Circuit, Det, Distribution, Edge, Graph, IdGen, Leaf,
+    Node, ONE, RelayError, ValidationError, ZERO, clamp_node, det, evaluate, inp,
     opt_parallel, opt_series, pswitch,
 )
 
@@ -387,7 +387,7 @@ def embedded_pair_upg(states: int, lo: int, bits: int) -> Circuit:
     return Circuit(states, node)
 
 
-def upg_truth_table(spec: UpgSpec, graph_cap: int = 64) -> list:
+def upg_truth_table(spec: UpgSpec, graph_cap: int = DEFAULT_GRAPH_CAP) -> list:
     """Evaluate every valid input row; rows are (UpgInput, Distribution)."""
     circuit = build_upg(spec)
     rows = []

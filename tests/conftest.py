@@ -14,7 +14,8 @@ import pytest
 from hypothesis import strategies as st
 
 from relaycircuits import (
-    Circuit, Distribution, IdGen, det, parallel, pswitch, series,
+    Circuit, Distribution, Edge, Graph, IdGen, det, inp, parallel, pswitch,
+    series,
 )
 
 
@@ -70,6 +71,34 @@ def random_sp_circuit(rng: random.Random, states: int, max_pswitches: int,
         root = build(budget)
         if product <= max_support_product:
             return Circuit(states, root)
+
+
+def random_graph_node(rng: random.Random, states: int, ids: IdGen,
+                      depth: int = 2) -> Graph:
+    """A random connected two-terminal graph whose edge labels are leaves
+    (pswitch, Det or input ``x0..x2``), small sp trees, or, while
+    ``depth`` allows, nested graphs."""
+
+    def label(d: int):
+        roll = rng.random()
+        if d > 0 and roll < 0.15:
+            return random_graph_node(rng, states, ids, d - 1)
+        if roll < 0.35:
+            a, b = label(d), label(d)
+            return series(a, b) if rng.random() < 0.5 else parallel(a, b)
+        if roll < 0.5:
+            return det(rng.randrange(states))
+        if roll < 0.65:
+            return inp(f"x{rng.randrange(3)}", rng.random() < 0.5)
+        return pswitch(random_distribution(rng, states, max_denom=4), ids())
+
+    inner = [f"v{i}" for i in range(rng.randint(0, 2))]
+    path = ["s", *inner, "t"]
+    pairs = list(zip(path, path[1:]))
+    for _ in range(rng.randint(0, 3)):
+        pairs.append(tuple(rng.sample(path, 2)))
+    rng.shuffle(pairs)
+    return Graph("s", "t", tuple(Edge(u, v, label(depth)) for u, v in pairs))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Circuit core: composition rules, evaluation, duality, remap, clamp."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,8 @@ from relaycircuits import (
     evaluate_oracle, inp, parallel, pswitch, remap_states, series,
 )
 from conftest import (
-    distributions, parallel_direct, random_sp_circuit, series_direct,
+    distributions, parallel_direct, random_distribution, random_graph_node,
+    random_sp_circuit, series_direct,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -168,8 +170,35 @@ class TestGraph:
     def test_graph_cap(self):
         ids = IdGen()
         c = Circuit(2, self.bridge([pswitch(HALF2, ids()) for _ in range(5)]))
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="5 edges.*cap is 3.*graph_cap"):
             evaluate(c, graph_cap=3)
+
+    def test_graph_cap_counts_edges_not_pswitches(self, rng):
+        ids = IdGen()
+
+        def sp_label(k):
+            if k == 1:
+                return pswitch(random_distribution(rng, 3, max_denom=2), ids())
+            split = rng.randint(1, k - 1)
+            join = series if rng.random() < 0.5 else parallel
+            return join(sp_label(split), sp_label(k - split))
+
+        for pairs in ((("s", "t"), ("s", "t")), (("s", "m"), ("m", "t"))):
+            g = Graph("s", "t", tuple(Edge(u, v, sp_label(5)) for u, v in pairs))
+            c = Circuit(3, g)
+            assert len(c.pswitches()) == 10
+            assert evaluate(c, graph_cap=2) == evaluate_oracle(c)
+
+    def test_eval_equals_oracle_random_graphs(self, rng):
+        checked = 0
+        while checked < 150:
+            states = rng.randint(2, 4)
+            c = Circuit(states, random_graph_node(rng, states, IdGen()))
+            if math.prod(len(p.dist.support()) for p in c.pswitches()) > 4096:
+                continue
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            assert evaluate(c, assignment) == evaluate_oracle(c, assignment)
+            checked += 1
 
     def test_nested_graph_label(self):
         inner = self.bridge([pswitch(HALF2, f"i{k}") for k in range(5)])

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaycircuits import Circuit, Distribution, IdGen, det, parallel, pswitch, series
+from relaycircuits import (
+    Circuit, Distribution, Edge, Graph, IdGen, det, parallel, pswitch, series,
+)
 from relaycircuits import netlist
-from relaycircuits.cli import run
+from relaycircuits.cli import EXIT_CAPACITY, run
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 HALF3 = Distribution([F(1, 2), 0, F(1, 2)])
@@ -29,6 +31,25 @@ def chain_path(tmp_path):
 def three_state_path(tmp_path):
     c = Circuit(3, series(parallel(pswitch(HALF3, "a"), det(1)), pswitch(HALF3, "b")))
     path = tmp_path / "three_state.json"
+    netlist.save(c, path)
+    return str(path)
+
+
+@pytest.fixture
+def bridge_path(tmp_path):
+    """Three-state Wheatstone bridge with one nested bridge on its first edge."""
+    ids = IdGen()
+    pairs = [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")]
+
+    def bridge(labels):
+        return Graph("s", "t", tuple(Edge(u, v, l) for (u, v), l in zip(pairs, labels)))
+
+    skew = Distribution([F(1, 4), F(1, 4), F(1, 2)])
+    inner = bridge([pswitch(HALF3, ids()) for _ in range(5)])
+    c = Circuit(3, bridge([inner, pswitch(skew, ids()), det(1),
+                           series(pswitch(HALF3, ids()), pswitch(skew, ids())),
+                           parallel(det(1), pswitch(HALF3, ids()))]))
+    path = tmp_path / "bridge.json"
     netlist.save(c, path)
     return str(path)
 
@@ -62,6 +83,19 @@ def test_eval_and_oracle(capsys, chain_path):
     assert code == 0 and doc == ["5/16", "11/16"]
     code, doc = run_json(capsys, ["oracle-eval", "--netlist", chain_path])
     assert code == 0 and doc == ["5/16", "11/16"]
+
+
+def test_eval_bridge_matches_oracle(capsys, bridge_path):
+    assert run(["eval", "--netlist", bridge_path]) == 0
+    evaluated = capsys.readouterr().out
+    assert run(["oracle-eval", "--netlist", bridge_path]) == 0
+    assert capsys.readouterr().out == evaluated
+
+
+def test_eval_graph_cap_exit_code(capsys, bridge_path):
+    assert run(["eval", "--netlist", bridge_path, "--graph-cap", "1"]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "cap is 1" in err and "--graph-cap" in err
 
 
 def test_eval_with_assignment(capsys, tmp_path):

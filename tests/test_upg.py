@@ -67,8 +67,8 @@ class TestSpec:
         assert vector_names(4) == ["r", "s", "t"]
 
 
-def assert_truth_table(spec, cap=64):
-    for row, out in upg_truth_table(spec, graph_cap=cap):
+def assert_truth_table(spec):
+    for row, out in upg_truth_table(spec):
         assert out == row.decode_target(), (spec, row.display(), out)
 
 
@@ -87,6 +87,10 @@ class TestTruthTables:
     def test_four_state(self, construction):
         for bits in range(0, 3):
             assert_truth_table(UpgSpec(4, bits, construction))
+
+    @pytest.mark.parametrize("states,bits", [(3, 4), (4, 3)])
+    def test_bridge_exhaustive(self, states, bits):
+        assert_truth_table(UpgSpec(states, bits, "reduced_nonsp"))
 
     def test_spot_rows(self):
         circuit = build_upg(UpgSpec(2, 3, "reduced_sp"))
@@ -174,7 +178,7 @@ class TestPrefixInvariant:
             for s_vec in itertools.product((0, 2), repeat=bits + 1):
                 assignment = {f"r{j}": v for j, v in enumerate(r_vec)}
                 assignment.update({f"s{j}": v for j, v in enumerate(s_vec)})
-                out = evaluate(circuit, assignment, graph_cap=64)
+                out = evaluate(circuit, assignment)
                 assert out[0] == r_enc, (construction, r_vec, s_vec)
 
 
