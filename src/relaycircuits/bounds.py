@@ -1,9 +1,9 @@
 """Worst-case pswitch counts for the synthesis constructions.
 
-``complexity_bound`` is the closed form for dyadic N-state targets with
-denominator ``2^n``; ``complexity_bound_recursive`` evaluates the recursion
-it came from, so the two can be checked against each other. The rational
-variant covers the denominator-reduction construction over base ``q``.
+``rational_bound`` is the closed form for the cut construction over base
+``q``: targets ``x_i / q^n`` on N states. ``complexity_bound`` is its dyadic
+case q = 2, and ``complexity_bound_recursive`` evaluates the recursion the
+dyadic form came from, so the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -33,14 +33,10 @@ def complexity_bound(n: int, states: int) -> int:
     """Closed-form maximum pswitch count f(n, N) for targets x_i / 2^n.
 
     f(n, N) = 2^n - 1 while n <= ceil(log2 N); past that border it grows
-    linearly, adding N - 1 pswitches per extra bit of denominator.
+    linearly, adding N - 1 pswitches per extra bit of denominator. This is
+    ``rational_bound`` at q = 2.
     """
-    if n < 0 or states < 1:
-        raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={states}")
-    border = ceil_log2(states)
-    if n <= border:
-        return 2 ** n - 1
-    return 2 ** border - 1 + (states - 1) * (n - border)
+    return rational_bound(2, n, states)
 
 
 @lru_cache(maxsize=None)

@@ -213,18 +213,17 @@ def _sampled_assignments(ids: list[str], epsilon: Fraction, trials: int, seed: i
 def check_bounds(report: ErrorReport, family: str, q: int = 2) -> BoundVerdict:
     """Verdict on the linear error bounds for the given circuit family.
 
-    ``binary``: boundary states within 2*eps, interior within 3*eps.
-    ``denom``: boundary within q*eps, interior within (q+1)*eps.
+    A base-q family keeps boundary states within q*eps and interior states
+    within (q+1)*eps. ``denom`` takes q from the argument; ``binary`` is
+    q = 2, that is 2*eps and 3*eps.
     """
+    if family not in ("binary", "denom"):
+        raise ValidationError(f"unknown family {family!r}")
     if family == "binary":
         q = 2
-        boundary, interior = 2 * report.epsilon, 3 * report.epsilon
-    elif family == "denom":
-        if q < 2:
-            raise ValidationError(f"denominator family needs q >= 2, got {q}")
-        boundary, interior = q * report.epsilon, (q + 1) * report.epsilon
-    else:
-        raise ValidationError(f"unknown family {family!r}")
+    if q < 2:
+        raise ValidationError(f"denominator family needs q >= 2, got {q}")
+    boundary, interior = q * report.epsilon, (q + 1) * report.epsilon
     n = len(report.per_state_max_error)
     failing = tuple(
         i for i, err in enumerate(report.per_state_max_error)

@@ -1,12 +1,23 @@
 """Synthesis of circuits realizing target rational distributions.
 
-All constructions are instances of one idea: view the target as blocks
-tiling [0, 1], cut the interval with a ``(q, 0, ..., 0, 1-q)`` pswitch, and
-recurse on the two conditional sub-distributions. The dyadic algorithm
-always cuts at 1/2; state reduction cuts at 1/2 until every piece has at
-most two active states; denominator reduction cuts each round at
-``(q-1)/q, (q-2)/(q-1), ..., 1/2`` of the remainder, producing q equal
-intervals and dividing the denominator by q.
+Every construction runs one cut engine. It views the target as blocks
+tiling [0, 1] and cuts that tiling with ``(q, 0, ..., 0, 1-q)`` pswitches
+in rounds. A round of base b peels intervals off the top at cuts
+``(b-1)/b, (b-2)/(b-1), ..., 1/2`` of the remainder, giving b equal
+intervals, and recurses on each piece with the next round. It stops early
+once the left remainder is accepted. An *acceptor* realizes a finished
+piece directly, or declines it. The four synthesizers differ only in their
+round schedule, acceptor and bound:
+
+* dyadic (``synth_binary_nstate``): n rounds of base 2, accepting the
+  switch set {1/2}; bound ``complexity_bound(n, N)``, which equals
+  ``rational_bound(2, n, N)``;
+* state reduction: ceil(log2 q) rounds of base 2, accepting {1/2} or any
+  piece with two active states as a literal leaf pswitch;
+* denominator reduction: n rounds of base q, accepting {1/2, ..., 1/q};
+  bound ``rational_bound(q, n, N)``;
+* composite: one round per prime factor of q^n, largest prime first,
+  accepting {1/2, ..., 1/p_max}.
 
 Every synthesizer returns a :class:`SynthesisReport` whose circuit
 evaluates *exactly* to the target, with the pswitch count and the
@@ -18,17 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .bounds import ceil_log2, complexity_bound, rational_bound
 from .circuits import (
     Circuit, Distribution, IdGen, Leaf, Node, ONE, RelayError, ZERO,
-    collect_pswitches, det, opt_parallel, opt_series, pswitch,
+    det, opt_parallel, opt_series, pswitch,
 )
 from .netlist import circuit_to_json, distribution_to_json
 from .rational import format_rational
 
 HALF = Fraction(1, 2)
+_MAX_BASE = 10 ** 6  # largest base q of a {1/2, ..., 1/q} switch set or round
 
 
 class InvalidCutError(RelayError):
@@ -49,11 +61,9 @@ class SwitchSet:
 
     Members are the top-state probabilities p; each stands for the N-state
     pswitch ``(1-p, 0, ..., 0, p)``, and clamping with deterministic
-    switches (free unless ``allow_deterministic`` is off) moves its two
-    active states anywhere.
+    switches, which cost nothing, moves its two active states anywhere.
     """
     probabilities: tuple
-    allow_deterministic: bool = True
 
     def __post_init__(self):
         for p in self.probabilities:
@@ -72,13 +82,14 @@ class SwitchSet:
         return cls(tuple(Fraction(1, k) for k in range(2, q + 1)))
 
     def covers(self, q: int) -> bool:
-        return all(Fraction(1, k) in self.probabilities for k in range(2, q + 1))
+        members = set(self.probabilities)
+        return all(Fraction(1, k) in members for k in range(2, q + 1))
 
     def realize(self, dist: Distribution, ids: IdGen) -> Optional[Node]:
         """A Det switch or clamped member realizing ``dist``, if any matches."""
         support = dist.support()
         if len(support) == 1:
-            return det(support[0]) if self.allow_deterministic else None
+            return det(support[0])
         if len(support) != 2:
             return None
         low, high = support
@@ -136,12 +147,21 @@ def _power_form(denom: int) -> tuple[int, int]:
     """Smallest q with q^n == denom for integral n; (2, 0) for denom == 1."""
     if denom == 1:
         return 2, 0
-    for n in range(denom.bit_length(), 0, -1):
-        q = round(denom ** (1.0 / n))
-        for cand in (q - 1, q, q + 1):
-            if cand >= 2 and cand ** n == denom:
-                return cand, n
-    raise InvalidTargetError(f"cannot express {denom} as q^n")  # pragma: no cover
+    for n in range(denom.bit_length() - 1, 1, -1):
+        q = _integer_root(denom, n)
+        if q ** n == denom:
+            return q, n
+    return denom, 1
+
+
+def _integer_root(x: int, n: int) -> int:
+    """Largest r with r^n <= x, for x >= 1, by Newton steps from above."""
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -279,7 +299,101 @@ def _clamped_base(low: int, high: int, inner: Fraction, states: int, ids: IdGen)
 
 
 # --------------------------------------------------------------------------
-# Binary (dyadic) N-state synthesis
+# The cut engine and its front end
+# --------------------------------------------------------------------------
+
+# Realizes a finished piece directly, or returns None to have it cut further.
+Acceptor = Callable[[Distribution, IdGen], Optional[Node]]
+
+
+def _realize(p: Distribution, schedule: tuple[int, ...], accept: Acceptor,
+             ids: IdGen, trace: list[CutRecord]) -> tuple[Node, int]:
+    """The cut engine: realize ``p`` by rounds whose bases come from ``schedule``.
+
+    Returns the node and the most rounds used on any path. Each peeled
+    interval rides behind its ``(j-1)/j`` cut switch; pswitch ids follow
+    creation order, children before the cut switches of their round.
+    """
+    node = accept(p, ids)
+    if node is not None:
+        return node, 0
+    if not schedule:
+        raise InvalidTargetError(
+            f"target {p!r} not deterministic after all reduction rounds")
+    states = len(p)
+    base, rest = schedule[0], schedule[1:]
+    peeled: list[tuple[Fraction, Node]] = []
+    rounds = 0
+    remainder = p
+    for j in range(base, 1, -1):
+        if j < base:
+            node = accept(remainder, ids)
+            if node is not None:
+                break
+        cut = Fraction(j - 1, j)
+        k = _cut_index(remainder, cut, strict=True)
+        remainder, right, _ = _cut_pieces(remainder, cut, k)
+        trace.append(CutRecord(cut, k, remainder, right))
+        child, depth = _realize(right, rest, accept, ids, trace)
+        peeled.append((cut, child))
+        rounds = max(rounds, depth)
+    else:
+        node, depth = _realize(remainder, rest, accept, ids, trace)
+        rounds = max(rounds, depth)
+    # Assemble leftmost interval first.
+    parts = [node] + [opt_series(states, cut_switch(cut, states, ids()), child)
+                      for cut, child in reversed(peeled)]
+    return opt_parallel(states, *parts), rounds + 1
+
+
+def _run(dist: Distribution, schedule: tuple[int, ...],
+         accept: Acceptor) -> tuple[Circuit, list[CutRecord], int]:
+    """Circuit, cut trace and round depth of the engine on ``dist``."""
+    trace: list[CutRecord] = []
+    node, rounds = _realize(dist, schedule, accept, IdGen(), trace)
+    return Circuit(len(dist), node), trace, rounds
+
+
+def _report(dist: Distribution, schedule: tuple[int, ...], accept: Acceptor,
+            bound: int, method: str, base: int, exponent: int) -> SynthesisReport:
+    """Run the engine and report its circuit, whose pswitches stay within ``bound``."""
+    circuit, trace, _ = _run(dist, schedule, accept)
+    count = len(circuit.pswitches())
+    assert count <= bound
+    return SynthesisReport(dist, circuit, count, bound, trace,
+                           method=method, base=base, exponent=exponent)
+
+
+def _spec(target: Union[Distribution, TargetSpec], base: Optional[int] = None) -> TargetSpec:
+    """The target's spec; an explicit ``base`` re-derives the exponent."""
+    if isinstance(target, TargetSpec):
+        return target if base is None else TargetSpec.from_dist(target.dist, base)
+    return TargetSpec.from_dist(target, base)
+
+
+def _base_q_spec(target: Union[Distribution, TargetSpec],
+                 base: Optional[int]) -> TargetSpec:
+    """The spec of a base-q synthesis, refused past ``_MAX_BASE``."""
+    spec = _spec(target, base)
+    if spec.base > _MAX_BASE:
+        raise InsufficientSwitchSetError(
+            f"base {spec.base} exceeds the cap {_MAX_BASE} on switch-set bases")
+    return spec
+
+
+def _switch_set(switch_set: Optional[SwitchSet], top: int, spec: TargetSpec) -> SwitchSet:
+    """The given switch set, or {1/2, ..., 1/top}; it must cover 1/top."""
+    if switch_set is None:
+        return SwitchSet.reciprocals(top)
+    if not switch_set.covers(top):
+        raise InsufficientSwitchSetError(
+            f"rounds of base {top} for denominator {spec.base}^{spec.exponent} "
+            f"need every 1/k pswitch, k <= {top}")
+    return switch_set
+
+
+# --------------------------------------------------------------------------
+# The four synthesizers
 # --------------------------------------------------------------------------
 
 def synth_binary_nstate(target: Union[Distribution, TargetSpec]) -> SynthesisReport:
@@ -289,39 +403,14 @@ def synth_binary_nstate(target: Union[Distribution, TargetSpec]) -> SynthesisRep
     strictly exceeds 1/2. The pswitch count never exceeds the closed-form
     bound f(n, N); for three states that equals 2n - 1.
     """
-    spec = target if isinstance(target, TargetSpec) else TargetSpec.from_dist(target)
+    spec = _spec(target)
     if spec.base != 2:
         raise InvalidTargetError(
             f"binary synthesis needs dyadic targets, denominator is {spec.base}^{spec.exponent}")
-    dist = spec.dist
-    ids = IdGen()
-    trace: list[CutRecord] = []
-    node, count = _realize_binary(dist, len(dist), ids, trace)
-    bound = complexity_bound(spec.exponent, len(dist))
-    report = SynthesisReport(dist, Circuit(len(dist), node), count, bound, trace,
-                             method="binary", base=2, exponent=spec.exponent)
-    assert count <= bound
-    return report
+    n = spec.exponent
+    return _report(spec.dist, (2,) * n, SwitchSet.binary().realize,
+                   complexity_bound(n, len(spec.dist)), "binary", 2, n)
 
-
-def _realize_binary(p: Distribution, states: int, ids: IdGen,
-                    trace: list[CutRecord]) -> tuple[Node, int]:
-    node = SwitchSet.binary().realize(p, ids)
-    if node is not None:
-        return node, len(collect_pswitches(node))
-    k = _cut_index(p, HALF, strict=True)
-    left, right, _ = _cut_pieces(p, HALF, k)
-    trace.append(CutRecord(HALF, k, left, right))
-    sw = cut_switch(HALF, states, ids())
-    lnode, lcount = _realize_binary(left, states, ids, trace)
-    rnode, rcount = _realize_binary(right, states, ids, trace)
-    node = opt_parallel(states, lnode, opt_series(states, sw, rnode))
-    return node, 1 + lcount + rcount
-
-
-# --------------------------------------------------------------------------
-# State reduction: x_i / q targets into two-state leaf switches
-# --------------------------------------------------------------------------
 
 def state_reduction(target: Union[Distribution, TargetSpec]) -> SynthesisReport:
     """Cut at 1/2 until every stochastic piece has at most two active states.
@@ -332,45 +421,30 @@ def state_reduction(target: Union[Distribution, TargetSpec]) -> SynthesisReport:
     leaves are left unexpanded; realizing them is the 2-state problem.
     """
     if isinstance(target, TargetSpec):
-        dist, q = target.dist, target.base ** target.exponent
+        dist, q = target.dist, max(target.base ** target.exponent, 2)
     else:
-        dist, q = target, _common_denominator(target)
+        dist, q = target, max(_common_denominator(target), 2)
     states = len(dist)
-    ids = IdGen()
-    trace: list[CutRecord] = []
-    node, halves, leaves, rounds = _realize_state_red(dist, states, ids, trace)
-    if q < 2:
-        q = 2
+    halves = SwitchSet.binary()
+
+    def accept(p: Distribution, ids: IdGen) -> Optional[Node]:
+        node = halves.realize(p, ids)
+        if node is None and len(p.support()) == 2:
+            node = pswitch(p, ids())
+        return node
+
+    circuit, trace, rounds = _run(dist, (2,) * ceil_log2(q), accept)
+    switches = circuit.pswitches()
+    half = (HALF,) + (ZERO,) * (states - 2) + (HALF,)
+    half_count = sum(sw.dist.probs == half for sw in switches)
+    leaf_count = len(switches) - half_count
     half_bound = complexity_bound(ceil_log2(q), states)
-    report = SynthesisReport(
-        dist, Circuit(states, node), halves + leaves,
-        bound=half_bound + (states - 1), trace=trace, method="state",
-        base=q, exponent=1, half_pswitches=halves, leaf_pswitches=leaves,
-        rounds=rounds)
-    assert halves <= half_bound and leaves <= states - 1
-    return report
+    assert half_count <= half_bound and leaf_count <= states - 1
+    return SynthesisReport(
+        dist, circuit, len(switches), bound=half_bound + (states - 1),
+        trace=trace, method="state", base=q, exponent=1,
+        half_pswitches=half_count, leaf_pswitches=leaf_count, rounds=rounds)
 
-
-def _realize_state_red(p: Distribution, states: int, ids: IdGen,
-                       trace: list[CutRecord]) -> tuple[Node, int, int, int]:
-    node = SwitchSet.binary().realize(p, ids)
-    if node is not None:
-        return node, len(collect_pswitches(node)), 0, 0
-    if len(p.support()) == 2:
-        return pswitch(p, ids()), 0, 1, 0
-    k = _cut_index(p, HALF, strict=True)
-    left, right, _ = _cut_pieces(p, HALF, k)
-    trace.append(CutRecord(HALF, k, left, right))
-    sw = cut_switch(HALF, states, ids())
-    lnode, lh, ll, ld = _realize_state_red(left, states, ids, trace)
-    rnode, rh, rl, rd = _realize_state_red(right, states, ids, trace)
-    node = opt_parallel(states, lnode, opt_series(states, sw, rnode))
-    return node, 1 + lh + rh, ll + rl, 1 + max(ld, rd)
-
-
-# --------------------------------------------------------------------------
-# Denominator reduction and composite denominators
-# --------------------------------------------------------------------------
 
 def denominator_reduction(target: Union[Distribution, TargetSpec],
                           base: Optional[int] = None,
@@ -379,31 +453,17 @@ def denominator_reduction(target: Union[Distribution, TargetSpec],
 
     Each round runs q - 1 block-interval cuts on the remainder, at
     (q-1)/q, then (q-2)/(q-1), ..., then 1/2, yielding q intervals of width
-    1/q whose sub-targets have denominator q^(n-1).
+    1/q whose sub-targets have denominator q^(n-1). Bases above 10^6 are
+    refused.
     """
-    if isinstance(target, TargetSpec):
-        spec = target if base is None else TargetSpec.from_dist(target.dist, base)
-    else:
-        spec = TargetSpec.from_dist(target, base)
+    spec = _base_q_spec(target, base)
     q, n = spec.base, spec.exponent
     if n == 0:
         # denominator 1: point mass
         q = max(q, 2)
-    if switch_set is None:
-        switch_set = SwitchSet.reciprocals(q)
-    elif not switch_set.covers(q):
-        raise InsufficientSwitchSetError(
-            f"denominator reduction at base {q} needs every 1/k, k <= {q}")
-    schedule = (q,) * n
-    ids = IdGen()
-    trace: list[CutRecord] = []
-    node, count = _realize_denom(spec.dist, len(spec.dist), schedule,
-                                 switch_set, ids, trace)
-    bound = rational_bound(q, n, len(spec.dist))
-    report = SynthesisReport(spec.dist, Circuit(len(spec.dist), node), count, bound,
-                             trace, method="denom", base=q, exponent=n)
-    assert count <= bound
-    return report
+    switch_set = _switch_set(switch_set, q, spec)
+    return _report(spec.dist, (q,) * n, switch_set.realize,
+                   rational_bound(q, n, len(spec.dist)), "denom", q, n)
 
 
 def composite_synthesis(target: Union[Distribution, TargetSpec],
@@ -415,40 +475,23 @@ def composite_synthesis(target: Union[Distribution, TargetSpec],
     prime), then onward down to p1, so the switch set is
     {1/2, ..., 1/p_max}. The reported bound is the plain denominator
     reduction bound for the literal q, which the chained construction
-    always satisfies.
+    always satisfies. Bases above 10^6 are refused.
     """
-    if isinstance(target, TargetSpec):
-        spec = target if base is None else TargetSpec.from_dist(target.dist, base)
-    else:
-        spec = TargetSpec.from_dist(target, base)
+    spec = _base_q_spec(target, base)
     q, n = spec.base, spec.exponent
     factors = _factorize(q) if n > 0 else {2: 1}
     schedule: list[int] = []
     for prime in sorted(factors, reverse=True):
         schedule.extend([prime] * (factors[prime] * n))
-    max_base = max(factors) if n > 0 else 2
-    if switch_set is None:
-        switch_set = SwitchSet.reciprocals(max_base)
-    elif not switch_set.covers(max_base):
-        raise InsufficientSwitchSetError(
-            f"factor {max_base} of {q} needs every 1/k pswitch, k <= {max_base}")
-    ids = IdGen()
-    trace: list[CutRecord] = []
-    node, count = _realize_denom(spec.dist, len(spec.dist), tuple(schedule),
-                                 switch_set, ids, trace)
-    bound = rational_bound(max(q, 2), n, len(spec.dist))
-    report = SynthesisReport(spec.dist, Circuit(len(spec.dist), node), count, bound,
-                             trace, method="composite", base=q, exponent=n)
-    assert count <= bound
-    return report
+    switch_set = _switch_set(switch_set, max(factors), spec)
+    return _report(spec.dist, tuple(schedule), switch_set.realize,
+                   rational_bound(max(q, 2), n, len(spec.dist)), "composite", q, n)
 
 
 def _factorize(q: int) -> dict[int, int]:
-    """Prime factorization by trial division; denominators are desk-scale."""
+    """Prime factorization by trial division; bases are capped at ``_MAX_BASE``."""
     if q < 2:
         raise InvalidTargetError(f"base must be >= 2, got {q}")
-    if q > 10 ** 6:
-        raise InsufficientSwitchSetError(f"base {q} too large to factor (max 10^6)")
     factors: dict[int, int] = {}
     rest = q
     p = 2
@@ -460,47 +503,3 @@ def _factorize(q: int) -> dict[int, int]:
     if rest > 1:
         factors[rest] = factors.get(rest, 0) + 1
     return factors
-
-
-def _realize_denom(p: Distribution, states: int, schedule: Sequence[int],
-                   switch_set: SwitchSet, ids: IdGen,
-                   trace: list[CutRecord]) -> tuple[Node, int]:
-    node = switch_set.realize(p, ids)
-    if node is not None:
-        return node, len(collect_pswitches(node))
-    if not schedule:
-        raise InvalidTargetError(
-            f"target {p!r} not deterministic after all reduction rounds")
-    b = schedule[0]
-    rest = tuple(schedule[1:])
-    # One round: peel intervals off the top at (j-1)/j for j = b, b-1, ..., 2.
-    branches: list[tuple[Optional[Fraction], Node, int]] = []
-    remainder: Optional[Distribution] = p
-    for j in range(b, 1, -1):
-        direct = switch_set.realize(remainder, ids)
-        if direct is not None:
-            branches.append((None, direct, len(collect_pswitches(direct))))
-            remainder = None
-            break
-        cut = Fraction(j - 1, j)
-        k = _cut_index(remainder, cut, strict=True)
-        left, right, _ = _cut_pieces(remainder, cut, k)
-        trace.append(CutRecord(cut, k, left, right))
-        rnode, rcount = _realize_denom(right, states, rest, switch_set, ids, trace)
-        branches.append((Fraction(1, j), rnode, rcount))
-        remainder = left
-    if remainder is not None:
-        lnode, lcount = _realize_denom(remainder, states, rest, switch_set, ids, trace)
-        branches.append((None, lnode, lcount))
-    # Assemble leftmost interval first; interval j rides behind its 1/j switch.
-    parts: list[Node] = []
-    total = 0
-    for frac, child, ccount in reversed(branches):
-        total += ccount
-        if frac is None:
-            parts.append(child)
-        else:
-            total += 1
-            parts.append(opt_series(states, cut_switch(ONE - frac, states, ids()), child))
-    node = opt_parallel(states, *parts)
-    return node, total

@@ -1,6 +1,7 @@
 """CLI wiring: every subcommand, JSON determinism, exit codes."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -186,6 +187,22 @@ def test_validation_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["eval", "--netlist", str(bad)]) == 2
+
+
+def test_synth_huge_denominator_is_a_validation_error(capsys):
+    scale = 3 ** 700
+    target = f"1/{scale},{scale - 1}/{scale}"
+    assert run(["synth", "--target", target, "--method", "binary"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3^700" in err
+
+
+def test_synth_denom_base_over_cap_is_refused_fast(capsys):
+    start = time.perf_counter()
+    code = run(["synth", "--target", "1/2000003,2000002/2000003", "--method", "denom"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "base 2000003 exceeds the cap" in capsys.readouterr().err
 
 
 def test_capacity_exit_code(capsys, tmp_path):

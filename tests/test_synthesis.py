@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from relaycircuits import (
     Circuit, Distribution, IdGen, InvalidCutError, InvalidTargetError,
-    InsufficientSwitchSetError, Leaf, SwitchSet, TargetSpec,
+    InsufficientSwitchSetError, Leaf, SwitchSet, TargetSpec, ascii_render,
     block_interval_cut, complexity_bound, composite_synthesis,
     denominator_reduction, evaluate, evaluate_oracle, rational_bound,
     reassemble_cut, state_reduction, synth_binary_nstate,
@@ -18,12 +18,16 @@ from relaycircuits.circuits import collect_pswitches
 from conftest import distributions
 
 
-def dyadic_targets(states, n):
-    """All (x_0, ..., x_{N-1}) with sum 2^n, as distributions."""
-    scale = 2 ** n
+def scaled_targets(states, scale):
+    """All (x_0, ..., x_{N-1}) / scale with sum 1, as distributions."""
     for cuts in itertools.combinations_with_replacement(range(scale + 1), states - 1):
         parts = [b - a for a, b in zip((0,) + cuts, cuts + (scale,))]
         yield Distribution(F(x, scale) for x in parts)
+
+
+def dyadic_targets(states, n):
+    """All (x_0, ..., x_{N-1}) with sum 2^n, as distributions."""
+    return scaled_targets(states, 2 ** n)
 
 
 def minimal_dyadic_exponent(dist):
@@ -136,6 +140,27 @@ class TestBinarySynthesis:
         assert doc["netlist"]["states"] == 3
 
 
+class TestBoundsAttained:
+    """The worst case over all targets meets each closed-form bound exactly."""
+
+    def test_binary_worst_case_is_complexity_bound(self):
+        # N = 5, n = 4 (4845 targets, about 5 s) also holds; left out for time.
+        for states in range(2, 6):
+            for n in range(5 if states < 5 else 4):
+                worst = max(synth_binary_nstate(TargetSpec(t, 2, n)).pswitch_count
+                            for t in dyadic_targets(states, n))
+                assert worst == complexity_bound(n, states), (states, n)
+
+    def test_denominator_worst_case_is_rational_bound(self):
+        for q in (3, 5, 6, 7):
+            for states in (2, 3):
+                # n = 2 at q = 7 (1275 targets at N = 3) also holds; left out for time.
+                for n in range(3 if q < 7 else 2):
+                    worst = max(denominator_reduction(TargetSpec(t, q, n)).pswitch_count
+                                for t in scaled_targets(states, q ** n))
+                    assert worst == rational_bound(q, n, states), (q, states, n)
+
+
 class TestStateReduction:
     def test_thirds_example(self):
         target = Distribution([F(1, 3)] * 3)
@@ -143,6 +168,7 @@ class TestStateReduction:
         assert evaluate(report.circuit) == target
         assert report.half_pswitches == 1
         assert report.leaf_pswitches == 2
+        assert report.rounds == 1
         leaf_dists = sorted(
             tuple(sw.dist) for sw in collect_pswitches(report.circuit.root)
             if sw.dist != Distribution.shorthand(F(1, 2), 3))
@@ -184,6 +210,9 @@ class TestDenominatorReduction:
         assert evaluate(report.circuit) == target
         assert evaluate_oracle(report.circuit) == target
         assert report.pswitch_count <= report.bound == 2
+        assert ascii_render(report.circuit) == "(((1/2,0,1/2) * det(1)) + (2/3,0,1/3))"
+        # the round stops after one cut: its remainder (1/2, 1/2, 0) is accepted
+        assert len(report.trace) == 1
 
     def test_q2_matches_binary(self):
         for target in dyadic_targets(3, 3):
@@ -247,9 +276,11 @@ class TestCompositeSynthesis:
         assert composite.pswitch_count == plain.pswitch_count
 
     def test_huge_base_rejected(self):
-        with pytest.raises(InsufficientSwitchSetError):
-            from relaycircuits.synthesis import _factorize
-            _factorize(10 ** 7)
+        big = 10 ** 7
+        target = Distribution([F(1, big), F(big - 1, big)])
+        for synth in (composite_synthesis, denominator_reduction):
+            with pytest.raises(InsufficientSwitchSetError, match=f"base {big} exceeds the cap"):
+                synth(target, base=big)
 
 
 class TestSwitchSet:
@@ -275,10 +306,6 @@ class TestSwitchSet:
         assert sset.realize(Distribution([F(1, 3), F(2, 3)]), ids) is None
         assert sset.realize(Distribution([F(1, 4), F(1, 4), F(1, 2)]), ids) is None
 
-    def test_no_deterministic(self):
-        sset = SwitchSet((F(1, 2),), allow_deterministic=False)
-        assert sset.realize(Distribution([1, 0]), IdGen()) is None
-
     def test_insufficient_switch_set_error(self):
         target = Distribution([F(1, 3), F(1, 3), F(1, 3)])
         with pytest.raises(InsufficientSwitchSetError):
@@ -301,6 +328,11 @@ class TestTargetSpec:
         assert (spec.base, spec.exponent) == (12, 1)
         spec = TargetSpec.from_dist(Distribution([1, 0]))
         assert spec.exponent == 0
+        # exact integer roots: no float overflow, no rounding past 2^53
+        for denom, form in ((3 ** 700, (3, 700)), (6 ** 40, (6, 40)),
+                            (10 ** 17 + 3, (10 ** 17 + 3, 1))):
+            spec = TargetSpec.from_dist(Distribution([F(1, denom), 1 - F(1, denom)]))
+            assert (spec.base, spec.exponent) == form
 
     def test_explicit_base(self):
         spec = TargetSpec.from_dist(Distribution([F(1, 4), F(3, 4)]), base=2)
