@@ -530,16 +530,23 @@ def _eval_graph(node: Graph, states: int, assignment: Assignment, cap: int) -> D
         raise CapacityError(
             f"graph has {live} edges holding pswitches (2^{live} subsets per "
             f"level), cap is {cap}; raise graph_cap (CLI --graph-cap)")
-    edges = []  # (u, v, P(label >= k) for k = 0..N)
-    for e in node.edges:
-        if e.holds_pswitch:
-            tail = _suffix_sums(_eval_node(e.label, states, assignment, cap))
-        else:
-            state = resolve(e.label, states, assignment, {})
-            tail = [ONE] * (state + 1) + [ZERO] * (states - state)
-        edges.append((e.u, e.v, tail))
+    tails = [_suffix_sums(_eval_node(e.label, states, assignment, cap))
+             if e.holds_pswitch else _fixed_tail(e.label, states, assignment)
+             for e in node.edges]
+    return _graph_dist(node, states, tails)
+
+
+def _fixed_tail(label: Node, states: int, assignment: Assignment) -> list[Fraction]:
+    """P(label >= k) for k = 0..N of a label without a pswitch."""
+    state = resolve(label, states, assignment, {})
+    return [ONE] * (state + 1) + [ZERO] * (states - state)
+
+
+def _graph_dist(node: Graph, states: int, tails: list) -> Distribution:
+    """Output of ``node`` given each edge's P(label >= k), k = 0..N, in edge order."""
+    edges = [(e.u, e.v, tail) for e, tail in zip(node.edges, tails)]
     # P(X >= k) = P(s and t are joined by edges whose label is >= k)
-    tails = [ONE]
+    levels = [ONE]
     for k in range(1, states):
         up = [(u, v) for u, v, tail in edges if tail[k] == 1]
         unsure = [(u, v, tail[k]) for u, v, tail in edges if 0 < tail[k] < 1]
@@ -549,9 +556,9 @@ def _eval_graph(node: Graph, states: int, assignment: Assignment, cap: int) -> D
             if _connected(up + chosen, node.s, node.t):
                 level += math.prod(p if pick else 1 - p
                                    for pick, (_, _, p) in zip(picks, unsure))
-        tails.append(level)
-    tails.append(ZERO)
-    return Distribution(tails[k] - tails[k + 1] for k in range(states))
+        levels.append(level)
+    levels.append(ZERO)
+    return Distribution(levels[k] - levels[k + 1] for k in range(states))
 
 
 def _joint_outcomes(switches: list[Pswitch]):

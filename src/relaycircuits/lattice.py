@@ -144,7 +144,10 @@ class LatticeDistribution:
                 raise LatticeError(
                     f"need {len(lattice.elements)} probabilities, got {len(probs)}")
             probs = dict(zip(lattice.elements, probs))
-        clean = {e: Fraction(probs.get(e, 0)) for e in lattice.elements}
+        clean = {}
+        for e in lattice.elements:
+            p = probs.get(e, ZERO)
+            clean[e] = p if isinstance(p, Fraction) else Fraction(p)
         if any(p < 0 or p > 1 for p in clean.values()):
             raise LatticeError(f"probabilities outside [0, 1]: {clean}")
         if sum(clean.values()) != 1:
@@ -181,23 +184,22 @@ class LatticeDistribution:
 def compose_lattice(p: LatticeDistribution, q: LatticeDistribution,
                     op: str) -> LatticeDistribution:
     """Distribution of ``X op Y`` for independent X~p, Y~q; op is join or meet."""
-    if p.lattice != q.lattice:
-        raise LatticeMismatchError("distributions live on different lattices")
     lattice = p.lattice
+    if q.lattice is not lattice and q.lattice != lattice:
+        raise LatticeMismatchError("distributions live on different lattices")
     if op == "join":
-        combine = lattice.join
+        table = lattice._join
     elif op == "meet":
-        combine = lattice.meet
+        table = lattice._meet
     else:
         raise LatticeError(f"op must be 'join' or 'meet', got {op!r}")
-    out = {e: ZERO for e in lattice.elements}
-    for x, px in p.probs.items():
-        if px == 0:
-            continue
-        for y, qy in q.probs.items():
-            if qy == 0:
-                continue
-            out[combine(x, y)] += px * qy
+    out = [ZERO] * len(lattice.elements)
+    qs = [(j, qy) for j, qy in enumerate(q.probs.values()) if qy]
+    for i, px in enumerate(p.probs.values()):
+        if px:
+            row = table[i]
+            for j, qy in qs:
+                out[row[j]] += px * qy
     return LatticeDistribution(lattice, out)
 
 
@@ -248,6 +250,11 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     matters for further composition, so the memo set keeps the enumeration
     finite without losing realizability. The explored count (distinct
     distributions reached within the budget) makes verdicts reproducible.
+
+    Meet and join commute, so each unordered pair is composed once: a pair
+    of sizes (l, r) with l > r, or of equal sizes with q before p, is the
+    mirror of one composed earlier in the same loop order. Skipping it
+    changes no first witness, explored count or ``max_explored`` failure.
     """
     lattice = spec.lattice
     base: list[tuple[LatticeDistribution, str]] = []
@@ -276,11 +283,13 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
             by_size[size].append(dist)
 
     for size in range(2, spec.max_switches + 1):
-        for lsize in range(1, size):
+        # meet and join commute, so each unordered pair is composed once:
+        # lsize <= rsize, and among equal sizes q never precedes p
+        for lsize in range(1, size // 2 + 1):
             rsize = size - lsize
-            for p in by_size[lsize]:
+            for i, p in enumerate(by_size[lsize]):
                 pexpr = seen[p.key()][1]
-                for q in by_size[rsize]:
+                for q in by_size[rsize][i if lsize == rsize else 0:]:
                     qexpr = seen[q.key()][1]
                     record(compose_lattice(p, q, "meet"), size, f"({pexpr} * {qexpr})")
                     record(compose_lattice(p, q, "join"), size, f"({pexpr} + {qexpr})")

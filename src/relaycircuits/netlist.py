@@ -18,6 +18,7 @@ identical circuits produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Union
 
 from .circuits import (
@@ -98,10 +99,13 @@ def dumps(circuit: Circuit) -> str:
 
 def loads(text: Union[str, bytes]) -> Circuit:
     try:
-        data = json.loads(text)
+        return circuit_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
-    return circuit_from_json(data)
+    except RecursionError as exc:
+        raise ValidationError(
+            "netlist nesting depth exceeds what the decoder can read at the "
+            f"recursion limit {sys.getrecursionlimit()}") from exc
 
 
 def save(circuit: Circuit, path) -> None:

@@ -19,11 +19,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .circuits import (
-    CapacityError, Circuit, Distribution, Graph, Leaf, Node, Parallel,
-    Pswitch, RelayError, Series, ValidationError, ZERO, evaluate,
+    CapacityError, Circuit, Distribution, Edge, Graph, Leaf, Node, Parallel,
+    Pswitch, RelayError, Series, ValidationError, ZERO, _fixed_tail,
+    _graph_dist, _leaf_dist, _suffix_sums, compose_parallel, compose_series,
+    evaluate,
 )
 from .rational import format_rational
 
@@ -149,9 +151,18 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     """Largest per-state deviation over the error box, exactly or sampled.
 
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
-    exact by multilinearity but capped at ``corner_cap`` switches.
+    exact by multilinearity but capped at ``corner_cap`` switches. It walks
+    the circuit once, bottom up: every node yields its output for each sign
+    corner of the pswitches below it, so a subtree's compositions are shared
+    by all corners of the switches outside it. A series or parallel node
+    streams its first child and holds the tables of the later ones, a graph
+    holds the tables of all its edges but the first, so at most about 2^m
+    distributions are alive at once (65,536 at the default cap of 16).
     ``sampled`` mode draws ``trials`` assignments from a rational grid plus
-    random corners; its report is flagged non-exhaustive.
+    random corners, and evaluates each perturbed circuit; its report is
+    flagged non-exhaustive. In both modes the worst assignment is the first,
+    in the order tried, of largest deviation; corners are tried in
+    ``itertools.product`` order over the pswitch ids, first id slowest.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -163,9 +174,12 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
             raise CapacityError(
                 f"{len(ids)} pswitches exceed corner cap {corner_cap}; use sampled mode")
         candidates = _corner_assignments(ids, epsilon)
+        outputs = _corner_outputs(circuit, epsilon)
         exhaustive = True
     elif mode == "sampled":
-        candidates = _sampled_assignments(ids, epsilon, trials, seed)
+        candidates = list(_sampled_assignments(ids, epsilon, trials, seed))
+        outputs = (evaluate(perturb(circuit, PerturbationModel(epsilon, a)))
+                   for a in candidates)
         exhaustive = False
     else:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -173,9 +187,7 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     best = [ZERO] * circuit.states
     worst: dict[str, Fraction] = {pid: ZERO for pid in ids}
     worst_mag = Fraction(-1)
-    for assignment in candidates:
-        model = PerturbationModel(epsilon, assignment)
-        out = evaluate(perturb(circuit, model))
+    for assignment, out in zip(candidates, outputs):
         mag = ZERO
         for i in range(circuit.states):
             err = abs(out[i] - nominal[i])
@@ -193,6 +205,67 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
 def _corner_assignments(ids: list[str], epsilon: Fraction):
     for signs in itertools.product((-1, 1), repeat=len(ids)):
         yield {pid: s * epsilon for pid, s in zip(ids, signs)}
+
+
+def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> Iterator[Distribution]:
+    """The circuit's output at every sign corner, in ``_corner_assignments`` order."""
+    switches = circuit.pswitches()
+    # Perturb every switch before the walk, -eps in id order, then +eps in
+    # reverse: the first invalid one is the one per-corner perturbation hits.
+    minus = {sw.id: perturb_dist(sw.dist, -epsilon) if epsilon else sw.dist
+             for sw in switches}
+    plus = {sw.id: perturb_dist(sw.dist, epsilon) if epsilon else sw.dist
+            for sw in reversed(switches)}
+    leaves = {pid: (minus[pid], plus[pid]) for pid in minus}
+    return _corner_table(circuit.root, circuit.states, leaves)
+
+
+def _corner_table(node: Node, states: int,
+                  leaves: dict[str, tuple[Distribution, Distribution]]
+                  ) -> Iterator[Distribution]:
+    """Yield ``node``'s output for each sign corner of its pswitches, first
+    pswitch (in tree order) slowest."""
+    if isinstance(node, Leaf):
+        el = node.element
+        if isinstance(el, Pswitch):
+            yield from leaves[el.id]
+        else:
+            yield _leaf_dist(el, states, {})
+        return
+    if isinstance(node, Graph):
+        first, *rest = [_edge_tails(e, states, leaves) for e in node.edges]
+        later = list(itertools.product(*rest))
+        for tail in first:
+            for tails in later:
+                yield _graph_dist(node, states, [tail, *tails])
+        return
+    if isinstance(node, Series):
+        compose = compose_series
+    elif isinstance(node, Parallel):
+        compose = compose_parallel
+    else:
+        raise ValidationError(f"unknown node {node!r}")
+    first, *rest = node.children
+    later = [list(_corner_table(c, states, leaves)) for c in rest]
+    for dist in _corner_table(first, states, leaves):
+        yield from _fold(dist, later, compose)
+
+
+def _fold(acc: Distribution, later: list[list[Distribution]],
+          compose) -> Iterator[Distribution]:
+    """Left fold of ``acc`` with one entry of each table, for every combination."""
+    if not later:
+        yield acc
+        return
+    for dist in later[0]:
+        yield from _fold(compose(acc, dist), later[1:], compose)
+
+
+def _edge_tails(edge: Edge, states: int, leaves) -> Iterable[list[Fraction]]:
+    """P(label >= k), k = 0..N, at each sign corner of the edge's pswitches."""
+    if not edge.holds_pswitch:
+        return [_fixed_tail(edge.label, states, {})]
+    return map(_suffix_sums, _corner_table(edge.label, states, leaves))
 
 
 def _sampled_assignments(ids: list[str], epsilon: Fraction, trials: int, seed: int):

@@ -28,19 +28,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Callable, Optional, Union
 
 from .bounds import ceil_log2, complexity_bound, rational_bound
 from .circuits import (
-    Circuit, Distribution, IdGen, Leaf, Node, ONE, RelayError, ZERO,
-    det, opt_parallel, opt_series, pswitch,
+    CapacityError, Circuit, Distribution, IdGen, Leaf, Node, ONE, RelayError,
+    ZERO, det, opt_parallel, opt_series, pswitch,
 )
 from .netlist import circuit_to_json, distribution_to_json
 from .rational import format_rational
 
 HALF = Fraction(1, 2)
 _MAX_BASE = 10 ** 6  # largest base q of a {1/2, ..., 1/q} switch set or round
+# Longest round schedule. Each round nests the circuit two levels deeper, and
+# evaluation and netlist I/O recurse once per level: on a three-state binary
+# target (1/2^n, 1 - 2/2^n, 1/2^n), synthesis, evaluate and dumps/loads all
+# succeed up to n = 246 at the top of a fresh interpreter at the default
+# recursion limit, and up to 236 inside a test runner. The cap leaves room
+# for the callers' own frames.
+_MAX_ROUNDS = 200
 
 
 class InvalidCutError(RelayError):
@@ -81,9 +89,13 @@ class SwitchSet:
             raise InvalidTargetError(f"need q >= 2, got {q}")
         return cls(tuple(Fraction(1, k) for k in range(2, q + 1)))
 
+    @cached_property
+    def _members(self) -> frozenset:
+        """The probabilities as a set, built once, for constant-time lookup."""
+        return frozenset(self.probabilities)
+
     def covers(self, q: int) -> bool:
-        members = set(self.probabilities)
-        return all(Fraction(1, k) in members for k in range(2, q + 1))
+        return all(Fraction(1, k) in self._members for k in range(2, q + 1))
 
     def realize(self, dist: Distribution, ids: IdGen) -> Optional[Node]:
         """A Det switch or clamped member realizing ``dist``, if any matches."""
@@ -93,7 +105,7 @@ class SwitchSet:
         if len(support) != 2:
             return None
         low, high = support
-        if dist[high] in self.probabilities:
+        if dist[high] in self._members:
             return _clamped_base(low, high, dist[high], len(dist), ids)
         return None
 
@@ -348,7 +360,15 @@ def _realize(p: Distribution, schedule: tuple[int, ...], accept: Acceptor,
 
 def _run(dist: Distribution, schedule: tuple[int, ...],
          accept: Acceptor) -> tuple[Circuit, list[CutRecord], int]:
-    """Circuit, cut trace and round depth of the engine on ``dist``."""
+    """Circuit, cut trace and round depth of the engine on ``dist``.
+
+    Schedules longer than ``_MAX_ROUNDS`` are refused before any cut.
+    """
+    if len(schedule) > _MAX_ROUNDS:
+        raise CapacityError(
+            f"synthesis needs {len(schedule)} rounds, cap is {_MAX_ROUNDS}: "
+            "deeper circuits exceed the recursion limit of evaluation and "
+            "netlist I/O")
     trace: list[CutRecord] = []
     node, rounds = _realize(dist, schedule, accept, IdGen(), trace)
     return Circuit(len(dist), node), trace, rounds

@@ -205,6 +205,25 @@ def test_synth_denom_base_over_cap_is_refused_fast(capsys):
     assert "base 2000003 exceeds the cap" in capsys.readouterr().err
 
 
+def test_synth_past_the_round_cap_is_a_capacity_error(capsys):
+    scale = 2 ** 201
+    target = f"1/{scale},{scale - 2}/{scale},1/{scale}"
+    assert run(["synth", "--target", target, "--method", "binary"]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "201 rounds, cap is 200" in err
+
+
+def test_eval_deep_netlist_is_a_validation_error(capsys, tmp_path):
+    text = '{"op": "det", "state": 1}'
+    for _ in range(600):
+        text = '{"op": "series", "children": [%s, {"op": "det", "state": 1}]}' % text
+    path = tmp_path / "deep.json"
+    path.write_text('{"states": 2, "circuit": %s}' % text)
+    assert run(["eval", "--netlist", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nesting depth" in err
+
+
 def test_capacity_exit_code(capsys, tmp_path):
     ids = IdGen()
     from relaycircuits import Edge, Graph

@@ -5,11 +5,48 @@ from fractions import Fraction as F
 import pytest
 
 from relaycircuits import (
-    Lattice, LatticeDistribution, LatticeError,
+    CapacityError, Lattice, LatticeDistribution, LatticeError,
     LatticeMismatchError, SearchSpec, compose_lattice, compose_parallel,
     compose_series, lattice_from_json, lattice_to_json, search_expressible,
 )
 from conftest import random_distribution
+
+
+def reference_search(lattice, switch_set, target, max_switches, max_explored=200_000):
+    """Naive search: every ordered pair, composed by element names. Returns
+    (realizable, expression, switches_used, explored) or raises CapacityError."""
+
+    def compose(p, q, combine):
+        out = dict.fromkeys(lattice.elements, F(0))
+        for x in lattice.elements:
+            for y in lattice.elements:
+                out[combine(x, y)] += p[x] * q[y]
+        return tuple(out[e] for e in lattice.elements)
+
+    base = [(d.key(), f"s{i}") for i, d in enumerate(switch_set)]
+    base += [(LatticeDistribution.point(lattice, e).key(), f"det({e})")
+             for e in lattice.elements]
+    seen, by_size = {}, {k: [] for k in range(1, max_switches + 1)}
+    for key, name in base:
+        if key not in seen:
+            seen[key] = (1, name)
+            by_size[1].append(key)
+    for size in range(2, max_switches + 1):
+        for lsize in range(1, size):
+            for p in by_size[lsize]:
+                for q in by_size[size - lsize]:
+                    pd, qd = dict(zip(lattice.elements, p)), dict(zip(lattice.elements, q))
+                    for combine, sym in ((lattice.meet, "*"), (lattice.join, "+")):
+                        key = compose(pd, qd, combine)
+                        if key not in seen:
+                            if len(seen) >= max_explored:
+                                raise CapacityError("reference cap")
+                            seen[key] = (size, f"({seen[p][1]} {sym} {seen[q][1]})")
+                            by_size[size].append(key)
+    hit = seen.get(target.key())
+    if hit is None:
+        return False, None, None, len(seen)
+    return True, hit[1], hit[0], len(seen)
 
 
 def uniform(lattice):
@@ -158,3 +195,44 @@ class TestSearch:
                     assert a == v or b == v
         # the hypothesis is not vacuous: realizable antichain products exist
         assert checked > 0
+
+
+class TestSearchMatchesReference:
+    """Composing each unordered pair once must not change any search output."""
+
+    CASES = [
+        (Lattice.diamond(), [F(1, 10), F(2, 10), F(3, 10), F(4, 10)],
+         [[0, F(1, 2), F(1, 2), 0], [F(1, 10), F(2, 10), F(3, 10), F(4, 10)]]),
+        (Lattice.chain(3), [F(1, 6), F(2, 6), F(3, 6)],
+         [[F(1, 4), F(1, 4), F(1, 2)], [F(1, 2), 0, F(1, 2)]]),
+    ]
+
+    @pytest.mark.parametrize("lattice, switch, targets", CASES)
+    def test_outputs_match(self, lattice, switch, targets):
+        switch = LatticeDistribution(lattice, switch)
+        meet = compose_lattice(switch, switch, "meet")
+        join = compose_lattice(switch, switch, "join")
+        built = [compose_lattice(meet, switch, "join"), compose_lattice(join, meet, "meet"),
+                 compose_lattice(compose_lattice(join, meet, "join"), switch, "meet")]
+        for budget in range(1, 6):
+            for target in [LatticeDistribution(lattice, t) for t in targets] + built:
+                res = search_expressible(SearchSpec(lattice, (switch,), target,
+                                                    max_switches=budget))
+                assert (res.realizable, res.expression, res.switches_used,
+                        res.explored_distributions) == \
+                    reference_search(lattice, (switch,), target, budget)
+
+    @pytest.mark.parametrize("lattice, switch, targets", CASES)
+    def test_capacity_error_at_the_same_point(self, lattice, switch, targets):
+        switch = LatticeDistribution(lattice, switch)
+        target = LatticeDistribution(lattice, targets[0])
+        explored = reference_search(lattice, (switch,), target, 5)[3]
+        for cap in (explored - 1, explored // 2):
+            with pytest.raises(CapacityError):
+                reference_search(lattice, (switch,), target, 5, max_explored=cap)
+            with pytest.raises(CapacityError, match=f"more than {cap} distributions"):
+                search_expressible(SearchSpec(lattice, (switch,), target,
+                                              max_switches=5, max_explored=cap))
+        res = search_expressible(SearchSpec(lattice, (switch,), target,
+                                            max_switches=5, max_explored=explored))
+        assert res.explored_distributions == explored

@@ -7,7 +7,7 @@ import pytest
 
 from relaycircuits import (
     Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, dumps,
-    inp, loads, parallel, pswitch, series,
+    evaluate, inp, loads, parallel, pswitch, series,
 )
 from relaycircuits.netlist import circuit_from_json, circuit_to_json
 from conftest import random_sp_circuit
@@ -80,3 +80,16 @@ def test_graph_edges_keep_structure():
     assert doc["circuit"]["op"] == "graph"
     assert doc["circuit"]["terminals"] == ["s", "t"]
     assert doc["circuit"]["edges"][1]["element"]["op"] == "series"
+
+
+def test_deep_nesting_is_a_validation_error():
+    def chain(depth):
+        text = '{"op": "det", "state": 0}'
+        for _ in range(depth):
+            text = '{"op": "parallel", "children": [{"op": "det", "state": 1}, %s]}' % text
+        return '{"states": 2, "circuit": %s}' % text
+
+    assert evaluate(loads(chain(300))) == (0, 1)
+    for depth in (600, 5000):
+        with pytest.raises(ValidationError, match="nesting depth"):
+            loads(chain(depth))

@@ -1,19 +1,76 @@
 """Perturbation model, corner search, and the linear error bounds."""
 
 import itertools
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from relaycircuits import (
-    CapacityError, Circuit, Distribution, IdGen, InvalidPerturbationError,
-    PerturbationModel, ValidationError, check_bounds, det, evaluate,
-    parallel, perturb, perturb_dist, pswitch, series, synth_binary_nstate,
-    denominator_reduction, worst_case_error,
+    CapacityError, Circuit, Distribution, Edge, Graph, IdGen, Input,
+    InvalidPerturbationError, Leaf, PerturbationModel, Pswitch,
+    ValidationError, check_bounds, det, evaluate, parallel, perturb,
+    perturb_dist, pswitch, series, synth_binary_nstate, denominator_reduction,
+    worst_case_error,
 )
+from conftest import random_graph_node, random_sp_circuit
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 EPS = F(1, 100)
+
+
+def corner_reference(circuit, epsilon):
+    """Corner search by evaluating each perturbed circuit from scratch:
+    (nominal, per-state max error, first worst assignment)."""
+    ids = [sw.id for sw in circuit.pswitches()]
+    nominal = evaluate(circuit)
+    best = [F(0)] * circuit.states
+    worst, worst_mag = None, F(-1)
+    for signs in itertools.product((-1, 1), repeat=len(ids)):
+        assignment = {pid: s * epsilon for pid, s in zip(ids, signs)}
+        out = evaluate(perturb(circuit, PerturbationModel(epsilon, assignment)))
+        errors = [abs(a - b) for a, b in zip(out, nominal)]
+        best = [max(a, b) for a, b in zip(best, errors)]
+        if max(errors) > worst_mag:
+            worst, worst_mag = assignment, max(errors)
+    return nominal, tuple(best), worst
+
+
+def two_point(node, rng, states):
+    """``node`` with every pswitch given two active states at random and
+    every input replaced by a Det."""
+    if isinstance(node, Leaf):
+        el = node.element
+        if isinstance(el, Pswitch):
+            low, high = sorted(rng.sample(range(states), 2))
+            probs = [F(0)] * states
+            probs[high] = F(rng.randint(1, 7), 8)
+            probs[low] = 1 - probs[high]
+            return pswitch(probs, el.id)
+        if isinstance(el, Input):
+            return det(rng.randrange(states))
+        return node
+    if isinstance(node, Graph):
+        return Graph(node.s, node.t, tuple(Edge(e.u, e.v, two_point(e.label, rng, states))
+                                           for e in node.edges))
+    return type(node)(tuple(two_point(c, rng, states) for c in node.children))
+
+
+def random_corner_circuits(count):
+    """Sp circuits with Det clamps and nested graphs, at most 9 pswitches."""
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < count:
+        states = rng.randint(2, 4)
+        if len(out) % 2:
+            root = random_graph_node(rng, states, IdGen())
+        else:
+            root = random_sp_circuit(rng, states, 8).root
+        circuit = Circuit(states, two_point(root, rng, states))
+        if len(circuit.pswitches()) <= 9:
+            out.append(circuit)
+    return out
 
 
 class TestPerturb:
@@ -112,6 +169,59 @@ class TestWorstCase:
             Distribution([F(2, 9), F(4, 9), F(3, 9)]), base=3).circuit
         report = worst_case_error(c, quarter)
         assert all(e <= 4 * quarter for e in report.per_state_max_error)
+
+
+class TestCornerWalk:
+    """Corner mode shares subtree work; it must agree with per-corner evaluation."""
+
+    @pytest.mark.parametrize("epsilon", [F(0), EPS])
+    def test_matches_per_corner_evaluation(self, epsilon):
+        for circuit in random_corner_circuits(40):
+            report = worst_case_error(circuit, epsilon)
+            nominal, per_state, worst = corner_reference(circuit, epsilon)
+            assert report.nominal == nominal
+            assert report.per_state_max_error == per_state
+            assert report.worst_assignment.assignments == worst
+
+    def test_graph_circuits_are_covered(self):
+        circuits = random_corner_circuits(40)
+        assert sum(isinstance(c.root, Graph) and len(c.pswitches()) > 1
+                   for c in circuits) >= 8
+
+    def test_invalid_corner_still_raises(self):
+        # +1/4 drives the first switch's low state to 9/8
+        c = Circuit(2, series(pswitch([F(7, 8), F(1, 8)], "a"), pswitch(HALF2, "b")))
+        with pytest.raises(InvalidPerturbationError) as walk:
+            worst_case_error(c, F(1, 4))
+        with pytest.raises(InvalidPerturbationError) as reference:
+            corner_reference(c, F(1, 4))
+        assert str(walk.value) == str(reference.value)
+
+    @staticmethod
+    def assert_same_outcome(circuit, epsilon):
+        """Both searches raise the same error, or return the same report."""
+        try:
+            expected = corner_reference(circuit, epsilon)
+        except InvalidPerturbationError as exc:
+            with pytest.raises(InvalidPerturbationError, match=re.escape(str(exc))):
+                worst_case_error(circuit, epsilon)
+            return 1
+        report = worst_case_error(circuit, epsilon)
+        assert (report.nominal, report.per_state_max_error,
+                report.worst_assignment.assignments) == expected
+        return 0
+
+    def test_invalid_switches_fail_like_per_corner_evaluation(self):
+        """The first switch a corner drives outside [0, 1], or that lacks two
+        active states, is the one per-corner perturbation reports; at eps = 0
+        no switch is perturbed or checked."""
+        rng = random.Random(7)
+        mixed = [random_sp_circuit(rng, rng.randint(2, 4), 6) for _ in range(40)]
+        assert sum(self.assert_same_outcome(c, EPS) for c in mixed) > 10
+        assert sum(self.assert_same_outcome(c, F(0)) for c in mixed) == 0
+        # two-point switches at 1/4: (7/8, 1/8) fails only at +eps, (1/8, 7/8) at -eps
+        two_point = random_corner_circuits(40)
+        assert sum(self.assert_same_outcome(c, F(1, 4)) for c in two_point) > 10
 
 
 class TestCheckBounds:

@@ -1,6 +1,7 @@
 """Synthesis: block-interval cuts and the four realization algorithms."""
 
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaycircuits import (
-    Circuit, Distribution, IdGen, InvalidCutError, InvalidTargetError,
+    CapacityError, Circuit, Distribution, IdGen, InvalidCutError, InvalidTargetError,
     InsufficientSwitchSetError, Leaf, SwitchSet, TargetSpec, ascii_render,
     block_interval_cut, complexity_bound, composite_synthesis,
     denominator_reduction, evaluate, evaluate_oracle, rational_bound,
     reassemble_cut, state_reduction, synth_binary_nstate,
 )
 from relaycircuits.circuits import collect_pswitches
+from relaycircuits.netlist import dumps, loads
+from relaycircuits.synthesis import _MAX_ROUNDS
 from conftest import distributions
 
 
@@ -318,6 +321,53 @@ class TestSwitchSet:
         target = Distribution([F(1, 3), F(1, 3), F(1, 3)])
         report = denominator_reduction(target, switch_set=SwitchSet.reciprocals(5))
         assert evaluate(report.circuit) == target
+
+    def test_prime_base_near_ten_thousand(self):
+        # Each of the q - 1 pieces of the round is looked up in the switch
+        # set; a scan of the members made this take over a minute. It takes
+        # about 1.2 s on a 2-core Xeon VM.
+        q = 10007
+        start = time.perf_counter()
+        report = denominator_reduction(Distribution([F(1, q), F(q - 1, q)]))
+        assert time.perf_counter() - start < 10
+        assert report.pswitch_count == q - 1
+
+
+class TestRoundCap:
+    """Schedules past ``_MAX_ROUNDS`` are refused; at the cap every walk works."""
+
+    @staticmethod
+    def edge_target(scale):
+        return Distribution([F(1, scale), 1 - F(2, scale), F(1, scale)])
+
+    def test_at_the_cap(self):
+        n = _MAX_ROUNDS
+        for synth, target in ((synth_binary_nstate, self.edge_target(2 ** n)),
+                              (composite_synthesis, self.edge_target(6 ** (n // 2)))):
+            report = synth(target)
+            assert evaluate(report.circuit) == target
+            text = dumps(report.circuit)
+            assert dumps(loads(text)) == text
+
+    def test_one_past_the_cap(self):
+        n = _MAX_ROUNDS + 1
+        message = f"needs {n} rounds, cap is {_MAX_ROUNDS}"
+        for synth, scale in ((synth_binary_nstate, 2 ** n), (state_reduction, 2 ** n),
+                             (denominator_reduction, 3 ** n)):
+            with pytest.raises(CapacityError, match=message):
+                synth(self.edge_target(scale))
+        with pytest.raises(CapacityError, match=f"needs {n + 1} rounds"):
+            composite_synthesis(self.edge_target(6 ** (n // 2 + 1)))
+
+    def test_huge_denominators_are_refused(self):
+        # these used to overflow the stack in the cut engine
+        with pytest.raises(CapacityError, match="needs 600 rounds"):
+            synth_binary_nstate(self.edge_target(2 ** 600))
+        with pytest.raises(CapacityError, match="needs 700 rounds"):
+            denominator_reduction(self.edge_target(3 ** 700))
+        with pytest.raises(CapacityError, match="needs 1110 rounds"):
+            state_reduction(Distribution([F(1, 3 ** 700), F(1, 3 ** 700),
+                                          1 - F(2, 3 ** 700)]))
 
 
 class TestTargetSpec:
