@@ -20,6 +20,7 @@ from .circuits import (
 )
 from .lattice import (
     LatticeDistribution, SearchSpec, lattice_from_json, search_expressible,
+    switch_set_from_json,
 )
 from .rational import RationalParseError, format_rational, parse_rational, parse_rational_list
 from .render import ascii_render, dot_render
@@ -147,10 +148,7 @@ def _cmd_lattice_search(args) -> int:
         lattice = lattice_from_json(json.load(fh))
     target = LatticeDistribution(lattice, parse_rational_list(args.target))
     with open(args.switchset, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    switch_set = tuple(
-        LatticeDistribution(lattice, [parse_rational(str(p)) for p in row])
-        for row in raw)
+        switch_set = switch_set_from_json(lattice, json.load(fh))
     spec = SearchSpec(lattice, switch_set, target,
                       max_switches=args.max_switches,
                       include_deterministic=not args.no_deterministic)

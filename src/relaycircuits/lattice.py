@@ -9,16 +9,23 @@ series-parallel combination of a finite switch set up to a size budget,
 deduplicating by evaluated distribution. A NOT_REALIZABLE answer is
 evidence bounded by that explored space, never a proof for unbounded
 circuits.
+
+A ``LatticeDistribution`` keeps one canonical exact form: integer
+numerators in element order over one positive denominator, with no common
+factor left. Composition multiplies integers and reduces once, and the
+search deduplicates on that integer pair, which is exact rational equality
+without building a ``Fraction`` per composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .circuits import CapacityError, ONE, RelayError, ZERO
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 
 
 class LatticeError(RelayError):
@@ -134,9 +141,16 @@ class Lattice:
 
 
 class LatticeDistribution:
-    """Exact distribution over lattice elements."""
+    """Exact distribution over lattice elements, kept in one integer form.
 
-    __slots__ = ("lattice", "probs")
+    ``_num`` holds the numerators in element order and ``_den`` their common
+    positive denominator, reduced so that ``gcd(_den, *_num) == 1``. Equal
+    distributions therefore have equal ``(_num, _den)``, and comparing or
+    hashing the integers is exact rational equality. ``probs``, ``key()``
+    and ``[]`` hand out ``Fraction`` values built from that form.
+    """
+
+    __slots__ = ("lattice", "_num", "_den")
 
     def __init__(self, lattice: Lattice, probs: Union[dict, Sequence]):
         if not isinstance(probs, dict):
@@ -152,8 +166,27 @@ class LatticeDistribution:
             raise LatticeError(f"probabilities outside [0, 1]: {clean}")
         if sum(clean.values()) != 1:
             raise LatticeError(f"probabilities sum to {sum(clean.values())}, not 1")
+        # the lcm of reduced denominators already leaves gcd(den, *num) == 1
+        den = lcm(*(p.denominator for p in clean.values()))
+        num = tuple(p.numerator * (den // p.denominator) for p in clean.values())
+        self._set(lattice, num, den)
+
+    def _set(self, lattice: Lattice, num: tuple, den: int) -> None:
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "probs", clean)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _from_ints(cls, lattice: Lattice, num: Sequence[int],
+                   den: int) -> "LatticeDistribution":
+        """Build from integer numerators over ``den``, checking the simplex in
+        integers and reducing to the canonical form; skips ``__init__``."""
+        if den <= 0 or min(num) < 0 or sum(num) != den:
+            raise LatticeError(f"numerators {list(num)} over {den} are not a distribution")
+        g = gcd(den, *num)
+        out = object.__new__(cls)
+        out._set(lattice, tuple(n // g for n in num), den // g)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeDistribution is immutable")
@@ -162,19 +195,24 @@ class LatticeDistribution:
     def point(cls, lattice: Lattice, element: str) -> "LatticeDistribution":
         return cls(lattice, {element: ONE})
 
+    @property
+    def probs(self) -> dict:
+        return {e: Fraction(n, self._den) for e, n in zip(self.lattice.elements, self._num)}
+
     def key(self) -> tuple:
-        return tuple(self.probs[e] for e in self.lattice.elements)
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     def __getitem__(self, element: str) -> Fraction:
-        return self.probs[element]
+        return Fraction(self._num[self.lattice._index[element]], self._den)
 
     def __eq__(self, other):
         if not isinstance(other, LatticeDistribution):
             return NotImplemented
-        return self.lattice == other.lattice and self.probs == other.probs
+        return (self._num == other._num and self._den == other._den
+                and (self.lattice is other.lattice or self.lattice == other.lattice))
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self._num, self._den))
 
     def __repr__(self):
         inner = ", ".join(f"{e}: {p}" for e, p in self.probs.items())
@@ -183,7 +221,11 @@ class LatticeDistribution:
 
 def compose_lattice(p: LatticeDistribution, q: LatticeDistribution,
                     op: str) -> LatticeDistribution:
-    """Distribution of ``X op Y`` for independent X~p, Y~q; op is join or meet."""
+    """Distribution of ``X op Y`` for independent X~p, Y~q; op is join or meet.
+
+    Works on the integer form: the products of numerators land over
+    ``p._den * q._den``, and the result is reduced once.
+    """
     lattice = p.lattice
     if q.lattice is not lattice and q.lattice != lattice:
         raise LatticeMismatchError("distributions live on different lattices")
@@ -193,14 +235,14 @@ def compose_lattice(p: LatticeDistribution, q: LatticeDistribution,
         table = lattice._meet
     else:
         raise LatticeError(f"op must be 'join' or 'meet', got {op!r}")
-    out = [ZERO] * len(lattice.elements)
-    qs = [(j, qy) for j, qy in enumerate(q.probs.values()) if qy]
-    for i, px in enumerate(p.probs.values()):
+    out = [0] * len(lattice.elements)
+    qs = [(j, qy) for j, qy in enumerate(q._num) if qy]
+    for i, px in enumerate(p._num):
         if px:
             row = table[i]
             for j, qy in qs:
                 out[row[j]] += px * qy
-    return LatticeDistribution(lattice, out)
+    return LatticeDistribution._from_ints(lattice, out, p._den * q._den)
 
 
 # --------------------------------------------------------------------------
@@ -266,35 +308,41 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
         for e in lattice.elements:
             base.append((LatticeDistribution.point(lattice, e), f"det({e})"))
 
-    # by_size[k] = distributions first reached with exactly k leaves
+    # seen maps the canonical integer form (_num, _den) to (leaves, witness);
+    # by_size[k] lists the (distribution, witness) pairs first reached with
+    # exactly k leaves
     seen: dict[tuple, tuple[int, str]] = {}
-    by_size: dict[int, list[LatticeDistribution]] = {k: [] for k in range(1, spec.max_switches + 1)}
+    by_size: dict[int, list[tuple[LatticeDistribution, str]]] = {
+        k: [] for k in range(1, spec.max_switches + 1)}
     for dist, name in base:
-        if dist.key() not in seen:
-            seen[dist.key()] = (1, name)
-            by_size[1].append(dist)
+        key = (dist._num, dist._den)
+        if key not in seen:
+            seen[key] = (1, name)
+            by_size[1].append((dist, name))
 
-    def record(dist: LatticeDistribution, size: int, expr: str) -> None:
-        if dist.key() not in seen:
+    def record(dist: LatticeDistribution, size: int, pexpr: str, sym: str,
+               qexpr: str) -> None:
+        key = (dist._num, dist._den)
+        if key not in seen:
             if len(seen) >= spec.max_explored:
                 raise CapacityError(
-                    f"search explored more than {spec.max_explored} distributions")
-            seen[dist.key()] = (size, expr)
-            by_size[size].append(dist)
+                    f"search up to {spec.max_switches} switches explored more than "
+                    f"{spec.max_explored} distributions; raise SearchSpec.max_explored")
+            expr = f"({pexpr} {sym} {qexpr})"  # built only for a new distribution
+            seen[key] = (size, expr)
+            by_size[size].append((dist, expr))
 
     for size in range(2, spec.max_switches + 1):
         # meet and join commute, so each unordered pair is composed once:
         # lsize <= rsize, and among equal sizes q never precedes p
         for lsize in range(1, size // 2 + 1):
             rsize = size - lsize
-            for i, p in enumerate(by_size[lsize]):
-                pexpr = seen[p.key()][1]
-                for q in by_size[rsize][i if lsize == rsize else 0:]:
-                    qexpr = seen[q.key()][1]
-                    record(compose_lattice(p, q, "meet"), size, f"({pexpr} * {qexpr})")
-                    record(compose_lattice(p, q, "join"), size, f"({pexpr} + {qexpr})")
+            for i, (p, pexpr) in enumerate(by_size[lsize]):
+                for q, qexpr in by_size[rsize][i if lsize == rsize else 0:]:
+                    record(compose_lattice(p, q, "meet"), size, pexpr, "*", qexpr)
+                    record(compose_lattice(p, q, "join"), size, pexpr, "+", qexpr)
 
-    hit = seen.get(spec.target.key())
+    hit = seen.get((spec.target._num, spec.target._den))
     if hit is None:
         return SearchResult(False, None, None, len(seen), spec.max_switches)
     return SearchResult(True, hit[1], hit[0], len(seen), spec.max_switches)
@@ -310,10 +358,32 @@ def lattice_to_json(lattice: Lattice) -> dict:
 
 
 def lattice_from_json(data: dict) -> Lattice:
+    shape = "lattice file must be {\"elements\": [...], \"leq\": [[a, b], ...]}"
     if not isinstance(data, dict) or "elements" not in data or "leq" not in data:
-        raise LatticeError("lattice file must be {\"elements\": [...], \"leq\": [[a, b], ...]}")
-    return Lattice(data["elements"], [tuple(pair) for pair in data["leq"]])
+        raise LatticeError(shape)
+    elements, leq = data["elements"], data["leq"]
+    if not isinstance(elements, (list, tuple)) or not isinstance(leq, (list, tuple)):
+        raise LatticeError(f"{shape}; got elements of type {type(elements).__name__}, "
+                           f"leq of type {type(leq).__name__}")
+    for i, pair in enumerate(leq):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise LatticeError(f"{shape}; leq entry {i} is not a pair")
+    return Lattice(elements, [tuple(pair) for pair in leq])
 
 
 def lattice_distribution_to_json(dist: LatticeDistribution) -> list[str]:
     return [format_rational(dist[e]) for e in dist.lattice.elements]
+
+
+def switch_set_from_json(lattice: Lattice, data: list) -> tuple:
+    """Decode a switch-set file: a list of distributions, each a list of
+    rationals (``"1/4"`` or numbers) in element order."""
+    if not isinstance(data, (list, tuple)):
+        raise LatticeError("switch-set file must be a list of distributions, "
+                           f"got {type(data).__name__}")
+    for i, row in enumerate(data):
+        if not isinstance(row, (list, tuple)):
+            raise LatticeError(f"switch-set entry {i} is a {type(row).__name__}, "
+                               "not a list of probabilities")
+    return tuple(LatticeDistribution(lattice, [parse_rational(str(p)) for p in row])
+                 for row in data)

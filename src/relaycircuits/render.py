@@ -26,20 +26,32 @@ def element_label(el) -> str:
 
 
 def ascii_render(circuit: Circuit) -> str:
-    return _ascii_node(circuit.root)
-
-
-def _ascii_node(node: Node) -> str:
-    if isinstance(node, Leaf):
-        return element_label(node.element)
-    if isinstance(node, Series):
-        return "(%s)" % " * ".join(_ascii_node(c) for c in node.children)
-    if isinstance(node, Parallel):
-        return "(%s)" % " + ".join(_ascii_node(c) for c in node.children)
-    if isinstance(node, Graph):
-        edges = ", ".join(f"{e.u}-{e.v}: {_ascii_node(e.label)}" for e in node.edges)
-        return f"graph[{node.s}->{node.t}]{{{edges}}}"
-    raise ValidationError(f"unknown node {node!r}")
+    """Nested ascii expression, built with an explicit stack so that the
+    nesting depth is not limited by Python's recursion limit."""
+    out: list[str] = []
+    stack: list = [circuit.root]  # nodes to render and literal text, last first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append(element_label(item.element))
+        elif isinstance(item, (Series, Parallel)):
+            sep = " * " if isinstance(item, Series) else " + "
+            parts: list = ["("]
+            for i, child in enumerate(item.children):
+                parts += [sep, child] if i else [child]
+            parts.append(")")
+            stack.extend(reversed(parts))
+        elif isinstance(item, Graph):
+            parts = [f"graph[{item.s}->{item.t}]{{"]
+            for i, e in enumerate(item.edges):
+                parts += [", " if i else "", f"{e.u}-{e.v}: ", e.label]
+            parts.append("}")
+            stack.extend(reversed(parts))
+        else:
+            raise ValidationError(f"unknown node {item!r}")
+    return "".join(out)
 
 
 def dot_render(circuit: Circuit) -> str:

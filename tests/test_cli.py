@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from relaycircuits import (
-    Circuit, Distribution, Edge, Graph, IdGen, det, parallel, pswitch, series,
+    Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, parallel,
+    pswitch, series,
 )
 from relaycircuits import netlist
 from relaycircuits.cli import EXIT_CAPACITY, run
@@ -174,6 +175,23 @@ def test_lattice_search(capsys, tmp_path):
     assert doc["note"] == "not realizable within explored space"
 
 
+@pytest.mark.parametrize("lattice, switchset, message", [
+    (None, [5], "switch-set entry 0 is a int"),
+    ({"elements": 5, "leq": []}, None, "got elements of type int"),
+    ({"elements": ["a", "b"], "leq": [5]}, None, "leq entry 0 is not a pair"),
+], ids=["switch-not-a-list", "elements-not-a-list", "leq-entry-not-a-pair"])
+def test_lattice_search_malformed_files(capsys, tmp_path, lattice, switchset, message):
+    lat = tmp_path / "lattice.json"
+    lat.write_text(json.dumps(lattice or {
+        "elements": ["0", "1"], "leq": [["0", "1"]]}))
+    sw = tmp_path / "switchset.json"
+    sw.write_text(json.dumps(switchset or [["1/2", "1/2"]]))
+    assert run(["lattice-search", "--lattice", str(lat), "--target", "1/2,1/2",
+                "--switchset", str(sw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_render(capsys, three_state_path):
     assert run(["render", "--netlist", three_state_path]) == 0
     assert capsys.readouterr().out.strip() == "(((1/2,0,1/2) + det(1)) * (1/2,0,1/2))"
@@ -233,3 +251,49 @@ def test_capacity_exit_code(capsys, tmp_path):
     assert run(["eval", "--netlist", str(path), "--graph-cap", "2"]) == 3
     code = run(["robustness", "--netlist", str(path), "--epsilon", "1/100"])
     assert code == 0  # 5 switches fit the corner cap
+
+
+def _series_netlist(depth: int) -> str:
+    text = '{"op": "det", "state": 1}'
+    for _ in range(depth):
+        text = '{"op": "series", "children": [%s, {"op": "det", "state": 1}]}' % text
+    return '{"states": 2, "circuit": %s}' % text
+
+
+def test_render_deepest_loadable_netlist(capsys, tmp_path):
+    """Find the deepest series netlist the CLI loads; rendering it must not
+    hit the recursion limit, and one level deeper is refused with exit 2."""
+    path = tmp_path / "deep.json"
+
+    def render(depth: int) -> int:
+        path.write_text(_series_netlist(depth))
+        return run(["render", "--netlist", str(path)])
+
+    low, high = 1, 5000  # render succeeds at depth low, is refused at depth high
+    while high - low > 1:
+        mid = (low + high) // 2
+        code = render(mid)
+        assert code in (0, 2)
+        low, high = (mid, high) if code == 0 else (low, mid)
+    capsys.readouterr()
+    assert low > 300
+    assert render(low) == 0
+    assert capsys.readouterr().out == "(" * low + "det(1)" + " * det(1))" * low + "\n"
+    assert render(high) == 2
+    assert "nesting depth" in capsys.readouterr().err
+
+
+def test_render_200_round_synthesis(capsys, tmp_path):
+    scale = 2 ** 200
+    code, doc = run_json(capsys, ["synth", "--target", f"1/{scale},{scale - 2}/{scale},1/{scale}",
+                                  "--method", "binary"])
+    assert code == 0
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(doc["netlist"]))
+    assert run(["render", "--netlist", str(path)]) == 0
+    text = capsys.readouterr().out
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    assert depth == 0 and deepest >= 400  # two levels per round

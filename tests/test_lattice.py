@@ -11,6 +11,22 @@ from relaycircuits import (
 )
 from conftest import random_distribution
 
+N5 = Lattice(["0", "a", "b", "c", "1"],
+             [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
+M3 = Lattice(["0", "a", "b", "c", "1"],
+             [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+def mixed_distribution(rng, lattice):
+    """Random distribution whose entries have unrelated denominators, with
+    some zero entries."""
+    while True:
+        weights = [F(rng.randint(0, 9), rng.randint(1, 12)) if rng.random() < 0.8 else F(0)
+                   for _ in lattice.elements]
+        total = sum(weights)
+        if total:
+            return LatticeDistribution(lattice, [w / total for w in weights])
+
 
 def reference_search(lattice, switch_set, target, max_switches, max_explored=200_000):
     """Naive search: every ordered pair, composed by element names. Returns
@@ -131,6 +147,68 @@ class TestCompose:
             compose_lattice(uniform(Lattice.diamond()),
                             uniform(Lattice.chain(4)), "meet")
 
+    @pytest.mark.parametrize("lattice", [Lattice.diamond(), Lattice.chain(4), N5, M3],
+                             ids=["diamond", "chain4", "N5", "M3"])
+    def test_matches_fraction_composition_by_names(self, rng, lattice):
+        """The integer composition against a Fraction sum over element names."""
+        for _ in range(60):
+            p, q = mixed_distribution(rng, lattice), mixed_distribution(rng, lattice)
+            for op, combine in (("meet", lattice.meet), ("join", lattice.join)):
+                expected = dict.fromkeys(lattice.elements, F(0))
+                for x in lattice.elements:
+                    for y in lattice.elements:
+                        expected[combine(x, y)] += p[x] * q[y]
+                out = compose_lattice(p, q, op)
+                assert out.probs == expected
+                assert out == LatticeDistribution(lattice, expected)
+                assert hash(out) == hash(LatticeDistribution(lattice, expected))
+
+
+class TestCanonicalForm:
+    def test_equal_values_compare_and_hash_equal(self):
+        ch = Lattice.chain(2)
+        a = LatticeDistribution(ch, [F(1, 2), F(1, 2)])
+        b = LatticeDistribution(ch, [F(2, 4), F(4, 8)])
+        c = LatticeDistribution(ch, {"0": "1/2", "1": 0.5})
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert (a._num, a._den) == ((1, 1), 2)
+        assert a != LatticeDistribution(ch, [F(1, 4), F(3, 4)])
+
+    def test_public_values_are_fractions(self):
+        dia = Lattice.diamond()
+        d = LatticeDistribution(dia, [F(1, 6), F(1, 3), 0, F(1, 2)])
+        assert d.key() == (F(1, 6), F(1, 3), F(0), F(1, 2))
+        assert d.probs == {"00": F(1, 6), "01": F(1, 3), "10": F(0), "11": F(1, 2)}
+        assert all(type(v) is F for v in (*d.key(), *d.probs.values(), d["10"]))
+        assert d["01"] == F(1, 3)
+        assert repr(d) == "LatticeDistribution(00: 1/6, 01: 1/3, 10: 0, 11: 1/2)"
+        assert LatticeDistribution.point(dia, "11").key() == (0, 0, 0, 1)
+        with pytest.raises(AttributeError):
+            d.lattice = Lattice.chain(4)
+
+    def test_same_values_on_other_lattice_differ(self):
+        a = uniform(Lattice.diamond())
+        b = uniform(Lattice(["w", "x", "y", "z"],
+                            [("w", "x"), ("w", "y"), ("x", "z"), ("y", "z")]))
+        assert a != b
+
+    def test_invalid_inputs_raise(self):
+        dia = Lattice.diamond()
+        with pytest.raises(LatticeError, match="op must be 'join' or 'meet'"):
+            compose_lattice(uniform(dia), uniform(dia), "xor")
+        with pytest.raises(LatticeMismatchError):
+            compose_lattice(uniform(dia), uniform(Lattice.chain(4)), "join")
+        with pytest.raises(LatticeError, match="outside"):
+            LatticeDistribution(dia, [F(3, 2), F(-1, 2), 0, 0])
+        with pytest.raises(LatticeError, match="sum to 3/4"):
+            LatticeDistribution(dia, [F(1, 4)] * 3 + [0])
+        with pytest.raises(LatticeError, match="need 4 probabilities"):
+            LatticeDistribution(dia, [F(1, 2), F(1, 2)])
+        with pytest.raises(LatticeError, match="not a distribution"):
+            LatticeDistribution._from_ints(dia, [3, -1, 0, 0], 2)
+        with pytest.raises(LatticeError, match="not a distribution"):
+            LatticeDistribution._from_ints(dia, [1, 1, 1, 0], 4)
+
 
 class TestSearch:
     def test_target_in_switch_set(self):
@@ -195,6 +273,26 @@ class TestSearch:
                     assert a == v or b == v
         # the hypothesis is not vacuous: realizable antichain products exist
         assert checked > 0
+
+    def test_diamond_antichain_unreachable_at_eight_switches(self, rng):
+        """The paper's diamond claim, over every sp circuit of up to eight
+        copies of a random full-support switch."""
+        dia = Lattice.diamond()
+        weights = rng.sample(range(1, 10), 4)
+        switch = LatticeDistribution(dia, [F(w, sum(weights)) for w in weights])
+        target = LatticeDistribution(dia, {"01": F(1, 3), "10": F(2, 3)})
+        res = search_expressible(SearchSpec(dia, (switch,), target, max_switches=8))
+        assert not res.realizable
+        assert res.explored_distributions > 5000
+
+    def test_capacity_error_names_cap_and_knob(self):
+        dia = Lattice.diamond()
+        target = LatticeDistribution(dia, {"01": F(1, 2), "10": F(1, 2)})
+        with pytest.raises(CapacityError) as exc:
+            search_expressible(SearchSpec(dia, (uniform(dia),), target,
+                                          max_switches=4, max_explored=20))
+        assert str(exc.value) == ("search up to 4 switches explored more than 20 "
+                                  "distributions; raise SearchSpec.max_explored")
 
 
 class TestSearchMatchesReference:
