@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -469,8 +470,12 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
     """Brute-force evaluator: full joint-outcome enumeration, even for trees.
 
     Same contract as :func:`evaluate`; kept separate so the two can check
-    each other. Raises ``CapacityError`` when the product of pswitch support
-    sizes exceeds ``max_outcomes``.
+    each other. Each joint outcome of the pswitches is resolved to one
+    state; its weight is an integer numerator over the product of the
+    switches' denominators (each the lcm of one switch's denominators), and
+    one ``Distribution`` is built from the summed numerators at the end.
+    Raises ``CapacityError``, before enumerating, when the product of
+    pswitch support sizes exceeds ``max_outcomes``.
     """
     assignment = assignment or {}
     states = circuit.states
@@ -480,11 +485,20 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
         raise CapacityError(
             f"{len(switches)} pswitches have {total} joint outcomes, cap is "
             f"{max_outcomes}; raise max_outcomes (CLI --max-outcomes)")
-    probs = [ZERO] * states
-    for outcome, weight in _joint_outcomes(switches):
-        value = resolve(circuit.root, states, assignment, outcome)
-        probs[value] += weight
-    return Distribution(probs)
+    ids = [sw.id for sw in switches]
+    supports, weights, den = [], [], 1
+    for sw in switches:
+        d = math.lcm(*(p.denominator for p in sw.dist))
+        supports.append(sw.dist.support())
+        weights.append([sw.dist[s].numerator * (d // sw.dist[s].denominator)
+                        for s in supports[-1]])
+        den *= d
+    counts = [0] * states
+    # both products run in the same order: one joint outcome per step
+    for picks, ws in zip(itertools.product(*supports), itertools.product(*weights)):
+        state = resolve(circuit.root, states, assignment, dict(zip(ids, picks)))
+        counts[state] += math.prod(ws)
+    return Distribution(Fraction(c, den) for c in counts)
 
 
 def _eval_node(node: Node, states: int, assignment: Assignment, cap: int) -> Distribution:
@@ -530,48 +544,86 @@ def _eval_graph(node: Graph, states: int, assignment: Assignment, cap: int) -> D
         raise CapacityError(
             f"graph has {live} edges holding pswitches (2^{live} subsets per "
             f"level), cap is {cap}; raise graph_cap (CLI --graph-cap)")
-    tails = [_suffix_sums(_eval_node(e.label, states, assignment, cap))
-             if e.holds_pswitch else _fixed_tail(e.label, states, assignment)
-             for e in node.edges]
-    return _graph_dist(node, states, tails)
+    dens, tails = zip(*(_to_tail(_eval_node(e.label, states, assignment, cap))
+                        if e.holds_pswitch else _fixed_tail(e.label, states, assignment)
+                        for e in node.edges))
+    return _from_tail(math.prod(dens), _graph_dist(node, states, dens, tails))
 
 
-def _fixed_tail(label: Node, states: int, assignment: Assignment) -> list[Fraction]:
-    """P(label >= k) for k = 0..N of a label without a pswitch."""
+# An integer tail ``(D, T)`` stands for the distribution with
+# ``T[k-1] = D * P(X >= k)`` for k = 1..N-1, over a positive D. Series
+# multiplies tails elementwise over ``D1 * D2`` (``_tail_series``); parallel
+# does the same on the complements ``D - T`` (``_tail_complement``), which
+# hold ``D * P(X < k)``, and complements the product over ``D1 * D2``. No
+# gcd is taken, so a subtree's D is the product of its leaves' Ds, shared
+# by every value it takes.
+
+def _to_tail(dist: Distribution, den: int = 0) -> tuple[int, tuple[int, ...]]:
+    """``dist`` as an integer tail over ``den``, by default the lcm of its
+    denominators; ``den`` must be a multiple of every denominator."""
+    den = den or math.lcm(*(p.denominator for p in dist))
+    nums = (p.numerator * (den // p.denominator) for p in reversed(dist.probs[1:]))
+    return den, tuple(itertools.accumulate(nums))[::-1]
+
+
+def _from_tail(den: int, tail: tuple[int, ...]) -> Distribution:
+    """The ``Distribution`` of the integer tail ``(den, tail)``."""
+    return Distribution(Fraction(n, den) for n in _tail_numerators(den, tail))
+
+
+def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-state numerators over ``den``: ``D * P(X = k)`` for k = 0..N-1."""
+    levels = (den, *tail, 0)
+    return tuple(a - b for a, b in zip(levels, levels[1:]))
+
+
+def _tail_series(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Tail of the series of two tails, over the product of their Ds."""
+    return tuple(map(operator.mul, a, b))
+
+
+def _tail_complement(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    """``den - T``: ``D * P(X < k)`` for k = 1..N-1; its own inverse."""
+    return tuple(den - t for t in tail)
+
+
+def _fixed_tail(label: Node, states: int,
+                assignment: Assignment) -> tuple[int, tuple[int, ...]]:
+    """Integer tail ``(1, T)`` of a label without a pswitch."""
     state = resolve(label, states, assignment, {})
-    return [ONE] * (state + 1) + [ZERO] * (states - state)
+    return 1, tuple(int(state >= k) for k in range(1, states))
 
 
-def _graph_dist(node: Graph, states: int, tails: list) -> Distribution:
-    """Output of ``node`` given each edge's P(label >= k), k = 0..N, in edge order."""
-    edges = [(e.u, e.v, tail) for e, tail in zip(node.edges, tails)]
-    # P(X >= k) = P(s and t are joined by edges whose label is >= k)
-    levels = [ONE]
-    for k in range(1, states):
-        up = [(u, v) for u, v, tail in edges if tail[k] == 1]
-        unsure = [(u, v, tail[k]) for u, v, tail in edges if 0 < tail[k] < 1]
-        level = ZERO
+def _graph_dist(node: Graph, states: int, dens, tails) -> tuple[int, ...]:
+    """Integer tail of ``node`` over ``prod(dens)``, given each edge's tail
+    ``tails[e]`` over ``dens[e]``, in edge order.
+
+    P(X >= k) is the probability that s and t are joined by edges whose
+    label is >= k. Its numerator over ``prod(dens)`` sums, over the up/down
+    subsets of the edges that are neither certain nor impossible at level
+    k, the product of ``T_e`` (up) or ``D_e - T_e`` (down) for the subsets
+    that join s to t, times ``D_e`` for each edge that is certain or
+    impossible.
+    """
+    levels = []
+    for k in range(states - 1):
+        up, unsure, scale = [], [], 1
+        for e, d, tail in zip(node.edges, dens, tails):
+            t = tail[k]
+            if 0 < t < d:
+                unsure.append((e.u, e.v, t, d - t))
+            else:
+                scale *= d
+                if t:
+                    up.append((e.u, e.v))
+        level = 0
         for picks in itertools.product((True, False), repeat=len(unsure)):
-            chosen = [(u, v) for pick, (u, v, _) in zip(picks, unsure) if pick]
+            chosen = [(u, v) for pick, (u, v, _, _) in zip(picks, unsure) if pick]
             if _connected(up + chosen, node.s, node.t):
-                level += math.prod(p if pick else 1 - p
-                                   for pick, (_, _, p) in zip(picks, unsure))
-        levels.append(level)
-    levels.append(ZERO)
-    return Distribution(levels[k] - levels[k + 1] for k in range(states))
-
-
-def _joint_outcomes(switches: list[Pswitch]):
-    """Yield (outcome map, probability) over the joint support of switches."""
-    supports = [[(s, sw.dist[s]) for s in sw.dist.support()] for sw in switches]
-    ids = [sw.id for sw in switches]
-    for combo in itertools.product(*supports):
-        weight = ONE
-        outcome = {}
-        for pid, (state, prob) in zip(ids, combo):
-            outcome[pid] = state
-            weight *= prob
-        yield outcome, weight
+                level += math.prod(t if pick else f
+                                   for pick, (_, _, t, f) in zip(picks, unsure))
+        levels.append(level * scale)
+    return tuple(levels)
 
 
 def resolve(node: Node, states: int, assignment: Assignment,

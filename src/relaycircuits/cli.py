@@ -19,12 +19,12 @@ from .circuits import (
     RelayError, count_switches, dual, evaluate, evaluate_oracle,
 )
 from .lattice import (
-    LatticeDistribution, SearchSpec, lattice_from_json, search_expressible,
-    switch_set_from_json,
+    DEFAULT_LATTICE_CAP, LatticeDistribution, SearchSpec, lattice_from_json,
+    search_expressible, switch_set_from_json,
 )
 from .rational import RationalParseError, format_rational, parse_rational, parse_rational_list
 from .render import ascii_render, dot_render
-from .robustness import check_bounds, worst_case_error
+from .robustness import DEFAULT_CORNER_CAP, check_bounds, worst_case_error
 from .synthesis import (
     composite_synthesis, denominator_reduction, state_reduction,
     synth_binary_nstate,
@@ -108,8 +108,8 @@ def _cmd_robustness(args) -> int:
     circuit = _load_netlist(args.netlist)
     epsilon = parse_rational(args.epsilon)
     mode = "sampled" if args.mode == "sample" else args.mode
-    report = worst_case_error(circuit, epsilon, mode=mode,
-                              trials=args.trials, seed=args.seed)
+    report = worst_case_error(circuit, epsilon, mode=mode, trials=args.trials,
+                              corner_cap=args.corner_cap, seed=args.seed)
     payload = report.to_json()
     if args.family:
         family, _, q = args.family.partition(":")
@@ -145,13 +145,14 @@ def _cmd_upg(args) -> int:
 
 def _cmd_lattice_search(args) -> int:
     with open(args.lattice, "r", encoding="utf-8") as fh:
-        lattice = lattice_from_json(json.load(fh))
+        lattice = lattice_from_json(json.load(fh), max_elements=args.max_elements)
     target = LatticeDistribution(lattice, parse_rational_list(args.target))
     with open(args.switchset, "r", encoding="utf-8") as fh:
         switch_set = switch_set_from_json(lattice, json.load(fh))
     spec = SearchSpec(lattice, switch_set, target,
                       max_switches=args.max_switches,
-                      include_deterministic=not args.no_deterministic)
+                      include_deterministic=not args.no_deterministic,
+                      max_explored=args.max_explored)
     _emit(search_expressible(spec).to_json())
     return EXIT_OK
 
@@ -199,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["corners", "sample", "sampled"],
                    default="corners")
     p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--corner-cap", type=int, default=DEFAULT_CORNER_CAP,
+                   help="corners mode: cap on the pswitch count m; it tries 2^m corners")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default=None,
                    help='check bounds for "binary" or "denom:q"')
@@ -218,6 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--switchset", required=True, help="JSON file: list of distributions")
     p.add_argument("--max-switches", type=int, default=4)
     p.add_argument("--no-deterministic", action="store_true")
+    p.add_argument("--max-explored", type=int, default=SearchSpec.max_explored,
+                   help="cap on the distinct distributions the search may reach")
+    p.add_argument("--max-elements", type=int, default=DEFAULT_LATTICE_CAP,
+                   help="cap on the lattice's element count; loading takes time cubic in it")
 
     p = sub.add_parser("render", help="render a netlist as ascii or DOT")
     p.add_argument("--netlist", required=True)

@@ -28,6 +28,12 @@ from .circuits import CapacityError, ONE, RelayError, ZERO
 from .rational import format_rational, parse_rational
 
 
+# Cap on the element count of a lattice read from a file. Lattice.chain(64)
+# builds in about 0.35 s on a 2-core Xeon VM (chain(80) 0.7 s, chain(100)
+# 1.7 s): the closure and the join/meet tables grow as n^3.
+DEFAULT_LATTICE_CAP = 64
+
+
 class LatticeError(RelayError):
     """Malformed lattice: order axioms or unique bounds fail."""
 
@@ -327,7 +333,8 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
             if len(seen) >= spec.max_explored:
                 raise CapacityError(
                     f"search up to {spec.max_switches} switches explored more than "
-                    f"{spec.max_explored} distributions; raise SearchSpec.max_explored")
+                    f"{spec.max_explored} distributions; raise SearchSpec.max_explored "
+                    "(CLI --max-explored)")
             expr = f"({pexpr} {sym} {qexpr})"  # built only for a new distribution
             seen[key] = (size, expr)
             by_size[size].append((dist, expr))
@@ -357,7 +364,12 @@ def lattice_to_json(lattice: Lattice) -> dict:
     return {"elements": list(lattice.elements), "leq": pairs}
 
 
-def lattice_from_json(data: dict) -> Lattice:
+def lattice_from_json(data: dict, max_elements: int = DEFAULT_LATTICE_CAP) -> Lattice:
+    """The lattice of a ``{"elements": [...], "leq": [[a, b], ...]}`` dict.
+
+    Building it costs time cubic in the element count, so a lattice of
+    more than ``max_elements`` elements raises ``CapacityError`` first.
+    """
     shape = "lattice file must be {\"elements\": [...], \"leq\": [[a, b], ...]}"
     if not isinstance(data, dict) or "elements" not in data or "leq" not in data:
         raise LatticeError(shape)
@@ -365,6 +377,10 @@ def lattice_from_json(data: dict) -> Lattice:
     if not isinstance(elements, (list, tuple)) or not isinstance(leq, (list, tuple)):
         raise LatticeError(f"{shape}; got elements of type {type(elements).__name__}, "
                            f"leq of type {type(leq).__name__}")
+    if len(elements) > max_elements:
+        raise CapacityError(
+            f"lattice has {len(elements)} elements, cap is {max_elements}; "
+            "raise max_elements (CLI --max-elements)")
     for i, pair in enumerate(leq):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise LatticeError(f"{shape}; leq entry {i} is not a pair")

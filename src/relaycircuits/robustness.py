@@ -16,16 +16,16 @@ the dyadic construction, q*eps and (q+1)*eps for base-q circuits.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from .circuits import (
-    CapacityError, Circuit, Distribution, Edge, Graph, Leaf, Node, Parallel,
-    Pswitch, RelayError, Series, ValidationError, ZERO, _fixed_tail,
-    _graph_dist, _leaf_dist, _suffix_sums, compose_parallel, compose_series,
-    evaluate,
+    CapacityError, Circuit, Distribution, Graph, Leaf, Node, Parallel, Pswitch,
+    RelayError, Series, ValidationError, _fixed_tail, _graph_dist, _leaf_dist,
+    _tail_complement, _tail_numerators, _tail_series, _to_tail, evaluate,
 )
 from .rational import format_rational
 
@@ -152,12 +152,15 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
 
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
     exact by multilinearity but capped at ``corner_cap`` switches. It walks
-    the circuit once, bottom up: every node yields its output for each sign
-    corner of the pswitches below it, so a subtree's compositions are shared
-    by all corners of the switches outside it. A series or parallel node
-    streams its first child and holds the tables of the later ones, a graph
-    holds the tables of all its edges but the first, so at most about 2^m
-    distributions are alive at once (65,536 at the default cap of 16).
+    the circuit once, bottom up, on integer tails (see ``_corner_table``):
+    every node yields its output for each sign corner of the pswitches
+    below it, all over one denominator, so a subtree's compositions are
+    shared by all corners of the switches outside it and no
+    ``Distribution`` is built per corner. A series or parallel node streams
+    its first child and holds the tables of the later ones, a graph holds
+    the tables of all its edges but the first, so at most about 2^m tails
+    are alive at once (65,536 at the default cap of 16). The per-state
+    errors are compared as integers over the root's denominator.
     ``sampled`` mode draws ``trials`` assignments from a rational grid plus
     random corners, and evaluates each perturbed circuit; its report is
     flagged non-exhaustive. In both modes the worst assignment is the first,
@@ -172,43 +175,48 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     if mode == "corners":
         if len(ids) > corner_cap:
             raise CapacityError(
-                f"{len(ids)} pswitches exceed corner cap {corner_cap}; use sampled mode")
-        candidates = _corner_assignments(ids, epsilon)
-        outputs = _corner_outputs(circuit, epsilon)
+                f"{len(ids)} pswitches need 2^{len(ids)} sign corners, corner cap is "
+                f"{corner_cap} pswitches; raise corner_cap (CLI --corner-cap) or "
+                f"use sampled mode (CLI --mode sampled)")
+        den, tails = _corner_outputs(circuit, epsilon)
+        scaled = [p.numerator * (den // p.denominator) for p in nominal]
+        errors = ([abs(a - n) for a, n in zip(_tail_numerators(den, tail), scaled)]
+                  for tail in tails)
+        best, signs = _select(circuit.states,
+                              itertools.product((-epsilon, epsilon), repeat=len(ids)),
+                              errors)
+        worst = dict(zip(ids, signs))
         exhaustive = True
     elif mode == "sampled":
+        den = 1
         candidates = list(_sampled_assignments(ids, epsilon, trials, seed))
         outputs = (evaluate(perturb(circuit, PerturbationModel(epsilon, a)))
                    for a in candidates)
+        errors = ([abs(a - b) for a, b in zip(out, nominal)] for out in outputs)
+        best, worst = _select(circuit.states, candidates, errors)
         exhaustive = False
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-
-    best = [ZERO] * circuit.states
-    worst: dict[str, Fraction] = {pid: ZERO for pid in ids}
-    worst_mag = Fraction(-1)
-    for assignment, out in zip(candidates, outputs):
-        mag = ZERO
-        for i in range(circuit.states):
-            err = abs(out[i] - nominal[i])
-            if err > best[i]:
-                best[i] = err
-            if err > mag:
-                mag = err
-        if mag > worst_mag:
-            worst_mag = mag
-            worst = assignment
-    return ErrorReport(epsilon, nominal, tuple(best),
+    return ErrorReport(epsilon, nominal, tuple(Fraction(b, den) for b in best),
                        PerturbationModel(epsilon, worst), exhaustive)
 
 
-def _corner_assignments(ids: list[str], epsilon: Fraction):
-    for signs in itertools.product((-1, 1), repeat=len(ids)):
-        yield {pid: s * epsilon for pid, s in zip(ids, signs)}
+def _select(states: int, candidates: Iterable, errors: Iterable[list]) -> tuple[list, object]:
+    """Per-state maxima of ``errors``, and the first candidate whose largest
+    error is the largest of all; both streams run in the same order."""
+    best = [0] * states
+    worst, worst_mag = None, -1
+    for candidate, errs in zip(candidates, errors):
+        best = list(map(max, best, errs))
+        mag = max(errs)
+        if mag > worst_mag:
+            worst, worst_mag = candidate, mag
+    return best, worst
 
 
-def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> Iterator[Distribution]:
-    """The circuit's output at every sign corner, in ``_corner_assignments`` order."""
+def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, Iterator[tuple]]:
+    """The circuit's integer tail at every sign corner, over one denominator,
+    in ``itertools.product`` order over the pswitch ids."""
     switches = circuit.pswitches()
     # Perturb every switch before the walk, -eps in id order, then +eps in
     # reverse: the first invalid one is the one per-corner perturbation hits.
@@ -216,56 +224,67 @@ def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> Iterator[Distributio
              for sw in switches}
     plus = {sw.id: perturb_dist(sw.dist, epsilon) if epsilon else sw.dist
             for sw in reversed(switches)}
-    leaves = {pid: (minus[pid], plus[pid]) for pid in minus}
+    leaves = {}
+    for sw in switches:
+        # The nominal's denominators, not the perturbed ones: at eps = 1/2 a
+        # perturbed switch can collapse to 0/1 and lose them.
+        den = math.lcm(epsilon.denominator, *(p.denominator for p in sw.dist))
+        leaves[sw.id] = (den, (_to_tail(minus[sw.id], den)[1],
+                               _to_tail(plus[sw.id], den)[1]))
     return _corner_table(circuit.root, circuit.states, leaves)
 
 
 def _corner_table(node: Node, states: int,
-                  leaves: dict[str, tuple[Distribution, Distribution]]
-                  ) -> Iterator[Distribution]:
-    """Yield ``node``'s output for each sign corner of its pswitches, first
-    pswitch (in tree order) slowest."""
+                  leaves: dict[str, tuple[int, tuple]]) -> tuple[int, Iterable[tuple]]:
+    """``(D, tails)``: ``node``'s integer tail over ``D`` for each sign corner
+    of its pswitches, first pswitch (in tree order) slowest.
+
+    ``leaves`` maps a pswitch id to its ``(D_j, (minus, plus))``. D is the
+    product of the leaves' D_j, so every corner shares it. A series node
+    multiplies its children's tails elementwise; a parallel node does the
+    same with the complements ``D_i - T_i``, taken once per child table,
+    and complements each product (see ``circuits._tail_series``).
+    """
     if isinstance(node, Leaf):
         el = node.element
         if isinstance(el, Pswitch):
-            yield from leaves[el.id]
-        else:
-            yield _leaf_dist(el, states, {})
-        return
+            return leaves[el.id]
+        return _one(_to_tail(_leaf_dist(el, states, {})))
     if isinstance(node, Graph):
-        first, *rest = [_edge_tails(e, states, leaves) for e in node.edges]
-        later = list(itertools.product(*rest))
-        for tail in first:
-            for tails in later:
-                yield _graph_dist(node, states, [tail, *tails])
-        return
-    if isinstance(node, Series):
-        compose = compose_series
-    elif isinstance(node, Parallel):
-        compose = compose_parallel
-    else:
+        (d0, first), *rest = [_corner_table(e.label, states, leaves) if e.holds_pswitch
+                              else _one(_fixed_tail(e.label, states, {}))
+                              for e in node.edges]
+        dens = (d0, *(d for d, _ in rest))
+        later = list(itertools.product(*(list(tails) for _, tails in rest)))
+        return math.prod(dens), (_graph_dist(node, states, dens, (tail, *tails))
+                                 for tail in first for tails in later)
+    if not isinstance(node, (Series, Parallel)):
         raise ValidationError(f"unknown node {node!r}")
-    first, *rest = node.children
-    later = [list(_corner_table(c, states, leaves)) for c in rest]
-    for dist in _corner_table(first, states, leaves):
-        yield from _fold(dist, later, compose)
+    (d0, first), *rest = [_corner_table(c, states, leaves) for c in node.children]
+    den = d0 * math.prod(d for d, _ in rest)
+    if isinstance(node, Series):
+        later = [list(tails) for _, tails in rest]
+        return den, (t for tail in first for t in _products(tail, later))
+    later = [[_tail_complement(d, tail) for tail in tails] for d, tails in rest]
+    return den, (_tail_complement(den, t) for tail in first
+                 for t in _products(_tail_complement(d0, tail), later))
 
 
-def _fold(acc: Distribution, later: list[list[Distribution]],
-          compose) -> Iterator[Distribution]:
-    """Left fold of ``acc`` with one entry of each table, for every combination."""
+def _products(acc: tuple, later: list[list[tuple]]) -> Iterator[tuple]:
+    """Elementwise product of ``acc`` with one entry of each table, for every
+    combination, the last table fastest."""
     if not later:
         yield acc
         return
-    for dist in later[0]:
-        yield from _fold(compose(acc, dist), later[1:], compose)
+    head, *rest = later
+    for tail in head:
+        yield from _products(_tail_series(acc, tail), rest)
 
 
-def _edge_tails(edge: Edge, states: int, leaves) -> Iterable[list[Fraction]]:
-    """P(label >= k), k = 0..N, at each sign corner of the edge's pswitches."""
-    if not edge.holds_pswitch:
-        return [_fixed_tail(edge.label, states, {})]
-    return map(_suffix_sums, _corner_table(edge.label, states, leaves))
+def _one(value: tuple[int, tuple]) -> tuple[int, tuple]:
+    """A table of one integer tail: ``(D, T)`` as ``(D, (T,))``."""
+    den, tail = value
+    return den, (tail,)
 
 
 def _sampled_assignments(ids: list[str], epsilon: Fraction, trials: int, seed: int):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import strategies as st
 
 from relaycircuits import (
-    Circuit, Distribution, Edge, Graph, IdGen, det, inp, parallel, pswitch,
-    series,
+    Circuit, Distribution, Edge, Graph, IdGen, Leaf, Pswitch, det, inp,
+    parallel, pswitch, series,
 )
 
 
@@ -99,6 +99,17 @@ def random_graph_node(rng: random.Random, states: int, ids: IdGen,
         pairs.append(tuple(rng.sample(path, 2)))
     rng.shuffle(pairs)
     return Graph("s", "t", tuple(Edge(u, v, label(depth)) for u, v in pairs))
+
+
+def map_pswitches(node, fn):
+    """``node`` with every pswitch's distribution replaced by ``fn(pswitch)``."""
+    if isinstance(node, Leaf):
+        el = node.element
+        return pswitch(fn(el), el.id) if isinstance(el, Pswitch) else node
+    if isinstance(node, Graph):
+        return Graph(node.s, node.t, tuple(Edge(e.u, e.v, map_pswitches(e.label, fn))
+                                           for e in node.edges))
+    return type(node)(tuple(map_pswitches(c, fn) for c in node.children))
 
 
 @st.composite

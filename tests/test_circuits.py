@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from relaycircuits import (
     CapacityError, Circuit, Distribution, Edge, Graph, IdGen,
@@ -13,9 +13,12 @@ from relaycircuits import (
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
     evaluate_oracle, inp, parallel, pswitch, remap_states, series,
 )
+from relaycircuits.circuits import (
+    _from_tail, _tail_complement, _tail_numerators, _tail_series, _to_tail,
+)
 from conftest import (
-    distributions, parallel_direct, random_distribution, random_graph_node,
-    random_sp_circuit, series_direct,
+    distributions, map_pswitches, parallel_direct, random_distribution,
+    random_graph_node, random_sp_circuit, series_direct,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -140,6 +143,84 @@ class TestEvaluate:
     def test_duplicate_pswitch_id_rejected(self):
         with pytest.raises(ValidationError):
             Circuit(2, series(pswitch(HALF2, "x"), pswitch(HALF2, "x")))
+
+
+class TestIntegerTails:
+    """The integer tail form ``(D, T)``, ``T[k-1] = D * P(X >= k)``, that
+    graph levels and corner search compute in."""
+
+    @given(p=distributions(), scale=st.integers(1, 12))
+    def test_round_trip(self, p, scale):
+        den, tail = _to_tail(p)
+        assert den == math.lcm(*(x.denominator for x in p))
+        assert len(tail) == len(p) - 1
+        assert _from_tail(den, tail) == p
+        # any multiple of the lcm is a valid denominator, unreduced
+        assert _from_tail(*_to_tail(p, den * scale)) == p
+        assert _to_tail(p, den * scale) == (den * scale, tuple(t * scale for t in tail))
+
+    @given(p=distributions(), scale=st.integers(1, 12))
+    def test_numerators(self, p, scale):
+        den, tail = _to_tail(p)
+        den *= scale
+        nums = _tail_numerators(den, tuple(t * scale for t in tail))
+        assert sum(nums) == den
+        assert tuple(F(n, den) for n in nums) == p.probs
+
+    @given(p=distributions(states=3), q=distributions(states=3))
+    def test_series_and_parallel_are_integer_products(self, p, q):
+        (d1, t1), (d2, t2) = _to_tail(p), _to_tail(q)
+        den = d1 * d2
+        assert _from_tail(den, _tail_series(t1, t2)) == compose_series(p, q)
+        assert _tail_complement(d1, _tail_complement(d1, t1)) == t1
+        parallel_tail = _tail_complement(
+            den, _tail_series(_tail_complement(d1, t1), _tail_complement(d2, t2)))
+        assert _from_tail(den, parallel_tail) == compose_parallel(p, q)
+
+
+def denominators(rng, states, dens):
+    """A random distribution over ``states`` whose entries share one
+    denominator drawn from ``dens``."""
+    den = rng.choice(dens)
+    cuts = sorted(rng.randint(0, den) for _ in range(states - 1))
+    return Distribution(F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den]))
+
+
+class TestOracleDenominators:
+    """Oracle weights are integers over the product of the switches' lcms;
+    they must agree with ``evaluate`` whatever the denominators."""
+
+    DENS = (7, 14, 3 ** 5, 3 ** 3 * 5, 2 ** 6, 7 ** 3)
+
+    def test_sp_mixed_and_large_denominators(self, rng):
+        for _ in range(40):
+            states = rng.randint(2, 4)
+            c = random_sp_circuit(rng, states, 7, max_support_product=1024)
+            c = Circuit(states, map_pswitches(
+                c.root, lambda sw: denominators(rng, states, self.DENS)))
+            assert evaluate_oracle(c) == evaluate(c)
+
+    def test_graphs_mixed_and_large_denominators(self, rng):
+        checked = 0
+        while checked < 40:
+            states = rng.randint(2, 4)
+            root = map_pswitches(random_graph_node(rng, states, IdGen()),
+                                 lambda sw: denominators(rng, states, self.DENS))
+            c = Circuit(states, root)
+            if math.prod(len(p.dist.support()) for p in c.pswitches()) > 2048:
+                continue
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            assert evaluate_oracle(c, assignment) == evaluate(c, assignment)
+            checked += 1
+
+    def test_powers_of_three_and_sevenths(self):
+        ids = IdGen()
+        thirds = [pswitch([F(1, 3 ** k), 0, 1 - F(1, 3 ** k)], ids()) for k in range(1, 6)]
+        sevenths = [pswitch([F(k, 7), F(1, 7), F(6 - k, 7)], ids()) for k in range(1, 5)]
+        c = Circuit(3, parallel(series(*thirds), series(*sevenths)))
+        out = evaluate_oracle(c)
+        assert out == evaluate(c)
+        assert sum(out) == 1 and out[1] > 0
 
 
 class TestGraph:

@@ -1,7 +1,11 @@
 """CLI wiring: every subcommand, JSON determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -139,6 +143,29 @@ def test_robustness_sampled_seeded(capsys, three_state_path):
     assert capsys.readouterr().out == first
 
 
+def test_robustness_corner_cap(capsys, tmp_path):
+    """17 pswitches pass the default cap of 16 only with a raised --corner-cap."""
+    ids = IdGen()
+
+    def tree(k):
+        if k == 1:
+            return pswitch(HALF2, ids())
+        join = series if k % 2 else parallel
+        return join(tree(k // 2), tree(k - k // 2))
+
+    path = tmp_path / "wide.json"
+    netlist.save(Circuit(2, tree(17)), path)
+    args = ["robustness", "--netlist", str(path), "--epsilon", "1/100"]
+    assert run(args) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err == ("error: 17 pswitches need 2^17 sign corners, corner cap is 16 "
+                   "pswitches; raise corner_cap (CLI --corner-cap) or use sampled "
+                   "mode (CLI --mode sampled)\n")
+    code, doc = run_json(capsys, args + ["--corner-cap", "17"])
+    assert code == 0 and doc["exhaustive"] is True
+    assert len(doc["worst_assignment"]) == 17
+
+
 def test_upg_target(capsys):
     code, doc = run_json(capsys, [
         "upg", "--states", "2", "--bits", "3", "--construction", "reduced_sp",
@@ -173,6 +200,30 @@ def test_lattice_search(capsys, tmp_path):
     assert code == 0
     assert doc["realizable"] is False
     assert doc["note"] == "not realizable within explored space"
+
+
+def test_lattice_search_caps(capsys, tmp_path):
+    lat = tmp_path / "diamond.json"
+    lat.write_text(json.dumps({
+        "elements": ["00", "01", "10", "11"],
+        "leq": [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]]}))
+    sw = tmp_path / "switchset.json"
+    sw.write_text(json.dumps([["1/4", "1/4", "1/4", "1/4"]]))
+    args = ["lattice-search", "--lattice", str(lat), "--target", "0,1/2,1/2,0",
+            "--switchset", str(sw), "--max-switches", "4"]
+    assert run(args + ["--max-explored", "20"]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        "error: search up to 4 switches explored more than 20 distributions; "
+        "raise SearchSpec.max_explored (CLI --max-explored)\n")
+    code, doc = run_json(capsys, args)
+    assert code == 0
+    explored = doc["explored_distributions"]
+    code, doc = run_json(capsys, args + ["--max-explored", str(explored)])
+    assert code == 0 and doc["explored_distributions"] == explored
+    assert run(args + ["--max-elements", "3"]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        "error: lattice has 4 elements, cap is 3; raise max_elements "
+        "(CLI --max-elements)\n")
 
 
 @pytest.mark.parametrize("lattice, switchset, message", [
@@ -297,3 +348,16 @@ def test_render_200_round_synthesis(capsys, tmp_path):
         depth += (ch == "(") - (ch == ")")
         deepest = max(deepest, depth)
     assert depth == 0 and deepest >= 400  # two levels per round
+
+
+def test_python_dash_m_runs_without_an_install(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "relaycircuits", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = module("bound", "--n", "4", "--states", "9")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "15\n", "")
+    done = module("synth", "--target", "1/3,1/3,1/3", "--method", "binary")
+    assert done.returncode == 2 and done.stderr.startswith("error: ")

@@ -9,6 +9,7 @@ from relaycircuits import (
     LatticeMismatchError, SearchSpec, compose_lattice, compose_parallel,
     compose_series, lattice_from_json, lattice_to_json, search_expressible,
 )
+from relaycircuits.lattice import DEFAULT_LATTICE_CAP
 from conftest import random_distribution
 
 N5 = Lattice(["0", "a", "b", "c", "1"],
@@ -292,7 +293,22 @@ class TestSearch:
             search_expressible(SearchSpec(dia, (uniform(dia),), target,
                                           max_switches=4, max_explored=20))
         assert str(exc.value) == ("search up to 4 switches explored more than 20 "
-                                  "distributions; raise SearchSpec.max_explored")
+                                  "distributions; raise SearchSpec.max_explored "
+                                  "(CLI --max-explored)")
+
+    def test_lattice_size_cap_names_size_cap_and_knob(self):
+        big = DEFAULT_LATTICE_CAP + 1
+        data = {"elements": [str(i) for i in range(big)],
+                "leq": [[str(i), str(i + 1)] for i in range(big - 1)]}
+        with pytest.raises(CapacityError) as exc:
+            lattice_from_json(data)
+        assert str(exc.value) == (
+            f"lattice has {big} elements, cap is {DEFAULT_LATTICE_CAP}; "
+            "raise max_elements (CLI --max-elements)")
+        small = lattice_to_json(Lattice.chain(5))
+        with pytest.raises(CapacityError, match="lattice has 5 elements, cap is 4;"):
+            lattice_from_json(small, max_elements=4)
+        assert lattice_from_json(small, max_elements=5) == Lattice.chain(5)
 
 
 class TestSearchMatchesReference:

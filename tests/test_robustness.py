@@ -14,7 +14,7 @@ from relaycircuits import (
     perturb_dist, pswitch, series, synth_binary_nstate, denominator_reduction,
     worst_case_error,
 )
-from conftest import random_graph_node, random_sp_circuit
+from conftest import map_pswitches, random_graph_node, random_sp_circuit
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 EPS = F(1, 100)
@@ -222,6 +222,52 @@ class TestCornerWalk:
         # two-point switches at 1/4: (7/8, 1/8) fails only at +eps, (1/8, 7/8) at -eps
         two_point = random_corner_circuits(40)
         assert sum(self.assert_same_outcome(c, F(1, 4)) for c in two_point) > 10
+
+
+def reweighted(circuit, highs, rng):
+    """``circuit`` with each two-point pswitch keeping its active states and
+    giving the higher one a probability drawn from ``highs``."""
+    def fn(sw):
+        low, high = sw.dist.support()
+        probs = [F(0)] * circuit.states
+        probs[high] = rng.choice(highs)
+        probs[low] = 1 - probs[high]
+        return probs
+    return Circuit(circuit.states, map_pswitches(circuit.root, fn))
+
+
+class TestIntegerCornerWalk:
+    """Corner search runs on integer tails over one denominator per subtree;
+    these epsilons stress that denominator."""
+
+    def test_epsilon_coprime_to_switch_denominators(self):
+        # switches in thirds and fifths within [1/7, 6/7], eps = 1/7: every
+        # leaf's denominator mixes 7 into 3 or 5, and every corner is valid
+        rng = random.Random(3)
+        circuits = [reweighted(c, (F(1, 3), F(2, 3), F(2, 5), F(3, 5)), rng)
+                    for c in random_corner_circuits(40)]
+        for circuit in circuits:
+            assert TestCornerWalk.assert_same_outcome(circuit, F(1, 7)) == 0
+        assert sum(isinstance(c.root, Graph) for c in circuits) >= 10
+
+    def test_epsilon_collapses_switches_to_zero_and_one(self):
+        # at eps = 1/2 every (1/2, 1/2) switch becomes (1, 0) or (0, 1); its
+        # denominator must still come from the nominal
+        rng = random.Random(4)
+        circuits = [reweighted(c, (F(1, 2),), rng) for c in random_corner_circuits(40)]
+        for circuit in circuits:
+            assert TestCornerWalk.assert_same_outcome(circuit, F(1, 2)) == 0
+            report = worst_case_error(circuit, F(1, 2))
+            # a corner is then a deterministic circuit: its output is a point mass
+            worst = evaluate(perturb(circuit, report.worst_assignment))
+            assert sorted(worst) == [0] * (circuit.states - 1) + [1]
+
+    def test_mixed_epsilons_on_graph_circuits(self):
+        graphs = [c for c in random_corner_circuits(40) if isinstance(c.root, Graph)]
+        assert len(graphs) >= 15
+        for epsilon in (F(1, 16), F(1, 9), F(1, 4)):
+            for circuit in graphs:
+                TestCornerWalk.assert_same_outcome(circuit, epsilon)
 
 
 class TestCheckBounds:
