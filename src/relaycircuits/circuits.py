@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 ZERO = Fraction(0)
@@ -166,13 +166,29 @@ class Input:
 Element = Union[Pswitch, Det, Input]
 
 
+class _Planned:
+    """Base of the node classes: each node compiles its subtree into a
+    :class:`Plan` on first use and keeps it in its own ``__dict__``, so the
+    plan is freed with the node. Dataclass equality, hashing and ``repr``
+    read only the fields, so a cached plan changes none of them."""
+
+    @cached_property
+    def _compiled(self) -> tuple["Plan", dict]:
+        return _compile(self)
+
+    @property
+    def plan(self) -> "Plan":
+        """This node's post-order plan, compiled on first use."""
+        return self._compiled[0]
+
+
 @dataclass(frozen=True)
-class Leaf:
+class Leaf(_Planned):
     element: Element
 
 
 @dataclass(frozen=True)
-class Series:
+class Series(_Planned):
     """Series composition: circuit state is the min of the children."""
     children: tuple
 
@@ -182,7 +198,7 @@ class Series:
 
 
 @dataclass(frozen=True)
-class Parallel:
+class Parallel(_Planned):
     """Parallel composition: circuit state is the max of the children."""
     children: tuple
 
@@ -198,14 +214,14 @@ class Edge:
     v: str
     label: "Node"
 
-    @cached_property
+    @property
     def holds_pswitch(self) -> bool:
-        """Whether the label contains a pswitch; computed once per edge."""
-        return _holds_pswitch(self.label)
+        """Whether the label contains a pswitch, read off its plan."""
+        return self.label.plan.holds[-1]
 
 
 @dataclass(frozen=True)
-class Graph:
+class Graph(_Planned):
     """A two-terminal network evaluated by max-over-paths of min-along-path."""
     s: str
     t: str
@@ -236,6 +252,13 @@ class Circuit:
         if self.states < 2:
             raise ValidationError("need at least 2 states")
         validate_node(self.root, self.states)
+
+    def __eq__(self, other) -> bool:
+        # Flat plans compare without recursing down the tree; the dataclass
+        # still derives ``__hash__`` from the fields.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.states == other.states and self.root.plan == other.root.plan
 
     def pswitches(self) -> list[Pswitch]:
         return collect_pswitches(self.root)
@@ -347,16 +370,6 @@ def validate_node(node: Node, states: int) -> None:
                 raise ValidationError("graph terminals are not connected")
 
 
-def _holds_pswitch(node: Node) -> bool:
-    # Nested graphs answer from their edges' cached flags, so no label is
-    # walked twice.
-    if isinstance(node, Leaf):
-        return isinstance(node.element, Pswitch)
-    if isinstance(node, Graph):
-        return any(e.holds_pswitch for e in node.edges)
-    return any(_holds_pswitch(c) for c in node.children)
-
-
 def _connected(edges: Iterable[tuple[str, str]], s: str, t: str) -> bool:
     """Whether ``t`` is reachable from ``s`` over undirected edges ``(u, v)``."""
     adj: dict[str, list[str]] = {}
@@ -373,6 +386,121 @@ def _connected(edges: Iterable[tuple[str, str]], s: str, t: str) -> bool:
                 seen.add(v)
                 frontier.append(v)
     return False
+
+
+_LEAF, _SERIES, _PARALLEL, _GRAPH = "leaf", "series", "parallel", "graph"
+# evaluation-only steps of ``Plan.program``, and the phases of its walk
+_CAP, _FIXED = "cap", "fixed"
+_VISIT, _FOLD = "visit", "fold"
+
+
+class Plan:
+    """A node's subtree flattened into post-order steps, one slot per node.
+
+    ``steps[i]`` holds only shallow values: ``(_LEAF, element)``,
+    ``(_SERIES, kids)``, ``(_PARALLEL, kids)`` or ``(_GRAPH, s, t, ends,
+    kids)``, where ``kids`` are the child slots (all lower than ``i``; a
+    graph's are its edge labels') and ``ends`` the graph's edge endpoints.
+    The root is the last slot, and ``holds[i]`` tells whether slot i's
+    subtree holds a pswitch. Nothing depends on the state count or the
+    assignment, so one node object may sit in circuits with different N.
+    Two plans are equal exactly when their trees are. Each walk derives
+    its own table from the steps on first use; those are not compared.
+    """
+
+    def __init__(self, steps: tuple, holds: tuple):
+        self.steps = steps
+        self.holds = holds
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Plan):
+            return NotImplemented
+        return self.steps == other.steps
+
+    @cached_property
+    def program(self) -> tuple[tuple[Optional[int], tuple], ...]:
+        """For :func:`evaluate`: ``(slot, step)`` in the order of a
+        depth-first walk, children before parents, so a graph's cap is
+        checked before anything inside it and errors surface in tree order.
+        Without graphs that is slot order. Each graph first checks its cap,
+        ``(None, (_CAP, live edges))``, and a graph label without a pswitch
+        is one ``(slot, (_FIXED,))``: it is resolved, not walked."""
+        steps, holds = self.steps, self.holds
+        if _GRAPH not in map(operator.itemgetter(0), steps):
+            return tuple(enumerate(steps))
+        program = []
+        todo = [(len(steps) - 1, _VISIT)]
+        while todo:
+            slot, phase = todo.pop()
+            step = steps[slot]
+            if phase is _FIXED:
+                program.append((slot, (_FIXED,)))
+            elif phase is _FOLD or step[0] is _LEAF:
+                program.append((slot, step))
+            else:
+                todo.append((slot, _FOLD))
+                kids = step[-1]
+                if step[0] is _GRAPH:
+                    program.append((None, (_CAP, sum(holds[c] for c in kids))))
+                    todo.extend((c, _VISIT if holds[c] else _FIXED) for c in reversed(kids))
+                else:
+                    todo.extend((c, _VISIT) for c in reversed(kids))
+        return tuple(program)
+
+    @cached_property
+    def resolver(self) -> tuple[list, tuple, tuple, tuple]:
+        """For :func:`resolve`: a template with every Det state in its slot;
+        ``(slot, id)`` per pswitch; ``(slot, element)`` per input; and
+        ``(slot, fold, arg)`` per inner step, in slot order, where ``fold``
+        is ``min`` or ``max`` over the ``itemgetter`` ``arg``, or None for
+        the graph step ``arg``."""
+        leaves = [(i, step[1]) for i, step in enumerate(self.steps) if step[0] is _LEAF]
+        template = [0] * len(self.steps)
+        for i, el in leaves:
+            if isinstance(el, Det):
+                template[i] = el.state
+        return (template,
+                tuple((i, el.id) for i, el in leaves if isinstance(el, Pswitch)),
+                tuple((i, el) for i, el in leaves if isinstance(el, Input)),
+                tuple((i, None, step) if step[0] is _GRAPH else
+                      (i, min if step[0] is _SERIES else max, operator.itemgetter(*step[1]))
+                      for i, step in enumerate(self.steps) if step[0] is not _LEAF))
+
+
+def _compile(root: Node) -> tuple[Plan, dict[int, Node]]:
+    """``root``'s plan, built with an explicit stack, and the graph labels
+    without a pswitch by slot, which :func:`evaluate` resolves."""
+    steps, holds, labels = [], [], {}
+    done: list[int] = []   # slots of finished subtrees awaiting their parent
+    stack: list = [root]   # a node to visit, or (node, children) to finish
+    while stack:
+        item = stack.pop()
+        if type(item) is not tuple:
+            if isinstance(item, Leaf):
+                done.append(len(steps))
+                steps.append((_LEAF, item.element))
+                holds.append(isinstance(item.element, Pswitch))
+                continue
+            if isinstance(item, Graph):
+                kids = [e.label for e in item.edges]
+            elif isinstance(item, (Series, Parallel)):
+                kids = item.children
+            else:
+                raise ValidationError(f"unknown node {item!r}")
+            stack.append((item, kids))
+            stack.extend(reversed(kids))
+            continue
+        node, kids = item
+        slots = tuple(done[len(done) - len(kids):])
+        del done[len(done) - len(kids):]
+        if isinstance(node, Graph):
+            steps.append((_GRAPH, node.s, node.t, tuple((e.u, e.v) for e in node.edges), slots))
+            labels.update((c, label) for c, label in zip(slots, kids) if not holds[c])
+        else:
+            steps.append((_SERIES if isinstance(node, Series) else _PARALLEL, slots))
+        done.append(len(holds))
+        holds.append(any(map(holds.__getitem__, slots)))
+    return Plan(tuple(steps), tuple(holds)), labels
 
 
 def count_switches(circuit: Circuit) -> tuple[int, int, int]:
@@ -450,16 +578,17 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
              graph_cap: int = DEFAULT_GRAPH_CAP) -> Distribution:
     """Exact output distribution of a circuit.
 
-    Series/parallel trees are evaluated by recursive composition. Edge
-    labels of a graph are independent (pswitch ids are unique), and the
-    graph's output is >= k exactly when s and t are joined by edges whose
-    label is >= k. So each level's P(X >= k) is a two-terminal reliability:
-    labels without a pswitch resolve to one state, the others are evaluated
-    recursively, and each level enumerates the up/down subsets of the edges
-    that are neither certain nor impossible at that level. ``graph_cap``
-    bounds, per graph, the number of edges whose label holds a pswitch
-    (each level enumerates up to 2^that subsets); a graph with more raises
-    ``CapacityError``.
+    The circuit's cached post-order plan is folded with no recursion, so
+    any depth works: series/parallel steps compose their children's
+    distributions. Edge labels of a graph are independent (pswitch ids are
+    unique), and the graph's output is >= k exactly when s and t are joined
+    by edges whose label is >= k. So each level's P(X >= k) is a
+    two-terminal reliability: labels without a pswitch resolve to one
+    state, the others are folded like any subtree, and each level
+    enumerates the up/down subsets of the edges that are neither certain
+    nor impossible at that level. ``graph_cap`` bounds, per graph, the
+    number of edges whose label holds a pswitch (each level enumerates up
+    to 2^that subsets); a graph with more raises ``CapacityError``.
     """
     assignment = assignment or {}
     return _eval_node(circuit.root, circuit.states, assignment, graph_cap)
@@ -470,10 +599,13 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
     """Brute-force evaluator: full joint-outcome enumeration, even for trees.
 
     Same contract as :func:`evaluate`; kept separate so the two can check
-    each other. Each joint outcome of the pswitches is resolved to one
-    state; its weight is an integer numerator over the product of the
-    switches' denominators (each the lcm of one switch's denominators), and
-    one ``Distribution`` is built from the summed numerators at the end.
+    each other: it shares no probability arithmetic with :func:`evaluate`.
+    Every joint outcome of the pswitches is enumerated and resolved to one
+    state by one :func:`resolve` call, which runs the circuit's cached plan
+    without recursion, so any depth works. An outcome's weight is an
+    integer numerator over the product of the switches' denominators (each
+    the lcm of one switch's denominators), and one ``Distribution`` is
+    built from the summed numerators at the end.
     Raises ``CapacityError``, before enumerating, when the product of
     pswitch support sizes exceeds ``max_outcomes``.
     """
@@ -502,31 +634,48 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
 
 
 def _eval_node(node: Node, states: int, assignment: Assignment, cap: int) -> Distribution:
-    if isinstance(node, Leaf):
-        return _leaf_dist(node.element, states, assignment)
-    if isinstance(node, Series):
-        dists = [_eval_node(c, states, assignment, cap) for c in node.children]
-        out = dists[0]
-        for d in dists[1:]:
-            out = compose_series(out, d)
-        return out
-    if isinstance(node, Parallel):
-        dists = [_eval_node(c, states, assignment, cap) for c in node.children]
-        out = dists[0]
-        for d in dists[1:]:
-            out = compose_parallel(out, d)
-        return out
-    if isinstance(node, Graph):
-        return _eval_graph(node, states, assignment, cap)
-    raise ValidationError(f"unknown node {node!r}")
+    """Fold ``node``'s plan: one ``Distribution`` (or, for a graph label
+    without a pswitch, one integer tail) per slot, children before parents."""
+    plan, labels = node._compiled
+    vals: list = [None] * len(plan.steps)
+    for slot, step in plan.program:
+        kind = step[0]
+        if kind is _LEAF:
+            vals[slot] = _leaf_dist(step[1], states, assignment)
+        elif kind is _SERIES or kind is _PARALLEL:
+            compose = compose_series if kind is _SERIES else compose_parallel
+            kids = step[1]
+            out = vals[kids[0]]
+            for c in kids[1:]:
+                out = compose(out, vals[c])
+            vals[slot] = out
+        elif kind is _CAP:
+            if step[1] > cap:
+                raise CapacityError(
+                    f"graph has {step[1]} edges holding pswitches (2^{step[1]} subsets "
+                    f"per level), cap is {cap}; raise graph_cap (CLI --graph-cap)")
+        elif kind is _FIXED:
+            vals[slot] = _fixed_tail(labels[slot], states, assignment)
+        else:
+            _, s, t, ends, kids = step
+            dens, tails = zip(*(_to_tail(vals[c]) if plan.holds[c] else vals[c] for c in kids))
+            vals[slot] = _from_tail(math.prod(dens), _graph_dist(s, t, ends, states, dens, tails))
+    return vals[-1]
 
 
 def _leaf_dist(el: Element, states: int, assignment: Assignment) -> Distribution:
     if isinstance(el, Pswitch):
         return el.dist
     if isinstance(el, Det):
-        return Distribution.point(el.state, states)
-    return Distribution.point(_input_value(el, states, assignment), states)
+        return _point(el.state, states)
+    return _point(_input_value(el, states, assignment), states)
+
+
+@lru_cache(maxsize=1024)
+def _point(state: int, states: int) -> Distribution:
+    """``Distribution.point``, built once per ``(state, N)``: distributions
+    are immutable, so every Det and input leaf can share it."""
+    return Distribution.point(state, states)
 
 
 def _input_value(el: Input, states: int, assignment: Assignment) -> int:
@@ -536,18 +685,6 @@ def _input_value(el: Input, states: int, assignment: Assignment) -> int:
     if not 0 <= s < states:
         raise ValidationError(f"assignment {el.name}={s} out of range for N={states}")
     return states - 1 - s if el.complemented else s
-
-
-def _eval_graph(node: Graph, states: int, assignment: Assignment, cap: int) -> Distribution:
-    live = sum(e.holds_pswitch for e in node.edges)
-    if live > cap:
-        raise CapacityError(
-            f"graph has {live} edges holding pswitches (2^{live} subsets per "
-            f"level), cap is {cap}; raise graph_cap (CLI --graph-cap)")
-    dens, tails = zip(*(_to_tail(_eval_node(e.label, states, assignment, cap))
-                        if e.holds_pswitch else _fixed_tail(e.label, states, assignment)
-                        for e in node.edges))
-    return _from_tail(math.prod(dens), _graph_dist(node, states, dens, tails))
 
 
 # An integer tail ``(D, T)`` stands for the distribution with
@@ -594,8 +731,9 @@ def _fixed_tail(label: Node, states: int,
     return 1, tuple(int(state >= k) for k in range(1, states))
 
 
-def _graph_dist(node: Graph, states: int, dens, tails) -> tuple[int, ...]:
-    """Integer tail of ``node`` over ``prod(dens)``, given each edge's tail
+def _graph_dist(s: str, t: str, ends, states: int, dens, tails) -> tuple[int, ...]:
+    """Integer tail of the graph with terminals ``s``, ``t`` and edges
+    ``ends`` ``(u, v)`` over ``prod(dens)``, given each edge's tail
     ``tails[e]`` over ``dens[e]``, in edge order.
 
     P(X >= k) is the probability that s and t are joined by edges whose
@@ -608,51 +746,52 @@ def _graph_dist(node: Graph, states: int, dens, tails) -> tuple[int, ...]:
     levels = []
     for k in range(states - 1):
         up, unsure, scale = [], [], 1
-        for e, d, tail in zip(node.edges, dens, tails):
-            t = tail[k]
-            if 0 < t < d:
-                unsure.append((e.u, e.v, t, d - t))
+        for (u, v), d, tail in zip(ends, dens, tails):
+            n = tail[k]
+            if 0 < n < d:
+                unsure.append((u, v, n, d - n))
             else:
                 scale *= d
-                if t:
-                    up.append((e.u, e.v))
+                if n:
+                    up.append((u, v))
         level = 0
         for picks in itertools.product((True, False), repeat=len(unsure)):
             chosen = [(u, v) for pick, (u, v, _, _) in zip(picks, unsure) if pick]
-            if _connected(up + chosen, node.s, node.t):
-                level += math.prod(t if pick else f
-                                   for pick, (_, _, t, f) in zip(picks, unsure))
+            if _connected(up + chosen, s, t):
+                level += math.prod(n if pick else f
+                                   for pick, (_, _, n, f) in zip(picks, unsure))
         levels.append(level * scale)
     return tuple(levels)
 
 
 def resolve(node: Node, states: int, assignment: Assignment,
             outcome: Mapping[str, int]) -> int:
-    """Deterministic circuit state once every pswitch outcome is fixed."""
-    if isinstance(node, Leaf):
-        el = node.element
-        if isinstance(el, Pswitch):
-            return outcome[el.id]
-        if isinstance(el, Det):
-            return el.state
-        return _input_value(el, states, assignment)
-    if isinstance(node, Series):
-        return min(resolve(c, states, assignment, outcome) for c in node.children)
-    if isinstance(node, Parallel):
-        return max(resolve(c, states, assignment, outcome) for c in node.children)
-    if isinstance(node, Graph):
-        return _resolve_graph(node, states, assignment, outcome)
-    raise ValidationError(f"unknown node {node!r}")
+    """Deterministic circuit state once every pswitch outcome is fixed.
+
+    Runs ``node``'s cached plan with no recursion, so any depth works:
+    pswitch slots read ``outcome``, Det slots come from the plan's
+    template, input slots from ``assignment``; each series or parallel
+    step takes the ``min`` or ``max`` of its child slots, and a graph step
+    the largest k whose edges of value >= k join s to t.
+    """
+    template, pswitches, inputs, folds = node.plan.resolver
+    vals = template.copy()
+    for slot, pid in pswitches:
+        vals[slot] = outcome[pid]
+    for slot, el in inputs:
+        vals[slot] = _input_value(el, states, assignment)
+    for slot, fold, arg in folds:
+        vals[slot] = fold(arg(vals)) if fold else _graph_state(arg, vals, states)
+    return vals[-1]
 
 
-def _resolve_graph(node: Graph, states: int, assignment: Assignment,
-                   outcome: Mapping[str, int]) -> int:
+def _graph_state(step: tuple, vals: list, states: int) -> int:
     # max over s-t paths of min edge value == largest k with s,t connected
     # in the subgraph of edges whose value is >= k.
-    values = [(e.u, e.v, resolve(e.label, states, assignment, outcome))
-              for e in node.edges]
+    _, s, t, ends, kids = step
+    values = [(u, v, vals[c]) for (u, v), c in zip(ends, kids)]
     for k in range(states - 1, 0, -1):
-        if _connected(((u, v) for u, v, val in values if val >= k), node.s, node.t):
+        if _connected(((u, v) for u, v, val in values if val >= k), s, t):
             return k
     return 0
 

@@ -255,8 +255,9 @@ def _corner_table(node: Node, states: int,
                               else _one(_fixed_tail(e.label, states, {}))
                               for e in node.edges]
         dens = (d0, *(d for d, _ in rest))
+        ends = tuple((e.u, e.v) for e in node.edges)
         later = list(itertools.product(*(list(tails) for _, tails in rest)))
-        return math.prod(dens), (_graph_dist(node, states, dens, (tail, *tails))
+        return math.prod(dens), (_graph_dist(node.s, node.t, ends, states, dens, (tail, *tails))
                                  for tail in first for tails in later)
     if not isinstance(node, (Series, Parallel)):
         raise ValidationError(f"unknown node {node!r}")

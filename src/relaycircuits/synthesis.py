@@ -43,9 +43,9 @@ from .rational import format_rational
 HALF = Fraction(1, 2)
 _MAX_BASE = 10 ** 6  # largest base q of a {1/2, ..., 1/q} switch set or round
 # Longest round schedule. Each round nests the circuit two levels deeper, and
-# evaluation and netlist I/O recurse once per level: on a three-state binary
-# target (1/2^n, 1 - 2/2^n, 1/2^n), synthesis, evaluate and dumps/loads all
-# succeed up to n = 246 at the top of a fresh interpreter at the default
+# netlist I/O recurses once per level: on a three-state binary target
+# (1/2^n, 1 - 2/2^n, 1/2^n), synthesis and dumps/loads succeed up to
+# n = 246 at the top of a fresh interpreter at the default
 # recursion limit, and up to 236 inside a test runner. The cap leaves room
 # for the callers' own frames.
 _MAX_ROUNDS = 200
@@ -367,8 +367,7 @@ def _run(dist: Distribution, schedule: tuple[int, ...],
     if len(schedule) > _MAX_ROUNDS:
         raise CapacityError(
             f"synthesis needs {len(schedule)} rounds, cap is {_MAX_ROUNDS}: "
-            "deeper circuits exceed the recursion limit of evaluation and "
-            "netlist I/O")
+            "deeper circuits exceed the recursion limit of netlist I/O")
     trace: list[CutRecord] = []
     node, rounds = _realize(dist, schedule, accept, IdGen(), trace)
     return Circuit(len(dist), node), trace, rounds

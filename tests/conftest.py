@@ -2,7 +2,8 @@
 
 The composition oracles here deliberately re-derive series/parallel by
 enumerating all N^2 outcome pairs, so the library's cumulative-identity
-implementations are checked against a different computation.
+implementations are checked against a different computation; the
+recursive ``resolve_reference`` checks the library's flat ``resolve``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import strategies as st
 
 from relaycircuits import (
-    Circuit, Distribution, Edge, Graph, IdGen, Leaf, Pswitch, det, inp,
-    parallel, pswitch, series,
+    Circuit, Det, Distribution, Edge, Graph, IdGen, Leaf, Parallel, Pswitch,
+    Series, det, inp, parallel, pswitch, series, synth_binary_nstate,
 )
+from relaycircuits.circuits import _connected, _input_value
 
 
 def series_direct(p: Distribution, q: Distribution) -> Distribution:
@@ -35,6 +37,29 @@ def parallel_direct(p: Distribution, q: Distribution) -> Distribution:
         for j, qj in enumerate(q):
             out[max(i, j)] += pi * qj
     return Distribution(out)
+
+
+def resolve_reference(node, states, assignment, outcome) -> int:
+    """The circuit state under one joint pswitch outcome, by a direct
+    recursive walk: min over series children, max over parallel children,
+    and for a graph the largest k whose edges of value >= k join s to t."""
+    if isinstance(node, Leaf):
+        el = node.element
+        if isinstance(el, Pswitch):
+            return outcome[el.id]
+        if isinstance(el, Det):
+            return el.state
+        return _input_value(el, states, assignment)
+    if isinstance(node, Series):
+        return min(resolve_reference(c, states, assignment, outcome) for c in node.children)
+    if isinstance(node, Parallel):
+        return max(resolve_reference(c, states, assignment, outcome) for c in node.children)
+    values = [(e.u, e.v, resolve_reference(e.label, states, assignment, outcome))
+              for e in node.edges]
+    for k in range(states - 1, 0, -1):
+        if _connected(((u, v) for u, v, val in values if val >= k), node.s, node.t):
+            return k
+    return 0
 
 
 def random_distribution(rng: random.Random, states: int, max_denom: int = 8) -> Distribution:
@@ -110,6 +135,14 @@ def map_pswitches(node, fn):
         return Graph(node.s, node.t, tuple(Edge(e.u, e.v, map_pswitches(e.label, fn))
                                            for e in node.edges))
     return type(node)(tuple(map_pswitches(c, fn) for c in node.children))
+
+
+def deep_binary_circuit(rounds: int = 200) -> Circuit:
+    """The binary synthesis of ``(1, 2^r - 2, 1) / 2^r``: ``r`` rounds, two
+    nesting levels per round, the deepest circuit synthesis builds."""
+    scale = 2 ** rounds
+    target = Distribution([Fraction(1, scale), Fraction(scale - 2, scale), Fraction(1, scale)])
+    return synth_binary_nstate(target).circuit
 
 
 @st.composite

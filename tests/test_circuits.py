@@ -1,6 +1,8 @@
 """Circuit core: composition rules, evaluation, duality, remap, clamp."""
 
+import json
 import math
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -11,14 +13,17 @@ from relaycircuits import (
     InvalidMappingError, InvalidRangeError, MissingAssignmentError,
     UnsupportedStructureError, ValidationError, clamp,
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
-    evaluate_oracle, inp, parallel, pswitch, remap_states, series,
+    evaluate_oracle, inp, parallel, pswitch, remap_states, resolve, series,
 )
 from relaycircuits.circuits import (
-    _from_tail, _tail_complement, _tail_numerators, _tail_series, _to_tail,
+    Det, Input, Leaf, Parallel, Pswitch, Series, _from_tail,
+    _tail_complement, _tail_numerators, _tail_series, _to_tail,
 )
+from relaycircuits.netlist import circuit_from_json, dumps
 from conftest import (
-    distributions, map_pswitches, parallel_direct, random_distribution,
-    random_graph_node, random_sp_circuit, series_direct,
+    deep_binary_circuit, distributions, map_pswitches, parallel_direct,
+    random_distribution, random_graph_node, random_sp_circuit,
+    resolve_reference, series_direct,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -368,3 +373,109 @@ class TestCounts:
     def test_mixed(self):
         c = Circuit(2, series(pswitch(HALF2, "a"), inp("r"), det(1)))
         assert count_switches(c) == (1, 2, 1)
+
+
+class TestPlan:
+    """``resolve`` and ``evaluate`` run one flat plan cached per node."""
+
+    @staticmethod
+    def random_outcome(rng, circuit):
+        return {p.id: rng.randrange(circuit.states) for p in circuit.pswitches()}
+
+    def test_resolve_matches_recursive_reference_sp(self, rng):
+        for _ in range(150):
+            states = rng.randint(2, 4)
+            base = random_sp_circuit(rng, states, 8)
+            c = Circuit(states, series(base.root, parallel(inp("x0", True), det(1))))
+            assignment = {"x0": rng.randrange(states)}
+            outcome = self.random_outcome(rng, c)
+            assert (resolve(c.root, states, assignment, outcome)
+                    == resolve_reference(c.root, states, assignment, outcome))
+
+    def test_resolve_matches_recursive_reference_graphs(self, rng):
+        nested = 0
+        for _ in range(300):
+            states = rng.randint(2, 4)
+            c = Circuit(states, random_graph_node(rng, states, IdGen(), depth=3))
+            nested += any(isinstance(e.label, Graph) for e in c.root.edges)
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            for _ in range(3):
+                outcome = self.random_outcome(rng, c)
+                assert (resolve(c.root, states, assignment, outcome)
+                        == resolve_reference(c.root, states, assignment, outcome))
+        assert nested > 0
+
+    def test_shared_pswitch_free_node_across_state_counts(self):
+        shared = series(inp("x", complemented=True), Graph("s", "t", (
+            Edge("s", "a", det(1)),
+            Edge("a", "t", inp("y")),
+            Edge("s", "t", parallel(det(0), inp("x"))),
+        )))
+        for states in (3, 4, 3):
+            assignment = {"x": 1, "y": states - 1}
+            # ~x is N-2; the graph is max(min(1, y), x) = 1
+            expected = min(states - 2, 1)
+            c = Circuit(states, shared)
+            assert resolve(shared, states, assignment, {}) == expected
+            assert evaluate(c, assignment) == Distribution.point(expected, states)
+            # the shared node as a fixed label beside a live edge
+            live = pswitch(Distribution.shorthand(F(1, 3), states), "p")
+            g = Circuit(states, Graph("s", "t", (Edge("s", "t", shared), Edge("s", "t", live))))
+            assert evaluate(g, assignment) == evaluate_oracle(g, assignment)
+            assert evaluate(g, assignment)[states - 1] == F(1, 3)
+
+    def test_cached_plan_changes_no_value(self, rng):
+        for _ in range(30):
+            states = rng.randint(2, 4)
+            c = Circuit(states, random_graph_node(rng, states, IdGen()))
+            text = dumps(c)
+            fresh = circuit_from_json(json.loads(text))
+            assert "plan" not in fresh.root.__dict__
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            evaluate(c, assignment)
+            resolve(c.root, states, assignment, self.random_outcome(rng, c))
+            assert c.root.plan is c.root.plan  # compiled once, kept on the node
+            assert c.root == fresh.root and hash(c.root) == hash(fresh.root)
+            assert c == fresh and hash(c) == hash(fresh)
+            assert dumps(c) == text == dumps(fresh)
+            assert repr(c) == repr(fresh)
+
+    def test_plan_is_freed_with_its_circuit(self):
+        label = series(inp("x"), det(1))
+        c = Circuit(2, Graph("s", "t", (Edge("s", "t", label),
+                                        Edge("s", "t", pswitch(HALF2, "p")))))
+        assert evaluate(c, {"x": 1}) == (0, 1)
+        assert resolve(c.root, 2, {"x": 0}, {"p": 0}) == 0
+        plans = [weakref.ref(c.root.plan), weakref.ref(label.plan)]
+        del c, label
+        assert [ref() for ref in plans] == [None, None]  # no reference cycle keeps them
+
+    def test_plan_steps_hold_no_node(self, rng):
+        c = Circuit(3, random_graph_node(rng, 3, IdGen(), depth=3))
+        for step in c.root.plan.steps:
+            for value in step:
+                assert not isinstance(value, (Leaf, Series, Parallel, Graph, Edge))
+                assert isinstance(value, (str, tuple, Pswitch, Det, Input))
+
+    def test_circuit_equality_follows_structure(self):
+        a = pswitch(HALF2, "a")
+        assert Circuit(2, series(a, det(1))) == Circuit(2, series(a, det(1)))
+        assert Circuit(2, series(a, det(1))) != Circuit(2, parallel(a, det(1)))
+        assert Circuit(2, series(a, det(1))) != Circuit(2, series(det(1), a))
+        assert Circuit(2, series(a, det(1), det(1))) != Circuit(2, series(series(a, det(1)), det(1)))
+        assert Circuit(2, det(1)) != Circuit(3, det(1))
+        g = Graph("s", "t", (Edge("s", "t", a),))
+        assert Circuit(2, g) != Circuit(2, Graph("s", "u", (Edge("s", "u", a),)))
+        assert Circuit(2, g) != Circuit(2, Graph("t", "s", (Edge("s", "t", a),)))
+        assert Circuit(2, det(1)) != det(1)
+
+    def test_resolve_200_round_synthesis(self, rng):
+        c = deep_binary_circuit()
+        outcome = {p.id: rng.choice(p.dist.support()) for p in c.pswitches()}
+        state = resolve(c.root, c.states, {}, outcome)
+        # the same circuit with every pswitch fixed at its outcome
+        doc = json.loads(dumps(c), object_hook=lambda d: (
+            {"op": "det", "state": outcome[d["id"]]} if d.get("op") == "pswitch" else d))
+        fixed = circuit_from_json(doc)
+        assert fixed.pswitches() == []
+        assert evaluate(fixed) == Distribution.point(state, c.states)

@@ -311,6 +311,23 @@ def _series_netlist(depth: int) -> str:
     return '{"states": 2, "circuit": %s}' % text
 
 
+def _deepest_loadable(path, command: str) -> tuple[int, int]:
+    """``(low, high)``: ``command`` on the series netlist of depth ``low``
+    at ``path`` succeeds, one level deeper is refused at decode."""
+
+    def attempt(depth: int) -> int:
+        path.write_text(_series_netlist(depth))
+        return run([command, "--netlist", str(path)])
+
+    low, high = 1, 5000  # the command succeeds at depth low, is refused at depth high
+    while high - low > 1:
+        mid = (low + high) // 2
+        code = attempt(mid)
+        assert code in (0, 2)
+        low, high = (mid, high) if code == 0 else (low, mid)
+    return low, high
+
+
 def test_render_deepest_loadable_netlist(capsys, tmp_path):
     """Find the deepest series netlist the CLI loads; rendering it must not
     hit the recursion limit, and one level deeper is refused with exit 2."""
@@ -320,18 +337,28 @@ def test_render_deepest_loadable_netlist(capsys, tmp_path):
         path.write_text(_series_netlist(depth))
         return run(["render", "--netlist", str(path)])
 
-    low, high = 1, 5000  # render succeeds at depth low, is refused at depth high
-    while high - low > 1:
-        mid = (low + high) // 2
-        code = render(mid)
-        assert code in (0, 2)
-        low, high = (mid, high) if code == 0 else (low, mid)
+    low, high = _deepest_loadable(path, "render")
     capsys.readouterr()
     assert low > 300
     assert render(low) == 0
     assert capsys.readouterr().out == "(" * low + "det(1)" + " * det(1))" * low + "\n"
     assert render(high) == 2
     assert "nesting depth" in capsys.readouterr().err
+
+
+def test_eval_and_oracle_deepest_loadable_netlist(capsys, tmp_path):
+    """Both evaluators walk the deepest netlist the CLI loads without
+    recursing, and agree on it."""
+    path = tmp_path / "deep.json"
+    low, _ = _deepest_loadable(path, "render")
+    path.write_text(_series_netlist(low))
+    capsys.readouterr()
+    outputs = []
+    for command in ("eval", "oracle-eval"):
+        code, doc = run_json(capsys, [command, "--netlist", str(path)])
+        assert code == 0
+        outputs.append(doc)
+    assert outputs == [["0", "1"], ["0", "1"]]
 
 
 def test_render_200_round_synthesis(capsys, tmp_path):

@@ -10,7 +10,7 @@ from relaycircuits import (
     evaluate, inp, loads, parallel, pswitch, series,
 )
 from relaycircuits.netlist import circuit_from_json, circuit_to_json
-from conftest import random_sp_circuit
+from conftest import deep_binary_circuit, random_sp_circuit
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 
@@ -32,6 +32,12 @@ def sample_circuits():
 def test_round_trip_identity():
     for circuit in sample_circuits():
         assert loads(dumps(circuit)) == circuit
+
+
+def test_round_trip_identity_200_rounds():
+    circuit = deep_binary_circuit()
+    assert loads(dumps(circuit)) == circuit
+    assert hash(loads(dumps(circuit))) == hash(circuit)
 
 
 def test_canonical_serialization():
