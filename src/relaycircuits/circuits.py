@@ -606,30 +606,49 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
     integer numerator over the product of the switches' denominators (each
     the lcm of one switch's denominators), and one ``Distribution`` is
     built from the summed numerators at the end.
+
+    The outcomes are walked as an odometer over one outcome dict, last
+    switch fastest (the order of ``itertools.product``): advancing a digit
+    rewrites only the entries from that digit on, and ``prefix[k]`` keeps
+    the product of the first ``k`` picks' weights, so an outcome costs its
+    ``resolve`` call, one dict store and one product.
     Raises ``CapacityError``, before enumerating, when the product of
     pswitch support sizes exceeds ``max_outcomes``.
     """
     assignment = assignment or {}
-    states = circuit.states
-    switches = collect_pswitches(circuit.root)
+    states, root = circuit.states, circuit.root
+    switches = collect_pswitches(root)
     total = math.prod(len(sw.dist.support()) for sw in switches)
     if total > max_outcomes:
         raise CapacityError(
             f"{len(switches)} pswitches have {total} joint outcomes, cap is "
             f"{max_outcomes}; raise max_outcomes (CLI --max-outcomes)")
-    ids = [sw.id for sw in switches]
-    supports, weights, den = [], [], 1
+    digits, den = [], 1   # (id, ((state, integer weight), ...)) per switch
     for sw in switches:
         d = math.lcm(*(p.denominator for p in sw.dist))
-        supports.append(sw.dist.support())
-        weights.append([sw.dist[s].numerator * (d // sw.dist[s].denominator)
-                        for s in supports[-1]])
+        digits.append((sw.id, tuple((s, sw.dist[s].numerator * (d // sw.dist[s].denominator))
+                                    for s in sw.dist.support())))
         den *= d
-    counts = [0] * states
-    # both products run in the same order: one joint outcome per step
-    for picks, ws in zip(itertools.product(*supports), itertools.product(*weights)):
-        state = resolve(circuit.root, states, assignment, dict(zip(ids, picks)))
-        counts[state] += math.prod(ws)
+    if not digits:   # one joint outcome, of weight 1
+        return Distribution.point(resolve(root, states, assignment, {}), states)
+    *digits, (last_id, last) = digits
+    n, k = len(digits), 0   # digits k.. changed since the last outcome
+    picks, prefix, outcome, counts = [0] * n, [1] * (n + 1), {}, [0] * states
+    while k >= 0:
+        for j in range(k, n):
+            pid, choices = digits[j]
+            outcome[pid], w = choices[picks[j]]
+            prefix[j + 1] = prefix[j] * w
+        base = prefix[n]
+        for s, w in last:   # the last switch turns fastest, in this loop
+            outcome[last_id] = s
+            counts[resolve(root, states, assignment, outcome)] += base * w
+        k = n - 1   # advance the odometer: the last digit not at its end
+        while k >= 0 and picks[k] == len(digits[k][1]) - 1:
+            picks[k] = 0
+            k -= 1
+        if k >= 0:
+            picks[k] += 1
     return Distribution(Fraction(c, den) for c in counts)
 
 

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .circuits import CapacityError, ONE, RelayError, ZERO
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 
 
 # Cap on the element count of a lattice read from a file. Lattice.chain(64)
@@ -82,6 +82,8 @@ class Lattice:
         self._leq = leq
         self._join = self._derive(upper=True)
         self._meet = self._derive(upper=False)
+        # _up[i]: bitmask of the elements j with i <= j
+        self._up = [sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)]
 
     def _derive(self, upper: bool) -> list:
         n = len(self.elements)
@@ -190,8 +192,10 @@ class LatticeDistribution:
         if den <= 0 or min(num) < 0 or sum(num) != den:
             raise LatticeError(f"numerators {list(num)} over {den} are not a distribution")
         g = gcd(den, *num)
+        if g > 1:
+            num, den = [n // g for n in num], den // g
         out = object.__new__(cls)
-        out._set(lattice, tuple(n // g for n in num), den // g)
+        out._set(lattice, tuple(num), den)
         return out
 
     def __setattr__(self, name, value):
@@ -243,9 +247,8 @@ def compose_lattice(p: LatticeDistribution, q: LatticeDistribution,
         raise LatticeError(f"op must be 'join' or 'meet', got {op!r}")
     out = [0] * len(lattice.elements)
     qs = [(j, qy) for j, qy in enumerate(q._num) if qy]
-    for i, px in enumerate(p._num):
+    for px, row in zip(p._num, table):
         if px:
-            row = table[i]
             for j, qy in qs:
                 out[row[j]] += px * qy
     return LatticeDistribution._from_ints(lattice, out, p._den * q._den)
@@ -303,8 +306,26 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     of sizes (l, r) with l > r, or of equal sizes with q before p, is the
     mirror of one composed earlier in the same loop order. Skipping it
     changes no first witness, explored count or ``max_explored`` failure.
+
+    A pair in which one operand lies surely below the other (every element
+    of its support is <= every element of the other's) is not composed at
+    all: its meet is the lower operand and its join the upper one, and both
+    are already in the memo, so recording them would change nothing. Two
+    bitmasks per reached distribution decide this in integers: its support,
+    and the elements above all of its support.
     """
     lattice = spec.lattice
+    up = lattice._up
+
+    def masks(dist: LatticeDistribution) -> tuple[int, int]:
+        # (support, complement of the elements above the whole support)
+        support, above = 0, -1
+        for i, n in enumerate(dist._num):
+            if n:
+                support |= 1 << i
+                above &= up[i]
+        return support, ~above
+
     base: list[tuple[LatticeDistribution, str]] = []
     for i, dist in enumerate(spec.switch_set):
         if dist.lattice != lattice:
@@ -315,16 +336,15 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
             base.append((LatticeDistribution.point(lattice, e), f"det({e})"))
 
     # seen maps the canonical integer form (_num, _den) to (leaves, witness);
-    # by_size[k] lists the (distribution, witness) pairs first reached with
-    # exactly k leaves
+    # by_size[k] lists (distribution, witness, *masks) for the distributions
+    # first reached with exactly k leaves
     seen: dict[tuple, tuple[int, str]] = {}
-    by_size: dict[int, list[tuple[LatticeDistribution, str]]] = {
-        k: [] for k in range(1, spec.max_switches + 1)}
+    by_size: dict[int, list[tuple]] = {k: [] for k in range(1, spec.max_switches + 1)}
     for dist, name in base:
         key = (dist._num, dist._den)
         if key not in seen:
             seen[key] = (1, name)
-            by_size[1].append((dist, name))
+            by_size[1].append((dist, name, *masks(dist)))
 
     def record(dist: LatticeDistribution, size: int, pexpr: str, sym: str,
                qexpr: str) -> None:
@@ -337,17 +357,19 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
                     "(CLI --max-explored)")
             expr = f"({pexpr} {sym} {qexpr})"  # built only for a new distribution
             seen[key] = (size, expr)
-            by_size[size].append((dist, expr))
+            by_size[size].append((dist, expr, *masks(dist)))
 
     for size in range(2, spec.max_switches + 1):
         # meet and join commute, so each unordered pair is composed once:
         # lsize <= rsize, and among equal sizes q never precedes p
         for lsize in range(1, size // 2 + 1):
             rsize = size - lsize
-            for i, (p, pexpr) in enumerate(by_size[lsize]):
-                for q, qexpr in by_size[rsize][i if lsize == rsize else 0:]:
-                    record(compose_lattice(p, q, "meet"), size, pexpr, "*", qexpr)
-                    record(compose_lattice(p, q, "join"), size, pexpr, "+", qexpr)
+            for i, (p, pexpr, psup, pnot) in enumerate(by_size[lsize]):
+                for q, qexpr, qsup, qnot in by_size[rsize][i if lsize == rsize else 0:]:
+                    # skip when p is surely below q or q surely below p
+                    if qsup & pnot and psup & qnot:
+                        record(compose_lattice(p, q, "meet"), size, pexpr, "*", qexpr)
+                        record(compose_lattice(p, q, "join"), size, pexpr, "+", qexpr)
 
     hit = seen.get((spec.target._num, spec.target._den))
     if hit is None:
@@ -385,10 +407,6 @@ def lattice_from_json(data: dict, max_elements: int = DEFAULT_LATTICE_CAP) -> La
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise LatticeError(f"{shape}; leq entry {i} is not a pair")
     return Lattice(elements, [tuple(pair) for pair in leq])
-
-
-def lattice_distribution_to_json(dist: LatticeDistribution) -> list[str]:
-    return [format_rational(dist[e]) for e in dist.lattice.elements]
 
 
 def switch_set_from_json(lattice: Lattice, data: list) -> tuple:

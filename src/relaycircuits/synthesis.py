@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Callable, Optional, Union
 
@@ -269,7 +269,14 @@ def _cut_pieces(p: Distribution, q: Fraction,
 
 def cut_switch(q: Fraction, states: int, pid: str) -> Leaf:
     """The cut pswitch ``(q, 0, ..., 0, 1-q)``."""
-    return pswitch(Distribution.shorthand(ONE - q, states), pid)
+    return pswitch(_shorthand(ONE - q, states), pid)
+
+
+@lru_cache(maxsize=1024)
+def _shorthand(p: Fraction, states: int) -> Distribution:
+    """``Distribution.shorthand``, built once per ``(p, N)``: distributions
+    are immutable, so every cut switch and clamped leaf can share it."""
+    return Distribution.shorthand(p, states)
 
 
 def reassemble_cut(p: Distribution, q: Fraction) -> Circuit:
@@ -302,7 +309,7 @@ def _clamped_base(low: int, high: int, inner: Fraction, states: int, ids: IdGen)
     ``inner`` is the probability of the upper active state; the base switch
     is ``(1-inner, 0, ..., 0, inner)`` and the clamps cost no pswitches.
     """
-    node: Node = pswitch(Distribution.shorthand(inner, states), ids())
+    node: Node = pswitch(_shorthand(inner, states), ids())
     if low > 0:
         node = opt_parallel(states, det(low), node)
     if high < states - 1:

@@ -1,5 +1,6 @@
 """Circuit core: composition rules, evaluation, duality, remap, clamp."""
 
+import itertools
 import json
 import math
 import weakref
@@ -15,6 +16,7 @@ from relaycircuits import (
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
     evaluate_oracle, inp, parallel, pswitch, remap_states, resolve, series,
 )
+from relaycircuits import circuits as circuits_module
 from relaycircuits.circuits import (
     Det, Input, Leaf, Parallel, Pswitch, Series, _from_tail,
     _tail_complement, _tail_numerators, _tail_series, _to_tail,
@@ -226,6 +228,87 @@ class TestOracleDenominators:
         out = evaluate_oracle(c)
         assert out == evaluate(c)
         assert sum(out) == 1 and out[1] > 0
+
+
+def oracle_reference(circuit, assignment=None):
+    """The oracle's definition, outcome by outcome: one fresh outcome dict
+    and one ``Fraction`` weight per ``itertools.product`` step, resolved by
+    the recursive ``resolve_reference``."""
+    switches = circuit.pswitches()
+    counts = [F(0)] * circuit.states
+    for picks in itertools.product(*(sw.dist.support() for sw in switches)):
+        outcome = {sw.id: s for sw, s in zip(switches, picks)}
+        state = resolve_reference(circuit.root, circuit.states, assignment or {}, outcome)
+        counts[state] += math.prod(sw.dist[s] for sw, s in zip(switches, picks))
+    return Distribution(counts)
+
+
+def support_sized(rng, states, size):
+    """A random distribution with exactly ``size`` active states."""
+    active = sorted(rng.sample(range(states), size))
+    weights = [rng.randint(1, 5) for _ in active]
+    probs = [F(0)] * states
+    for i, w in zip(active, weights):
+        probs[i] = F(w, sum(weights))
+    return Distribution(probs)
+
+
+class TestOracleOdometer:
+    """``evaluate_oracle`` walks the joint outcomes as an odometer over one
+    outcome dict; it must match the per-outcome product reference."""
+
+    def test_mixed_radices(self, rng):
+        for _ in range(40):
+            c = random_sp_circuit(rng, 4, 6, max_support_product=1024)
+            c = Circuit(4, map_pswitches(
+                c.root, lambda sw: support_sized(rng, 4, rng.randint(1, 4))))
+            assert evaluate_oracle(c) == oracle_reference(c)
+
+    def test_no_pswitches(self):
+        c = Circuit(3, parallel(series(det(2), inp("x")), det(0)))
+        for x in range(3):
+            assert evaluate_oracle(c, {"x": x}) == oracle_reference(c, {"x": x}) \
+                == Distribution.point(min(2, x), 3)
+
+    def test_bound_inputs(self, rng):
+        for _ in range(30):
+            states = rng.randint(2, 4)
+            leaves = [pswitch(random_distribution(rng, states), f"p{i}") for i in range(4)]
+            leaves += [inp("x"), inp("y", complemented=True)]
+            rng.shuffle(leaves)
+            c = Circuit(states, parallel(series(*leaves[:3]), series(*leaves[3:])))
+            assignment = {"x": rng.randrange(states), "y": rng.randrange(states)}
+            assert evaluate_oracle(c, assignment) == oracle_reference(c, assignment)
+
+    def test_nested_graphs(self, rng):
+        checked = 0
+        while checked < 30:
+            states = rng.randint(2, 4)
+            c = Circuit(states, random_graph_node(rng, states, IdGen(), depth=3))
+            if math.prod(len(p.dist.support()) for p in c.pswitches()) > 2048:
+                continue
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            assert evaluate_oracle(c, assignment) == oracle_reference(c, assignment)
+            checked += 1
+
+    def test_one_resolve_per_outcome_and_none_past_the_cap(self, monkeypatch, rng):
+        calls = []
+
+        def counting(node, states, assignment, outcome):
+            calls.append(dict(outcome))
+            return resolve(node, states, assignment, outcome)
+
+        monkeypatch.setattr(circuits_module, "resolve", counting)
+        radices = (1, 2, 3, 4)
+        c = Circuit(4, series(*[pswitch(support_sized(rng, 4, k), f"p{k}")
+                                for k in radices]))
+        with pytest.raises(CapacityError, match="4 pswitches have 24 joint outcomes, cap is 23"):
+            evaluate_oracle(c, max_outcomes=23)
+        assert calls == []
+        assert evaluate_oracle(c, max_outcomes=24) == oracle_reference(c)
+        expected = [dict(zip(("p1", "p2", "p3", "p4"), picks)) for picks in itertools.product(
+            *(sw.dist.support() for sw in c.pswitches()))]
+        assert calls == expected
 
 
 class TestGraph:

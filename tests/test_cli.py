@@ -202,6 +202,26 @@ def test_lattice_search(capsys, tmp_path):
     assert doc["note"] == "not realizable within explored space"
 
 
+@pytest.mark.parametrize("target, expected", [
+    ("0,1/2,1/2,0", {"realizable": False, "explored_distributions": 74, "max_switches": 4,
+                     "note": "not realizable within explored space"}),
+    ("31/250,193/500,33/250,179/500", {
+        "realizable": True, "explored_distributions": 74, "max_switches": 4,
+        "expression": "((s0 * s0) + (s0 * det(01)))", "switches_used": 4}),
+], ids=["unrealizable", "realizable"])
+def test_lattice_search_output_pinned(capsys, tmp_path, target, expected):
+    lat = tmp_path / "diamond.json"
+    lat.write_text(json.dumps({
+        "elements": ["00", "01", "10", "11"],
+        "leq": [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]]}))
+    sw = tmp_path / "switchset.json"
+    sw.write_text(json.dumps([["1/10", "2/10", "3/10", "4/10"]]))
+    code, doc = run_json(capsys, [
+        "lattice-search", "--lattice", str(lat), "--target", target,
+        "--switchset", str(sw), "--max-switches", "4"])
+    assert code == 0 and doc == expected
+
+
 def test_lattice_search_caps(capsys, tmp_path):
     lat = tmp_path / "diamond.json"
     lat.write_text(json.dumps({

@@ -9,6 +9,7 @@ from relaycircuits import (
     LatticeMismatchError, SearchSpec, compose_lattice, compose_parallel,
     compose_series, lattice_from_json, lattice_to_json, search_expressible,
 )
+from relaycircuits import lattice as lattice_module
 from relaycircuits.lattice import DEFAULT_LATTICE_CAP
 from conftest import random_distribution
 
@@ -29,7 +30,8 @@ def mixed_distribution(rng, lattice):
             return LatticeDistribution(lattice, [w / total for w in weights])
 
 
-def reference_search(lattice, switch_set, target, max_switches, max_explored=200_000):
+def reference_search(lattice, switch_set, target, max_switches, max_explored=200_000,
+                     include_deterministic=True):
     """Naive search: every ordered pair, composed by element names. Returns
     (realizable, expression, switches_used, explored) or raises CapacityError."""
 
@@ -41,8 +43,9 @@ def reference_search(lattice, switch_set, target, max_switches, max_explored=200
         return tuple(out[e] for e in lattice.elements)
 
     base = [(d.key(), f"s{i}") for i, d in enumerate(switch_set)]
-    base += [(LatticeDistribution.point(lattice, e).key(), f"det({e})")
-             for e in lattice.elements]
+    if include_deterministic:
+        base += [(LatticeDistribution.point(lattice, e).key(), f"det({e})")
+                 for e in lattice.elements]
     seen, by_size = {}, {k: [] for k in range(1, max_switches + 1)}
     for key, name in base:
         if key not in seen:
@@ -319,6 +322,13 @@ class TestSearchMatchesReference:
          [[0, F(1, 2), F(1, 2), 0], [F(1, 10), F(2, 10), F(3, 10), F(4, 10)]]),
         (Lattice.chain(3), [F(1, 6), F(2, 6), F(3, 6)],
          [[F(1, 4), F(1, 4), F(1, 2)], [F(1, 2), 0, F(1, 2)]]),
+        # sparse switches: surely-comparable pairs without a det leaf
+        (Lattice.chain(4), [F(1, 3), 0, F(2, 3), 0],
+         [[F(1, 9), 0, F(8, 9), 0], [0, F(1, 2), F(1, 2), 0]]),
+        (M3, [0, F(1, 4), F(3, 4), 0, 0],
+         [[F(3, 16), F(1, 16), F(9, 16), 0, F(3, 16)], [0, 0, 0, F(1, 2), F(1, 2)]]),
+        (N5, [0, F(2, 5), 0, F(3, 5), 0],
+         [[0, F(4, 25), 0, F(21, 25), 0], [F(1, 2), 0, F(1, 2), 0, 0]]),
     ]
 
     @pytest.mark.parametrize("lattice, switch, targets", CASES)
@@ -350,3 +360,67 @@ class TestSearchMatchesReference:
         res = search_expressible(SearchSpec(lattice, (switch,), target,
                                             max_switches=5, max_explored=explored))
         assert res.explored_distributions == explored
+
+    # Switch sets with point masses and sparse members, some pairs of which
+    # lie surely below one another, so the search's skip also fires between
+    # switch-set members and not only on det leaves.
+    SWITCH_SETS = [
+        (Lattice.diamond(), [[0, 1, 0, 0], [F(1, 3), 0, F(2, 3), 0], [0, 0, F(1, 2), F(1, 2)]]),
+        (Lattice.chain(4), [[0, 1, 0, 0], [F(1, 2), F(1, 2), 0, 0], [0, 0, F(1, 4), F(3, 4)]]),
+        (M3, [[0, 0, 1, 0, 0], [0, F(1, 2), 0, F(1, 2), 0], [F(1, 5), 0, 0, 0, F(4, 5)]]),
+        (N5, [[0, 1, 0, 0, 0], [0, 0, F(1, 2), 0, F(1, 2)], [F(1, 3), F(2, 3), 0, 0, 0]]),
+    ]
+
+    @pytest.mark.parametrize("include_deterministic", [True, False])
+    @pytest.mark.parametrize("lattice, members", SWITCH_SETS)
+    def test_switch_sets_match(self, lattice, members, include_deterministic):
+        switches = tuple(LatticeDistribution(lattice, m) for m in members)
+        a, b, c = switches
+        targets = [compose_lattice(b, c, "meet"), compose_lattice(a, b, "join"),
+                   compose_lattice(compose_lattice(a, c, "join"), b, "meet"),
+                   LatticeDistribution.point(lattice, lattice.top())]
+        for budget in (2, 3, 4):
+            for target in targets:
+                res = search_expressible(SearchSpec(
+                    lattice, switches, target, max_switches=budget,
+                    include_deterministic=include_deterministic))
+                assert (res.realizable, res.expression, res.switches_used,
+                        res.explored_distributions) == reference_search(
+                    lattice, switches, target, budget,
+                    include_deterministic=include_deterministic)
+        explored = reference_search(lattice, switches, targets[0], 4,
+                                    include_deterministic=include_deterministic)[3]
+        for cap in (explored - 1, explored // 2):
+            with pytest.raises(CapacityError, match=f"more than {cap} distributions"):
+                search_expressible(SearchSpec(
+                    lattice, switches, targets[0], max_switches=4, max_explored=cap,
+                    include_deterministic=include_deterministic))
+
+    def test_surely_comparable_pairs_are_not_composed(self, monkeypatch):
+        """A pair in which one side lies surely below the other never reaches
+        ``compose_lattice``: its meet and join are the two operands."""
+        dia = Lattice.diamond()
+        switch, point = uniform(dia), LatticeDistribution.point(dia, "01")
+        calls = []
+
+        def counting(p, q, op):
+            calls.append(op)
+            return compose_lattice(p, q, op)
+
+        monkeypatch.setattr(lattice_module, "compose_lattice", counting)
+        target = LatticeDistribution(dia, {"01": F(1, 2), "10": F(1, 2)})
+        res = search_expressible(SearchSpec(dia, (switch, point), target, max_switches=2))
+        # the distinct leaves: s0, s1 (which det(01) duplicates) and det(00, 10, 11)
+        leaves = [switch, point] + [LatticeDistribution.point(dia, e) for e in ("00", "10", "11")]
+
+        def surely_below(p, q):
+            return all(dia.leq(x, y) for x in dia.elements if p[x]
+                       for y in dia.elements if q[y])
+
+        pairs = [(p, q) for i, p in enumerate(leaves) for q in leaves[i:]]
+        composed = [(p, q) for p, q in pairs if not surely_below(p, q)
+                    and not surely_below(q, p)]
+        assert len(pairs) == 15 and len(composed) == 4
+        assert len(calls) == 2 * len(composed)
+        assert (res.realizable, res.expression, res.switches_used,
+                res.explored_distributions) == reference_search(dia, (switch, point), target, 2)
