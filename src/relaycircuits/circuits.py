@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from functools import cached_property, lru_cache, reduce
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,13 +73,12 @@ class Distribution:
     __slots__ = ("probs",)
 
     def __init__(self, probs: Iterable[Union[Fraction, int, str]]):
-        ps = tuple(Fraction(p) for p in probs)
+        ps = tuple(probs)
+        if set(map(type, ps)) != {Fraction}:   # plain Fractions are kept as they are
+            ps = tuple(_rational(p, f"state {i}", ValidationError) for i, p in enumerate(ps))
         if len(ps) < 2:
             raise DimensionError(f"need at least 2 states, got {len(ps)}")
-        if any(p < 0 or p > 1 for p in ps):
-            raise ValidationError(f"probabilities outside [0, 1]: {ps}")
-        if sum(ps) != 1:
-            raise ValidationError(f"probabilities sum to {sum(ps)}, not 1: {ps}")
+        _simplex(ps, "state {}".format, ValidationError)
         object.__setattr__(self, "probs", ps)
 
     def __setattr__(self, name, value):
@@ -133,6 +133,37 @@ class Distribution:
 
     def __repr__(self) -> str:
         return "Distribution(%s)" % ", ".join(str(p) for p in self.probs)
+
+
+def _rational(value, where: str, error: type) -> Fraction:
+    """``value`` as a plain ``Fraction`` in lowest terms; ``error`` naming
+    ``where`` if it is not a rational number."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise error(f"{where} is not a rational number: {reprlib.repr(value)}") from None
+
+
+def _simplex(ps, name: Callable[[int], str], error: type) -> tuple[int, list[int]]:
+    """Fractions ``ps`` as integer numerators over the lcm of their
+    denominators, checked in integers: ``error`` names the first entry
+    outside [0, 1] (``name(index)``), else a sum other than 1."""
+    den = math.lcm(*[p.denominator for p in ps])
+    nums = [p.numerator * (den // p.denominator) for p in ps]
+    if sum(nums) != den or min(nums) < 0:
+        for i, n in enumerate(nums):
+            if not 0 <= n <= den:
+                raise error(f"probabilities outside [0, 1]: {name(i)} is {_show(ps[i])}")
+        raise error(f"probabilities sum to {_show(Fraction(sum(nums), den))}, not 1")
+    return den, nums
+
+
+def _show(x: Fraction) -> str:
+    """``x`` for a message: past about 60 digits, only its sign and order of magnitude."""
+    if x.numerator.bit_length() + x.denominator.bit_length() <= 200:
+        return str(x)
+    exponent = round(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+    return f"{'-' if x < 0 else ''}about 10^{exponent}"
 
 
 # --------------------------------------------------------------------------
@@ -528,43 +559,23 @@ def compose_series(p: Distribution, q: Distribution) -> Distribution:
     """Distribution of ``min(X, Y)`` for independent X~p, Y~q.
 
     Uses the cumulative identity P(min >= k) = P(X >= k) * P(Y >= k), which
-    is algebraically equal to the direct convolution over min(i, j) = k.
+    is algebraically equal to the direct convolution over min(i, j) = k:
+    the integer tails multiply elementwise.
     """
     if len(p) != len(q):
         raise DimensionError(f"state counts differ: {len(p)} vs {len(q)}")
-    n = len(p)
-    # sp[k] = P(X >= k); sp[n] = 0
-    sp = _suffix_sums(p)
-    sq = _suffix_sums(q)
-    return Distribution(sp[k] * sq[k] - sp[k + 1] * sq[k + 1] for k in range(n))
+    (dp, tp), (dq, tq) = _to_tail(p), _to_tail(q)
+    return _from_tail(dp * dq, _tail_series(tp, tq))
 
 
 def compose_parallel(p: Distribution, q: Distribution) -> Distribution:
     """Distribution of ``max(X, Y)``: P(max <= k) = P(X <= k) * P(Y <= k)."""
     if len(p) != len(q):
         raise DimensionError(f"state counts differ: {len(p)} vs {len(q)}")
-    n = len(p)
-    cp = _prefix_sums(p)
-    cq = _prefix_sums(q)
-    out = [cp[0] * cq[0]]
-    out.extend(cp[k] * cq[k] - cp[k - 1] * cq[k - 1] for k in range(1, n))
-    return Distribution(out)
-
-
-def _suffix_sums(p: Distribution) -> list[Fraction]:
-    out = [ZERO] * (len(p) + 1)
-    for k in range(len(p) - 1, -1, -1):
-        out[k] = out[k + 1] + p[k]
-    return out
-
-
-def _prefix_sums(p: Distribution) -> list[Fraction]:
-    out = []
-    acc = ZERO
-    for x in p:
-        acc += x
-        out.append(acc)
-    return out
+    (dp, tp), (dq, tq) = _to_tail(p), _to_tail(q)
+    den = dp * dq
+    return _from_tail(den, _tail_complement(
+        den, _tail_series(_tail_complement(dp, tp), _tail_complement(dq, tq))))
 
 
 # --------------------------------------------------------------------------
@@ -663,11 +674,7 @@ def _eval_node(node: Node, states: int, assignment: Assignment, cap: int) -> Dis
             vals[slot] = _leaf_dist(step[1], states, assignment)
         elif kind is _SERIES or kind is _PARALLEL:
             compose = compose_series if kind is _SERIES else compose_parallel
-            kids = step[1]
-            out = vals[kids[0]]
-            for c in kids[1:]:
-                out = compose(out, vals[c])
-            vals[slot] = out
+            vals[slot] = reduce(compose, map(vals.__getitem__, step[1]))
         elif kind is _CAP:
             if step[1] > cap:
                 raise CapacityError(

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .circuits import CapacityError, ONE, RelayError, ZERO
+from .circuits import CapacityError, ONE, RelayError, ZERO, _rational, _show, _simplex
 from .rational import parse_rational
 
 
@@ -166,18 +166,11 @@ class LatticeDistribution:
                 raise LatticeError(
                     f"need {len(lattice.elements)} probabilities, got {len(probs)}")
             probs = dict(zip(lattice.elements, probs))
-        clean = {}
-        for e in lattice.elements:
-            p = probs.get(e, ZERO)
-            clean[e] = p if isinstance(p, Fraction) else Fraction(p)
-        if any(p < 0 or p > 1 for p in clean.values()):
-            raise LatticeError(f"probabilities outside [0, 1]: {clean}")
-        if sum(clean.values()) != 1:
-            raise LatticeError(f"probabilities sum to {sum(clean.values())}, not 1")
+        clean = [_rational(probs.get(e, ZERO), f"element {e!r}", LatticeError)
+                 for e in lattice.elements]
         # the lcm of reduced denominators already leaves gcd(den, *num) == 1
-        den = lcm(*(p.denominator for p in clean.values()))
-        num = tuple(p.numerator * (den // p.denominator) for p in clean.values())
-        self._set(lattice, num, den)
+        den, num = _simplex(clean, lambda i: f"element {lattice.elements[i]!r}", LatticeError)
+        self._set(lattice, tuple(num), den)
 
     def _set(self, lattice: Lattice, num: tuple, den: int) -> None:
         object.__setattr__(self, "lattice", lattice)
@@ -190,7 +183,7 @@ class LatticeDistribution:
         """Build from integer numerators over ``den``, checking the simplex in
         integers and reducing to the canonical form; skips ``__init__``."""
         if den <= 0 or min(num) < 0 or sum(num) != den:
-            raise LatticeError(f"numerators {list(num)} over {den} are not a distribution")
+            raise LatticeError(f"numerators over {_show(Fraction(den))} are not a distribution")
         g = gcd(den, *num)
         if g > 1:
             num, den = [n // g for n in num], den // g

@@ -154,6 +154,21 @@ def distributions(draw, states=None, max_denom: int = 12):
     return Distribution(Fraction(x, denom) for x in parts)
 
 
+@st.composite
+def mixed_distributions(draw, states: int):
+    """Point masses in about a quarter of draws; otherwise entries with
+    independent denominators up to 12, often zero, in random order."""
+    if draw(st.integers(0, 3)) == 0:
+        return Distribution.point(draw(st.integers(0, states - 1)), states)
+    left, entries = Fraction(1), []
+    for _ in range(states - 1):
+        x = draw(st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=12)))
+        entries.append(min(x, left))
+        left -= entries[-1]
+    entries.append(left)
+    return Distribution(draw(st.permutations(entries)))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260809)

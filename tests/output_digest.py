@@ -1,0 +1,120 @@
+"""One sha256 over the library's outputs on seeded, valid inputs.
+
+    PYTHONPATH=src python3 tests/output_digest.py
+
+Hashes the ``repr`` of: ``evaluate`` and ``evaluate_oracle`` on random
+series-parallel and graph circuits (with input switches), ``compose_series``
+and ``compose_parallel`` on random pairs, the netlists of the four
+synthesizers, and ``search_expressible`` on the diamond lattice. A change
+meant to keep every output prints the same digest before and after it;
+``test_output_digest.py`` pins the digest. The
+generators live here, not in ``conftest.py``, so that editing test helpers
+cannot move the pinned value.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from fractions import Fraction
+
+import relaycircuits as rc
+
+SEED = 20261018
+
+
+def distribution(rng: random.Random, states: int, dens=(1, 2, 3, 4, 6, 8, 9, 12)):
+    """A random distribution whose entries mix several denominators."""
+    entries, left = [], Fraction(1)
+    for _ in range(states - 1):
+        x = Fraction(rng.randint(0, 8), rng.choice(dens)) if rng.random() < 0.8 else Fraction(0)
+        x = min(x, left)
+        entries.append(x)
+        left -= x
+    entries.append(left)
+    rng.shuffle(entries)
+    return rc.Distribution(entries)
+
+
+def leaf(rng: random.Random, states: int, ids: rc.IdGen):
+    roll = rng.random()
+    if roll < 0.15:
+        return rc.det(rng.randrange(states))
+    if roll < 0.3:
+        return rc.inp(f"x{rng.randrange(3)}", rng.random() < 0.5)
+    return rc.pswitch(distribution(rng, states), ids())
+
+
+def sp_node(rng: random.Random, states: int, ids: rc.IdGen, leaves: int):
+    if leaves == 1:
+        return leaf(rng, states, ids)
+    split = rng.randint(1, leaves - 1)
+    a, b = sp_node(rng, states, ids, split), sp_node(rng, states, ids, leaves - split)
+    return rc.series(a, b) if rng.random() < 0.5 else rc.parallel(a, b)
+
+
+def graph_node(rng: random.Random, states: int, ids: rc.IdGen):
+    """A bridge-like graph: a path s..t plus random chords, small sp labels."""
+    path = ["s", *(f"v{i}" for i in range(rng.randint(1, 2))), "t"]
+    pairs = list(zip(path, path[1:]))
+    pairs += [tuple(rng.sample(path, 2)) for _ in range(rng.randint(1, 3))]
+    return rc.Graph("s", "t", tuple(rc.Edge(u, v, sp_node(rng, states, ids, rng.randint(1, 2)))
+                                    for u, v in pairs))
+
+
+def circuits(rng: random.Random):
+    for k in range(120):
+        states, ids = rng.randint(2, 4), rc.IdGen()
+        if k % 2:
+            root = rc.parallel(graph_node(rng, states, ids), sp_node(rng, states, ids, 2))
+        else:
+            root = sp_node(rng, states, ids, rng.randint(1, 7))
+        assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+        yield rc.Circuit(states, root), assignment
+
+
+def targets(rng: random.Random, states: int, scale: int):
+    cuts = sorted(rng.randint(0, scale) for _ in range(states - 1))
+    return rc.Distribution(Fraction(b - a, scale) for a, b in zip([0, *cuts], [*cuts, scale]))
+
+
+def outputs():
+    """The hashed values, in order, each a ``repr``-able object."""
+    rng = random.Random(SEED)
+    for circuit, assignment in circuits(rng):
+        yield rc.evaluate(circuit, assignment)
+        yield rc.evaluate_oracle(circuit, assignment)
+    for _ in range(500):
+        states = rng.randint(2, 6)
+        p, q = distribution(rng, states), distribution(rng, states)
+        yield rc.compose_series(p, q), rc.compose_parallel(p, q)
+    synths = ((rc.synth_binary_nstate, 3, 2 ** 5), (rc.synth_binary_nstate, 5, 2 ** 3),
+              (rc.state_reduction, 4, 12),
+              (lambda t: rc.denominator_reduction(t, base=3), 3, 3 ** 3),
+              (lambda t: rc.composite_synthesis(t, base=6), 3, 6 ** 2))
+    for _ in range(6):
+        for synth, states, scale in synths:
+            report = synth(targets(rng, states, scale))
+            yield rc.dumps(report.circuit), report.pswitch_count, report.bound
+    dia = rc.Lattice.diamond()
+    for _ in range(4):
+        weights = rng.sample(range(1, 10), 4)
+        switch = rc.LatticeDistribution(dia, [Fraction(w, sum(weights)) for w in weights])
+        p = Fraction(rng.randint(1, 7), 8)
+        meet = rc.compose_lattice(switch, switch, "meet")
+        for target in (rc.LatticeDistribution(dia, (0, 1 - p, p, 0)), meet,
+                       rc.compose_lattice(meet, switch, "join")):
+            result = rc.search_expressible(rc.SearchSpec(dia, (switch,), target, max_switches=4))
+            yield result.to_json()
+
+
+def digest() -> str:
+    h = hashlib.sha256()
+    for value in outputs():
+        h.update(repr(value).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())

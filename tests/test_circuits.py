@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relaycircuits import (
-    CapacityError, Circuit, Distribution, Edge, Graph, IdGen,
+    CapacityError, Circuit, DimensionError, Distribution, Edge, Graph, IdGen,
     InvalidMappingError, InvalidRangeError, MissingAssignmentError,
     UnsupportedStructureError, ValidationError, clamp,
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
@@ -23,7 +23,7 @@ from relaycircuits.circuits import (
 )
 from relaycircuits.netlist import circuit_from_json, dumps
 from conftest import (
-    deep_binary_circuit, distributions, map_pswitches, parallel_direct,
+    deep_binary_circuit, distributions, map_pswitches, mixed_distributions, parallel_direct,
     random_distribution, random_graph_node, random_sp_circuit,
     resolve_reference, series_direct,
 )
@@ -40,6 +40,52 @@ class TestDistribution:
             Distribution([F(3, 2), F(-1, 2)])
         with pytest.raises(ValidationError):
             Distribution([1])
+
+    def test_accepted_entries_become_plain_fractions(self):
+        class Sub(F):
+            pass
+
+        for probs, expected in (([True, 0, False], (1, 0, 0)),
+                                ((p for p in [Sub(1, 4), "2/8", F(1, 2), 0]),
+                                 (F(1, 4), F(1, 4), F(1, 2), 0)),
+                                ([" 3/6 ", F(2, 4)], (F(1, 2), F(1, 2)))):
+            d = Distribution(probs)
+            assert type(d.probs) is tuple and d.probs == expected
+            assert all(type(p) is F for p in d.probs)
+            assert all(math.gcd(p.numerator, p.denominator) == 1 for p in d.probs)
+
+    def test_check_order_and_messages(self):
+        # too few states is reported before any range check
+        for probs in ([], [F(3, 2)], [-1]):
+            with pytest.raises(DimensionError, match=f"got {len(probs)}"):
+                Distribution(probs)
+        # the range error names the first entry outside [0, 1], even when
+        # the entries sum to 1, and comes before the sum error
+        with pytest.raises(ValidationError) as exc:
+            Distribution([F(1, 2), F(3, 2), -1])
+        assert str(exc.value) == "probabilities outside [0, 1]: state 1 is 3/2"
+        with pytest.raises(ValidationError) as exc:
+            Distribution([0, F(5, 4), F(1, 4)])
+        assert str(exc.value) == "probabilities outside [0, 1]: state 1 is 5/4"
+        with pytest.raises(ValidationError) as exc:
+            Distribution([F(1, 3), F(1, 3)])
+        assert str(exc.value) == "probabilities sum to 2/3, not 1"
+
+    def test_huge_entries_have_bounded_messages(self):
+        huge = F(10 ** 5000)
+        with pytest.raises(ValidationError) as exc:
+            Distribution([0, huge, 1 - huge])
+        assert str(exc.value) == "probabilities outside [0, 1]: state 1 is about 10^5000"
+        with pytest.raises(ValidationError) as exc:
+            Distribution([F(1, 2), F(1, 2) - 1 / huge])
+        assert str(exc.value) == "probabilities sum to about 10^0, not 1"
+        tiny = Distribution([1 / huge, 1 - 1 / huge])   # valid: only messages are bounded
+        assert tiny[0] == 1 / huge
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc", None, "1/0", 1j])
+    def test_non_rational_entries_are_validation_errors(self, bad):
+        with pytest.raises(ValidationError, match="^state 1 is not a rational number: "):
+            Distribution([F(1, 2), bad, F(1, 2)])
 
     def test_shorthand_and_point(self):
         assert Distribution.shorthand(F(1, 3), 4) == (F(2, 3), 0, 0, F(1, 3))
@@ -77,6 +123,12 @@ class TestCompose:
 
     @given(p=distributions(states=4), q=distributions(states=4))
     def test_cumulative_equals_direct(self, p, q):
+        assert compose_series(p, q) == series_direct(p, q)
+        assert compose_parallel(p, q) == parallel_direct(p, q)
+
+    @given(data=st.data(), states=st.integers(2, 6))
+    def test_kernel_equals_direct_on_mixed_denominators(self, data, states):
+        p, q = data.draw(mixed_distributions(states)), data.draw(mixed_distributions(states))
         assert compose_series(p, q) == series_direct(p, q)
         assert compose_parallel(p, q) == parallel_direct(p, q)
 

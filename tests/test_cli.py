@@ -286,6 +286,12 @@ def test_synth_huge_denominator_is_a_validation_error(capsys):
     assert err.startswith("error: ") and "3^700" in err
 
 
+def test_synth_huge_entry_names_the_state(capsys):
+    assert run(["synth", "--target", "1e5000,0", "--method", "binary"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: probabilities outside [0, 1]: state 0 is about 10^5000\n"
+
+
 def test_synth_denom_base_over_cap_is_refused_fast(capsys):
     start = time.perf_counter()
     code = run(["synth", "--target", "1/2000003,2000002/2000003", "--method", "denom"])

@@ -213,6 +213,20 @@ class TestCanonicalForm:
         with pytest.raises(LatticeError, match="not a distribution"):
             LatticeDistribution._from_ints(dia, [1, 1, 1, 0], 4)
 
+    def test_huge_and_non_rational_entries_are_lattice_errors(self):
+        dia, huge = Lattice.diamond(), F(10 ** 5000)
+        with pytest.raises(LatticeError) as exc:
+            LatticeDistribution(dia, [0, huge, 1 - huge, 0])
+        assert str(exc.value) == "probabilities outside [0, 1]: element '01' is about 10^5000"
+        with pytest.raises(LatticeError) as exc:
+            LatticeDistribution(dia, {"00": F(1, 2), "11": F(1, 2) + 1 / huge})
+        assert str(exc.value) == "probabilities sum to about 10^0, not 1"
+        with pytest.raises(LatticeError, match="not a distribution"):
+            LatticeDistribution._from_ints(dia, [10 ** 5000, -1, 0, 0], 10 ** 5000 - 1)
+        for bad in (float("nan"), "abc", None):
+            with pytest.raises(LatticeError, match="^element '11' is not a rational number"):
+                LatticeDistribution(dia, {"00": 1, "11": bad})
+
 
 class TestSearch:
     def test_target_in_switch_set(self):

@@ -92,6 +92,12 @@ class TestTruthTables:
     def test_bridge_exhaustive(self, states, bits):
         assert_truth_table(UpgSpec(states, bits, "reduced_nonsp"))
 
+    @pytest.mark.parametrize("construction", ["reduced_sp", "reduced_nonsp"])
+    def test_three_state_five_bits_exhaustive(self, construction):
+        spec = UpgSpec(3, 5, construction)
+        assert sum(1 for _ in valid_inputs(3, 5)) == 561
+        assert_truth_table(spec)
+
     def test_spot_rows(self):
         circuit = build_upg(UpgSpec(2, 3, "reduced_sp"))
         row = UpgInput.from_strings(2, 3, {"r": "0101"})
