@@ -245,11 +245,6 @@ class Edge:
     v: str
     label: "Node"
 
-    @property
-    def holds_pswitch(self) -> bool:
-        """Whether the label contains a pswitch, read off its plan."""
-        return self.label.plan.holds[-1]
-
 
 @dataclass(frozen=True)
 class Graph(_Planned):
@@ -261,6 +256,8 @@ class Graph(_Planned):
     def __post_init__(self):
         if self.s == self.t:
             raise ValidationError("graph terminals must differ")
+        if not _connected(((e.u, e.v) for e in self.edges), self.s, self.t):
+            raise ValidationError("graph terminals are not connected")
 
     def vertices(self) -> tuple[str, ...]:
         seen: dict[str, None] = {self.s: None, self.t: None}
@@ -295,11 +292,7 @@ class Circuit:
         return collect_pswitches(self.root)
 
     def input_names(self) -> set[str]:
-        names: set[str] = set()
-        for el in iter_elements(self.root):
-            if isinstance(el, Input):
-                names.add(el.name)
-        return names
+        return {el.name for el in elements(self.root) if isinstance(el, Input)}
 
 
 # Convenience constructors ---------------------------------------------------
@@ -331,17 +324,19 @@ def parallel(*children: Node) -> Node:
 
 def opt_series(states: int, *children: Node) -> Node:
     """Series constructor that drops ``Det(N-1)`` factors (min identity)."""
-    kept = [c for c in children if not (isinstance(c, Leaf) and c.element == Det(states - 1))]
+    identity = det(states - 1)
+    kept = [c for c in children if c != identity]
     if not kept:
-        return det(states - 1)
+        return identity
     return series(*kept)
 
 
 def opt_parallel(states: int, *children: Node) -> Node:
     """Parallel constructor that drops ``Det(0)`` branches (max identity)."""
-    kept = [c for c in children if not (isinstance(c, Leaf) and c.element == Det(0))]
+    identity = det(0)
+    kept = [c for c in children if c != identity]
     if not kept:
-        return det(0)
+        return identity
     return parallel(*kept)
 
 
@@ -360,45 +355,25 @@ class IdGen:
 
 # Structure walks ------------------------------------------------------------
 
-def iter_nodes(node: Node) -> Iterator[Node]:
-    yield node
-    if isinstance(node, (Series, Parallel)):
-        for c in node.children:
-            yield from iter_nodes(c)
-    elif isinstance(node, Graph):
-        for e in node.edges:
-            yield from iter_nodes(e.label)
-
-
-def iter_elements(node: Node) -> Iterator[Element]:
-    for n in iter_nodes(node):
-        if isinstance(n, Leaf):
-            yield n.element
-
-
 def collect_pswitches(node: Node) -> list[Pswitch]:
-    return [el for el in iter_elements(node) if isinstance(el, Pswitch)]
+    return [el for el in elements(node) if isinstance(el, Pswitch)]
 
 
 def validate_node(node: Node, states: int) -> None:
-    """Check leaf/edge consistency with the state count and id uniqueness."""
+    """Check leaf consistency with the state count and pswitch id uniqueness
+    (each graph checks its own connectivity when it is built)."""
     ids: set[str] = set()
-    for n in iter_nodes(node):
-        if isinstance(n, Leaf):
-            el = n.element
-            if isinstance(el, Pswitch):
-                if el.dist.states != states:
-                    raise DimensionError(
-                        f"pswitch {el.id!r} has {el.dist.states} states, circuit has {states}")
-                if el.id in ids:
-                    raise ValidationError(f"duplicate pswitch id {el.id!r}")
-                ids.add(el.id)
-            elif isinstance(el, Det):
-                if not 0 <= el.state < states:
-                    raise ValidationError(f"det state {el.state} out of range for N={states}")
-        elif isinstance(n, Graph):
-            if not _connected(((e.u, e.v) for e in n.edges), n.s, n.t):
-                raise ValidationError("graph terminals are not connected")
+    for el in elements(node):
+        if isinstance(el, Pswitch):
+            if el.dist.states != states:
+                raise DimensionError(
+                    f"pswitch {el.id!r} has {el.dist.states} states, circuit has {states}")
+            if el.id in ids:
+                raise ValidationError(f"duplicate pswitch id {el.id!r}")
+            ids.add(el.id)
+        elif isinstance(el, Det):
+            if not 0 <= el.state < states:
+                raise ValidationError(f"det state {el.state} out of range for N={states}")
 
 
 def _connected(edges: Iterable[tuple[str, str]], s: str, t: str) -> bool:
@@ -534,21 +509,64 @@ def _compile(root: Node) -> tuple[Plan, dict[int, Node]]:
     return Plan(tuple(steps), tuple(holds)), labels
 
 
+def _steps(node: Node) -> tuple:
+    """``node``'s plan steps; ``ValidationError`` if it is not a circuit node."""
+    if not isinstance(node, _Planned):
+        raise ValidationError(f"unknown node {node!r}")
+    return node.plan.steps
+
+
+def elements(node: Node) -> list[Element]:
+    """The leaf elements of ``node``, in tree order."""
+    return [step[1] for step in _steps(node) if step[0] is _LEAF]
+
+
+def _fold(node: Node, leaf: Callable, series: Callable, parallel: Callable,
+          graph: Callable):
+    """Fold ``node``'s plan bottom up, with no recursion, so any depth works.
+
+    Each leaf yields ``leaf(element)``, each series or parallel node
+    ``series(values)`` or ``parallel(values)`` of its children's values,
+    and each graph ``graph(s, t, ends, values)``, with ``ends`` its edges'
+    ``(u, v)`` and ``values`` their labels'. In the post-order plan a
+    node's children are the last values still unconsumed, so they are
+    popped off one stack and dropped as soon as their parent is built.
+    """
+    vals: list = []
+    for step in _steps(node):
+        kind = step[0]
+        if kind is _LEAF:
+            vals.append(leaf(step[1]))
+            continue
+        cut = len(vals) - len(step[-1])
+        kids = vals[cut:]
+        del vals[cut:]
+        if kind is _GRAPH:
+            vals.append(graph(step[1], step[2], step[3], kids))
+        else:
+            vals.append((series if kind is _SERIES else parallel)(kids))
+    return vals[0]
+
+
+def _rebuild(node: Node, map_element: Callable[[Element], Element]) -> Node:
+    """A copy of ``node`` with every leaf element ``el`` replaced by
+    ``map_element(el)``."""
+    return _fold(node, lambda el: Leaf(map_element(el)),
+                 lambda kids: Series(tuple(kids)), lambda kids: Parallel(tuple(kids)),
+                 lambda s, t, ends, labels: Graph(s, t, tuple(
+                     Edge(u, v, label) for (u, v), label in zip(ends, labels))))
+
+
 def count_switches(circuit: Circuit) -> tuple[int, int, int]:
     """Leaf counts ``(pswitches, deterministic, inputs)``.
 
     Input switches are deterministic relays, so the middle count covers both
     ``Det`` constants and ``Input`` occurrences; the third isolates inputs.
     """
-    psw = dets = inputs = 0
-    for el in iter_elements(circuit.root):
-        if isinstance(el, Pswitch):
-            psw += 1
-        elif isinstance(el, Det):
-            dets += 1
-        else:
-            inputs += 1
-    return psw, dets + inputs, inputs
+    els = elements(circuit.root)
+    psw = sum(isinstance(el, Pswitch) for el in els)
+    inputs = sum(isinstance(el, Input) for el in els)
+    return psw, len(els) - psw, inputs
 
 
 # --------------------------------------------------------------------------
@@ -837,18 +855,18 @@ def dual(circuit: Circuit) -> Circuit:
 
 
 def _dual_node(node: Node, states: int) -> Node:
-    if isinstance(node, Leaf):
-        el = node.element
+    def leaf(el: Element) -> Leaf:
         if isinstance(el, Pswitch):
             return Leaf(Pswitch(el.dist.reversed(), el.id))
         if isinstance(el, Det):
             return Leaf(Det(states - 1 - el.state))
         return Leaf(Input(el.name, not el.complemented))
-    if isinstance(node, Series):
-        return Parallel(tuple(_dual_node(c, states) for c in node.children))
-    if isinstance(node, Parallel):
-        return Series(tuple(_dual_node(c, states) for c in node.children))
-    raise UnsupportedStructureError("duality is defined only for sp circuits")
+
+    def graph(*_):
+        raise UnsupportedStructureError("duality is defined only for sp circuits")
+
+    return _fold(node, leaf, lambda kids: Parallel(tuple(kids)),
+                 lambda kids: Series(tuple(kids)), graph)
 
 
 def remap_states(dist: Distribution, mapping: Iterable[int], states: int) -> Distribution:

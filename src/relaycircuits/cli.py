@@ -258,6 +258,13 @@ def run(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except RecursionError:
+        # a capacity error: the circuit nests deeper than the json module's
+        # encoder or decoder, or a UPG builder, can follow
+        print("error: the circuit nests deeper than Python's recursion limit of "
+              f"{sys.getrecursionlimit()} frames allows; ask for a smaller circuit "
+              "(upg: fewer --bits)", file=sys.stderr)
+        return EXIT_CAPACITY
     except (RelayError, RationalParseError, OSError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

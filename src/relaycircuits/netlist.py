@@ -22,8 +22,8 @@ import sys
 from typing import Union
 
 from .circuits import (
-    Circuit, Det, Distribution, Edge, Graph, Input, Leaf, Node, Parallel,
-    Pswitch, Series, ValidationError,
+    Circuit, Det, Distribution, Edge, Element, Graph, Input, Leaf, Node,
+    Parallel, Pswitch, Series, ValidationError, _fold,
 )
 from .rational import format_rational, parse_rational
 
@@ -36,26 +36,26 @@ def distribution_from_json(data: list) -> Distribution:
     return Distribution(parse_rational(str(p)) for p in data)
 
 
+def _element_to_json(el: Element) -> dict:
+    if isinstance(el, Pswitch):
+        return {"op": "pswitch", "dist": distribution_to_json(el.dist), "id": el.id}
+    if isinstance(el, Det):
+        return {"op": "det", "state": el.state}
+    return {"op": "input", "name": el.name, "complemented": el.complemented}
+
+
 def node_to_json(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        el = node.element
-        if isinstance(el, Pswitch):
-            return {"op": "pswitch", "dist": distribution_to_json(el.dist), "id": el.id}
-        if isinstance(el, Det):
-            return {"op": "det", "state": el.state}
-        return {"op": "input", "name": el.name, "complemented": el.complemented}
-    if isinstance(node, Series):
-        return {"op": "series", "children": [node_to_json(c) for c in node.children]}
-    if isinstance(node, Parallel):
-        return {"op": "parallel", "children": [node_to_json(c) for c in node.children]}
-    if isinstance(node, Graph):
-        return {
-            "op": "graph",
-            "terminals": [node.s, node.t],
-            "edges": [{"from": e.u, "to": e.v, "element": node_to_json(e.label)}
-                      for e in node.edges],
-        }
-    raise ValidationError(f"unknown node {node!r}")
+    """``node`` as a netlist document, built in one fold over its plan, so
+    any depth works."""
+    return _fold(node, _element_to_json,
+                 lambda kids: {"op": "series", "children": kids},
+                 lambda kids: {"op": "parallel", "children": kids},
+                 lambda s, t, ends, labels: {
+                     "op": "graph",
+                     "terminals": [s, t],
+                     "edges": [{"from": u, "to": v, "element": label}
+                               for (u, v), label in zip(ends, labels)],
+                 })
 
 
 def node_from_json(data: dict) -> Node:

@@ -8,7 +8,11 @@ for integers.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
+
+from .circuits import CapacityError
 
 
 class RationalParseError(ValueError):
@@ -24,11 +28,22 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Format in lowest terms; integers render without a denominator."""
+    """Format in lowest terms; integers render without a denominator.
+
+    Raises ``CapacityError`` when a numerator or denominator has more digits
+    than Python converts to a string (``sys.get_int_max_str_digits()``).
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        raise CapacityError(
+            f"a rational with about {math.ceil(bits * math.log10(2))} digits exceeds "
+            f"Python's int-to-string limit of {sys.get_int_max_str_digits()} digits; "
+            "raise it with the environment variable PYTHONINTMAXSTRDIGITS") from None
 
 
 def parse_rational_list(text: str) -> list[Fraction]:

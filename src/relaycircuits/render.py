@@ -8,8 +8,10 @@ series chains junction nodes, parallel branches between shared junctions.
 
 from __future__ import annotations
 
+import itertools
+
 from .circuits import (
-    Circuit, Det, Graph, Leaf, Node, Parallel, Pswitch, Series,
+    Circuit, Det, Graph, Leaf, Parallel, Pswitch, Series,
     ValidationError,
 )
 from .rational import format_rational
@@ -55,39 +57,31 @@ def ascii_render(circuit: Circuit) -> str:
 
 
 def dot_render(circuit: Circuit) -> str:
-    """Undirected DOT graph of the two-terminal network."""
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"n{counter[0]}"
-
+    """Undirected DOT graph of the two-terminal network, built with an
+    explicit stack: a node is expanded, and its junctions numbered, in the
+    order of a depth-first walk, children in order."""
+    numbers = itertools.count(1)   # junction names n1, n2, ...
     lines: list[str] = []
-
-    def emit(node: Node, a: str, b: str) -> None:
+    stack: list = [(circuit.root, "s", "t")]  # (node, from junction, to junction)
+    while stack:
+        node, a, b = stack.pop()
         if isinstance(node, Leaf):
             label = element_label(node.element).replace('"', "'")
             lines.append(f'  "{a}" -- "{b}" [label="{label}"];')
-            return
+            continue
         if isinstance(node, Series):
-            points = [a] + [fresh() for _ in node.children[:-1]] + [b]
-            for child, (u, v) in zip(node.children, zip(points, points[1:])):
-                emit(child, u, v)
-            return
-        if isinstance(node, Parallel):
-            for child in node.children:
-                emit(child, a, b)
-            return
-        if isinstance(node, Graph):
+            points = [a, *(f"n{next(numbers)}" for _ in node.children[:-1]), b]
+            parts = list(zip(node.children, points, points[1:]))
+        elif isinstance(node, Parallel):
+            parts = [(child, a, b) for child in node.children]
+        elif isinstance(node, Graph):
             mapping = {node.s: a, node.t: b}
             for vertex in node.vertices():
-                mapping.setdefault(vertex, fresh())
-            for e in node.edges:
-                emit(e.label, mapping[e.u], mapping[e.v])
-            return
-        raise ValidationError(f"unknown node {node!r}")
-
-    emit(circuit.root, "s", "t")
+                mapping.setdefault(vertex, f"n{next(numbers)}")
+            parts = [(e.label, mapping[e.u], mapping[e.v]) for e in node.edges]
+        else:
+            raise ValidationError(f"unknown node {node!r}")
+        stack.extend(reversed(parts))
     header = [
         "graph circuit {",
         "  rankdir=LR;",

@@ -20,11 +20,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Optional, Union
 
 from .circuits import (
-    CapacityError, Circuit, Distribution, Graph, Leaf, Node, Parallel, Pswitch,
-    RelayError, Series, ValidationError, _fixed_tail, _graph_dist, _leaf_dist,
+    CapacityError, Circuit, Distribution, Element, Node, Pswitch, RelayError,
+    ValidationError, _fold, _graph_dist, _leaf_dist, _rebuild, _show,
     _tail_complement, _tail_numerators, _tail_series, _to_tail, evaluate,
 )
 from .rational import format_rational
@@ -109,7 +110,14 @@ def perturb(circuit: Circuit, model: PerturbationModel) -> Circuit:
     missing = set(model.assignments) - known
     if missing:
         raise ValidationError(f"model names unknown pswitch ids: {sorted(missing)}")
-    return Circuit(circuit.states, _perturb_node(circuit.root, model.assignments))
+    errors = model.assignments
+
+    def perturbed(el: Element) -> Element:
+        if isinstance(el, Pswitch) and errors.get(el.id, 0) != 0:
+            return Pswitch(perturb_dist(el.dist, errors[el.id]), el.id)
+        return el
+
+    return Circuit(circuit.states, _rebuild(circuit.root, perturbed))
 
 
 def perturb_dist(dist: Distribution, error: Fraction) -> Distribution:
@@ -123,25 +131,8 @@ def perturb_dist(dist: Distribution, error: Fraction) -> Distribution:
     probs[high] -= error
     if probs[low] < 0 or probs[low] > 1 or probs[high] < 0 or probs[high] > 1:
         raise InvalidPerturbationError(
-            f"error {error} drives {dist!r} outside [0, 1]")
+            f"error {_show(error)} drives {dist!r} outside [0, 1]")
     return Distribution(probs)
-
-
-def _perturb_node(node: Node, errors: dict[str, Fraction]) -> Node:
-    if isinstance(node, Leaf):
-        el = node.element
-        if isinstance(el, Pswitch) and el.id in errors and errors[el.id] != 0:
-            return Leaf(Pswitch(perturb_dist(el.dist, errors[el.id]), el.id))
-        return node
-    if isinstance(node, Series):
-        return Series(tuple(_perturb_node(c, errors) for c in node.children))
-    if isinstance(node, Parallel):
-        return Parallel(tuple(_perturb_node(c, errors) for c in node.children))
-    if isinstance(node, Graph):
-        return Graph(node.s, node.t,
-                     tuple(e.__class__(e.u, e.v, _perturb_node(e.label, errors))
-                           for e in node.edges))
-    raise ValidationError(f"unknown node {node!r}")
 
 
 def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
@@ -151,16 +142,17 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     """Largest per-state deviation over the error box, exactly or sampled.
 
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
-    exact by multilinearity but capped at ``corner_cap`` switches. It walks
-    the circuit once, bottom up, on integer tails (see ``_corner_table``):
-    every node yields its output for each sign corner of the pswitches
-    below it, all over one denominator, so a subtree's compositions are
-    shared by all corners of the switches outside it and no
-    ``Distribution`` is built per corner. A series or parallel node streams
-    its first child and holds the tables of the later ones, a graph holds
-    the tables of all its edges but the first, so at most about 2^m tails
-    are alive at once (65,536 at the default cap of 16). The per-state
-    errors are compared as integers over the root's denominator.
+    exact by multilinearity but capped at ``corner_cap`` switches. It folds
+    the circuit's plan once, bottom up, on integer tails (see
+    ``_corner_table``), with no recursion: every node yields its output
+    for each sign corner of the pswitches below it, all over one
+    denominator, so a subtree's compositions are shared by all corners of
+    the switches outside it and no ``Distribution`` is built per corner.
+    Each node's table is materialized as a tuple and its children's tables
+    are dropped once it is built, so about 2 * 2^m tails are alive at once
+    (131,072 at the default cap of 16; a parallel node briefly holds its
+    children's complements too). The per-state errors are compared as
+    integers over the root's denominator.
     ``sampled`` mode draws ``trials`` assignments from a rational grid plus
     random corners, and evaluates each perturbed circuit; its report is
     flagged non-exhaustive. In both modes the worst assignment is the first,
@@ -169,7 +161,7 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
-        raise InvalidPerturbationError(f"epsilon must be >= 0, got {epsilon}")
+        raise InvalidPerturbationError(f"epsilon must be >= 0, got {_show(epsilon)}")
     ids = [sw.id for sw in circuit.pswitches()]
     nominal = evaluate(circuit)
     if mode == "corners":
@@ -214,7 +206,7 @@ def _select(states: int, candidates: Iterable, errors: Iterable[list]) -> tuple[
     return best, worst
 
 
-def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, Iterator[tuple]]:
+def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, tuple[tuple, ...]]:
     """The circuit's integer tail at every sign corner, over one denominator,
     in ``itertools.product`` order over the pswitch ids."""
     switches = circuit.pswitches()
@@ -235,57 +227,46 @@ def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, Iterator[
 
 
 def _corner_table(node: Node, states: int,
-                  leaves: dict[str, tuple[int, tuple]]) -> tuple[int, Iterable[tuple]]:
+                  leaves: dict[str, tuple[int, tuple]]) -> tuple[int, tuple[tuple, ...]]:
     """``(D, tails)``: ``node``'s integer tail over ``D`` for each sign corner
     of its pswitches, first pswitch (in tree order) slowest.
 
     ``leaves`` maps a pswitch id to its ``(D_j, (minus, plus))``. D is the
-    product of the leaves' D_j, so every corner shares it. A series node
-    multiplies its children's tails elementwise; a parallel node does the
-    same with the complements ``D_i - T_i``, taken once per child table,
-    and complements each product (see ``circuits._tail_series``).
+    product of the leaves' D_j, so every corner shares it, and a subtree
+    without a pswitch has one tail over D = 1. A series node multiplies one
+    tail of each child elementwise, for every combination; a parallel node
+    does the same with the complements ``D_i - T_i``, taken once per child
+    table, and complements each product (see ``circuits._tail_series``).
+    One fold over the plan builds every table as a tuple.
     """
-    if isinstance(node, Leaf):
-        el = node.element
+    def leaf(el: Element) -> tuple[int, tuple]:
         if isinstance(el, Pswitch):
             return leaves[el.id]
-        return _one(_to_tail(_leaf_dist(el, states, {})))
-    if isinstance(node, Graph):
-        (d0, first), *rest = [_corner_table(e.label, states, leaves) if e.holds_pswitch
-                              else _one(_fixed_tail(e.label, states, {}))
-                              for e in node.edges]
-        dens = (d0, *(d for d, _ in rest))
-        ends = tuple((e.u, e.v) for e in node.edges)
-        later = list(itertools.product(*(list(tails) for _, tails in rest)))
-        return math.prod(dens), (_graph_dist(node.s, node.t, ends, states, dens, (tail, *tails))
-                                 for tail in first for tails in later)
-    if not isinstance(node, (Series, Parallel)):
-        raise ValidationError(f"unknown node {node!r}")
-    (d0, first), *rest = [_corner_table(c, states, leaves) for c in node.children]
-    den = d0 * math.prod(d for d, _ in rest)
-    if isinstance(node, Series):
-        later = [list(tails) for _, tails in rest]
-        return den, (t for tail in first for t in _products(tail, later))
-    later = [[_tail_complement(d, tail) for tail in tails] for d, tails in rest]
-    return den, (_tail_complement(den, t) for tail in first
-                 for t in _products(_tail_complement(d0, tail), later))
+        den, tail = _to_tail(_leaf_dist(el, states, {}))
+        return den, (tail,)
+
+    def series(kids: list) -> tuple[int, tuple]:
+        return (math.prod(d for d, _ in kids),
+                tuple(_products(tails for _, tails in kids)))
+
+    def parallel(kids: list) -> tuple[int, tuple]:
+        den = math.prod(d for d, _ in kids)
+        complements = [tuple(_tail_complement(d, t) for t in tails) for d, tails in kids]
+        return den, tuple(_tail_complement(den, t) for t in _products(complements))
+
+    def graph(s: str, t: str, ends: tuple, kids: list) -> tuple[int, tuple]:
+        dens = tuple(d for d, _ in kids)
+        return math.prod(dens), tuple(
+            _graph_dist(s, t, ends, states, dens, tails)
+            for tails in itertools.product(*(tails for _, tails in kids)))
+
+    return _fold(node, leaf, series, parallel, graph)
 
 
-def _products(acc: tuple, later: list[list[tuple]]) -> Iterator[tuple]:
-    """Elementwise product of ``acc`` with one entry of each table, for every
-    combination, the last table fastest."""
-    if not later:
-        yield acc
-        return
-    head, *rest = later
-    for tail in head:
-        yield from _products(_tail_series(acc, tail), rest)
-
-
-def _one(value: tuple[int, tuple]) -> tuple[int, tuple]:
-    """A table of one integer tail: ``(D, T)`` as ``(D, (T,))``."""
-    den, tail = value
-    return den, (tail,)
+def _products(tables: Iterable[tuple]) -> Iterator[tuple]:
+    """Elementwise product of one tail of each table, for every combination,
+    in ``itertools.product`` order."""
+    return (reduce(_tail_series, tails) for tails in itertools.product(*tables))
 
 
 def _sampled_assignments(ids: list[str], epsilon: Fraction, trials: int, seed: int):

@@ -29,25 +29,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .bounds import ceil_log2, complexity_bound, rational_bound
 from .circuits import (
     CapacityError, Circuit, Distribution, IdGen, Leaf, Node, ONE, RelayError,
-    ZERO, det, opt_parallel, opt_series, pswitch,
+    ZERO, clamp_node, det, opt_parallel, opt_series, pswitch,
 )
 from .netlist import circuit_to_json, distribution_to_json
 from .rational import format_rational
 
 HALF = Fraction(1, 2)
 _MAX_BASE = 10 ** 6  # largest base q of a {1/2, ..., 1/q} switch set or round
-# Longest round schedule. Each round nests the circuit two levels deeper, and
-# netlist I/O recurses once per level: on a three-state binary target
-# (1/2^n, 1 - 2/2^n, 1/2^n), synthesis and dumps/loads succeed up to
-# n = 246 at the top of a fresh interpreter at the default
-# recursion limit, and up to 236 inside a test runner. The cap leaves room
-# for the callers' own frames.
+# Longest round schedule. Each round nests the circuit two levels deeper.
+# The library's own walks fold flat plans and do not recurse, but the json
+# module's encoder and decoder, which netlist I/O uses, still recurse once
+# per level: on a three-state binary target (1/2^n, 1 - 2/2^n, 1/2^n),
+# synthesis and dumps/loads succeed up to n = 246 at the top of a fresh
+# interpreter at the default recursion limit, and up to 236 inside a test
+# runner. The cap leaves room for the callers' own frames.
 _MAX_ROUNDS = 200
 
 
@@ -106,7 +107,8 @@ class SwitchSet:
             return None
         low, high = support
         if dist[high] in self._members:
-            return _clamped_base(low, high, dist[high], len(dist), ids)
+            member = pswitch(_shorthand(dist[high], len(dist)), ids())
+            return clamp_node(member, low, high, len(dist))
         return None
 
 
@@ -131,7 +133,7 @@ class TargetSpec:
         Without an explicit base the smallest base whose perfect power equals
         the denominator is used, maximizing the exponent.
         """
-        denom = _common_denominator(dist)
+        denom = lcm(*(p.denominator for p in dist))
         if base is None:
             base, exponent = _power_form(denom)
         else:
@@ -146,13 +148,6 @@ class TargetSpec:
                     raise InvalidTargetError(
                         f"denominator {denom} is not a divisor of any {base}^n")
         return cls(dist, base, exponent)
-
-
-def _common_denominator(dist: Distribution) -> int:
-    denom = 1
-    for p in dist:
-        denom = denom * p.denominator // gcd(denom, p.denominator)
-    return denom
 
 
 def _power_form(denom: int) -> tuple[int, int]:
@@ -300,24 +295,6 @@ def _literal_leaf(dist: Distribution, ids: IdGen) -> Node:
 
 
 # --------------------------------------------------------------------------
-# Shared building blocks
-# --------------------------------------------------------------------------
-
-def _clamped_base(low: int, high: int, inner: Fraction, states: int, ids: IdGen) -> Node:
-    """One switch-set pswitch moved onto states (low, high) with Det clamps.
-
-    ``inner`` is the probability of the upper active state; the base switch
-    is ``(1-inner, 0, ..., 0, inner)`` and the clamps cost no pswitches.
-    """
-    node: Node = pswitch(_shorthand(inner, states), ids())
-    if low > 0:
-        node = opt_parallel(states, det(low), node)
-    if high < states - 1:
-        node = opt_series(states, node, det(high))
-    return node
-
-
-# --------------------------------------------------------------------------
 # The cut engine and its front end
 # --------------------------------------------------------------------------
 
@@ -449,7 +426,7 @@ def state_reduction(target: Union[Distribution, TargetSpec]) -> SynthesisReport:
     if isinstance(target, TargetSpec):
         dist, q = target.dist, max(target.base ** target.exponent, 2)
     else:
-        dist, q = target, max(_common_denominator(target), 2)
+        dist, q = target, max(lcm(*(p.denominator for p in target)), 2)
     states = len(dist)
     halves = SwitchSet.binary()
 

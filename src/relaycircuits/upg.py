@@ -121,8 +121,6 @@ class UpgInput:
             probs.append(v - prev)
             prev = v
         probs.append(ONE - prev)
-        if any(p < 0 for p in probs):
-            raise InvalidUpgInputError(f"encodings decode to negative mass: {values}")
         return Distribution(probs)
 
     def assignment(self) -> dict[str, int]:

@@ -2,14 +2,16 @@
 
     PYTHONPATH=src python3 tests/output_digest.py
 
-Hashes the ``repr`` of: ``evaluate`` and ``evaluate_oracle`` on random
-series-parallel and graph circuits (with input switches), ``compose_series``
-and ``compose_parallel`` on random pairs, the netlists of the four
-synthesizers, and ``search_expressible`` on the diamond lattice. A change
-meant to keep every output prints the same digest before and after it;
-``test_output_digest.py`` pins the digest. The
+Prints two digests. The first hashes the ``repr`` of: ``evaluate`` and
+``evaluate_oracle`` on random series-parallel and graph circuits (with
+input switches), ``compose_series`` and ``compose_parallel`` on random
+pairs, the netlists of the four synthesizers, and ``search_expressible``
+on the diamond lattice. The second hashes the tree walks: ``dual``,
+``perturb``, corner-search reports, ``dumps``, ``ascii_render`` and
+``dot_render``. A change meant to keep every output prints the same
+digests before and after it; ``test_output_digest.py`` pins both. The
 generators live here, not in ``conftest.py``, so that editing test helpers
-cannot move the pinned value.
+cannot move the pinned values.
 """
 
 from __future__ import annotations
@@ -45,21 +47,37 @@ def leaf(rng: random.Random, states: int, ids: rc.IdGen):
     return rc.pswitch(distribution(rng, states), ids())
 
 
-def sp_node(rng: random.Random, states: int, ids: rc.IdGen, leaves: int):
+def walk_leaf(rng: random.Random, states: int, ids: rc.IdGen):
+    """A Det, an input, or a pswitch with two active states (perturbable)."""
+    roll = rng.random()
+    if roll < 0.15:
+        return rc.det(rng.randrange(states))
+    if roll < 0.25:
+        return rc.inp(f"x{rng.randrange(3)}", rng.random() < 0.5)
+    low, high = sorted(rng.sample(range(states), 2))
+    probs = [Fraction(0)] * states
+    probs[high] = Fraction(rng.randint(1, 7), 8)
+    probs[low] = 1 - probs[high]
+    return rc.pswitch(probs, ids())
+
+
+def sp_node(rng: random.Random, states: int, ids: rc.IdGen, leaves: int, make_leaf=leaf):
     if leaves == 1:
-        return leaf(rng, states, ids)
+        return make_leaf(rng, states, ids)
     split = rng.randint(1, leaves - 1)
-    a, b = sp_node(rng, states, ids, split), sp_node(rng, states, ids, leaves - split)
+    a = sp_node(rng, states, ids, split, make_leaf)
+    b = sp_node(rng, states, ids, leaves - split, make_leaf)
     return rc.series(a, b) if rng.random() < 0.5 else rc.parallel(a, b)
 
 
-def graph_node(rng: random.Random, states: int, ids: rc.IdGen):
+def graph_node(rng: random.Random, states: int, ids: rc.IdGen, make_leaf=leaf):
     """A bridge-like graph: a path s..t plus random chords, small sp labels."""
     path = ["s", *(f"v{i}" for i in range(rng.randint(1, 2))), "t"]
     pairs = list(zip(path, path[1:]))
     pairs += [tuple(rng.sample(path, 2)) for _ in range(rng.randint(1, 3))]
-    return rc.Graph("s", "t", tuple(rc.Edge(u, v, sp_node(rng, states, ids, rng.randint(1, 2)))
-                                    for u, v in pairs))
+    return rc.Graph("s", "t", tuple(
+        rc.Edge(u, v, sp_node(rng, states, ids, rng.randint(1, 2), make_leaf))
+        for u, v in pairs))
 
 
 def circuits(rng: random.Random):
@@ -108,9 +126,36 @@ def outputs():
             yield result.to_json()
 
 
-def digest() -> str:
+def walk_outputs():
+    """The hashed values of the tree walks: ``dual``, ``perturb``, corner
+    search, ``dumps`` and both renderers, on seeded sp and graph circuits
+    whose pswitches have two active states."""
+    rng = random.Random(SEED + 1)
+    epsilon = Fraction(1, 64)
+    for k in range(80):
+        states, ids = rng.randint(2, 4), rc.IdGen()
+        if k % 2:
+            root = rc.parallel(graph_node(rng, states, ids, walk_leaf),
+                               sp_node(rng, states, ids, 2, walk_leaf))
+        else:
+            root = sp_node(rng, states, ids, rng.randint(1, 9), walk_leaf)
+        circuit = rc.Circuit(states, root)
+        yield rc.dumps(circuit), rc.ascii_render(circuit), rc.dot_render(circuit)
+        yield rc.count_switches(circuit), sorted(circuit.input_names())
+        try:
+            yield rc.dumps(rc.dual(circuit))
+        except rc.UnsupportedStructureError as exc:
+            yield repr(exc)
+        errors = {sw.id: rng.choice((-1, 0, 1)) * epsilon for sw in circuit.pswitches()}
+        yield rc.dumps(rc.perturb(circuit, rc.PerturbationModel(epsilon, errors)))
+        if not circuit.input_names() and len(circuit.pswitches()) <= 9:
+            yield rc.worst_case_error(circuit, epsilon).to_json()
+
+
+def digest(values=None) -> str:
+    """sha256 over the ``repr`` of ``values``, by default :func:`outputs`."""
     h = hashlib.sha256()
-    for value in outputs():
+    for value in outputs() if values is None else values:
         h.update(repr(value).encode())
         h.update(b"\n")
     return h.hexdigest()
@@ -118,3 +163,4 @@ def digest() -> str:
 
 if __name__ == "__main__":
     print(digest())
+    print(digest(walk_outputs()))

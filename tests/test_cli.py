@@ -308,6 +308,32 @@ def test_synth_past_the_round_cap_is_a_capacity_error(capsys):
     assert err.startswith("error: ") and "201 rounds, cap is 200" in err
 
 
+def test_upg_too_deep_to_encode_is_a_capacity_error(capsys):
+    """250 bits nest the UPG deeper than the json encoder follows: exit 3,
+    naming the recursion limit, and no traceback."""
+    assert run(["upg", "--states", "2", "--bits", "250"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"recursion limit of {sys.getrecursionlimit()}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_robustness_epsilon_past_the_digit_limit(capsys, chain_path):
+    """An exact result over Python's int-to-string digit limit is a capacity
+    error naming the setting that raises it; an epsilon that drives a
+    switch outside [0, 1] is a validation error whose message stays short."""
+    args = ["robustness", "--netlist", chain_path, "--epsilon"]
+    assert run(args + ["1e-5000"]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "PYTHONINTMAXSTRDIGITS" in err
+    assert "about 5001 digits" in err
+    assert run(args + ["1e5000"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: error -about 10^5000 drives Distribution(1/2, 1/2) "
+                   "outside [0, 1]\n")
+
+
 def test_eval_deep_netlist_is_a_validation_error(capsys, tmp_path):
     text = '{"op": "det", "state": 1}'
     for _ in range(600):

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from relaycircuits import (
-    Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, dumps,
-    evaluate, inp, loads, parallel, pswitch, series,
+    CapacityError, Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det,
+    dumps, evaluate, format_rational, inp, loads, parallel, pswitch, series,
 )
 from relaycircuits.netlist import circuit_from_json, circuit_to_json
 from conftest import deep_binary_circuit, random_sp_circuit
@@ -63,6 +63,14 @@ def test_integer_rational_form_accepted():
 def test_rationals_serialize_lowest_terms():
     c = Circuit(2, pswitch([F(2, 4), F(8, 16)], "p"))
     assert circuit_to_json(c)["circuit"]["dist"] == ["1/2", "1/2"]
+
+
+def test_rationals_past_the_digit_limit_are_a_capacity_error():
+    huge = F(1, 10 ** 5000)
+    with pytest.raises(CapacityError, match="PYTHONINTMAXSTRDIGITS") as info:
+        format_rational(huge)
+    assert "about 5001 digits" in str(info.value)
+    assert format_rational(F(1, 10 ** 4000)) == "1/1" + "0" * 4000
 
 
 @pytest.mark.parametrize("doc", [

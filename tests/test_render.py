@@ -49,3 +49,35 @@ def test_dot_graph_node():
 def test_dot_deterministic():
     c = Circuit(3, series(pswitch(HALF3, "a"), det(2)))
     assert dot_render(c) == dot_render(c)
+
+
+def test_dot_full_text_is_pinned():
+    """Junctions are numbered in depth-first order; a graph numbers every
+    vertex, its terminals included, though they map onto the outer ones."""
+    bridge = Graph("s", "t", (
+        Edge("s", "a", pswitch(HALF2, "g0")),
+        Edge("s", "b", series(det(1), inp("x", True))),
+        Edge("a", "b", pswitch([F(1, 3), F(2, 3)], "g1")),
+        Edge("a", "t", parallel(inp("y"), pswitch(HALF2, "g2"))),
+        Edge("b", "t", det(0)),
+    ))
+    c = Circuit(2, parallel(series(pswitch(HALF2, "p0"), det(1),
+                                   pswitch([F(1, 4), F(3, 4)], "p1")), bridge))
+    assert dot_render(c) == """\
+graph circuit {
+  rankdir=LR;
+  "s" [shape=point, width=0.15];
+  "t" [shape=point, width=0.15];
+  node [shape=point, width=0.08];
+  "s" -- "n1" [label="1/2"];
+  "n1" -- "n2" [label="det(1)"];
+  "n2" -- "t" [label="3/4"];
+  "s" -- "n5" [label="1/2"];
+  "s" -- "n7" [label="det(1)"];
+  "n7" -- "n6" [label="~x"];
+  "n5" -- "n6" [label="2/3"];
+  "n5" -- "t" [label="y"];
+  "n5" -- "t" [label="1/2"];
+  "n6" -- "t" [label="det(0)"];
+}
+"""
