@@ -8,14 +8,10 @@ dyadic form came from, so the two can be checked against each other.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def ceil_log2(n: int) -> int:
     """Smallest c with 2**c >= n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return (n - 1).bit_length()
+    return ceil_log(2, n)
 
 
 def ceil_log(base: int, n: int) -> int:
@@ -39,21 +35,20 @@ def complexity_bound(n: int, states: int) -> int:
     return rational_bound(2, n, states)
 
 
-@lru_cache(maxsize=None)
 def complexity_bound_recursive(n: int, states: int) -> int:
     """f(n, N) by the recursion: split at the half cut, recurse both sides.
 
     f(n, 1) = 0 and f(0, N) = 0; otherwise one pswitch plus the worst split
-    of the N active states into i and N - i + 1 across the cut.
+    of the N active states into i and N - i + 1 across the cut. Evaluated
+    bottom up, one row ``f(m, 0..N)`` per m (entry 0 unused), so any n works.
     """
     if n < 0 or states < 1:
         raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={states}")
-    if states == 1 or n == 0:
-        return 0
-    best = max(complexity_bound_recursive(n - 1, i)
-               + complexity_bound_recursive(n - 1, states - i + 1)
-               for i in range(1, (states + 1) // 2 + 1))
-    return best + 1
+    row = [0] * (states + 1)
+    for _ in range(n):
+        row = [0, 0] + [1 + max(row[i] + row[k - i + 1] for i in range(1, (k + 1) // 2 + 1))
+                        for k in range(2, states + 1)]
+    return row[states]
 
 
 def rational_bound(q: int, n: int, states: int) -> int:

@@ -85,15 +85,19 @@ class Distribution:
         raise AttributeError("Distribution is immutable")
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def point(cls, state: int, states: int) -> "Distribution":
-        """Point mass: the deterministic distribution of ``Det(state)``."""
+        """Point mass: the deterministic distribution of ``Det(state)``.
+        Built once per ``(state, N)``, as distributions are immutable."""
         if not 0 <= state < states:
             raise ValidationError(f"state {state} out of range for N={states}")
         return cls(ONE if i == state else ZERO for i in range(states))
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def shorthand(cls, p: Union[Fraction, int, str], states: int) -> "Distribution":
-        """The usual shorthand: a bare ``p`` means ``(1-p, 0, ..., 0, p)``."""
+        """The usual shorthand: a bare ``p`` means ``(1-p, 0, ..., 0, p)``.
+        Built once per ``(p, N)``, as distributions are immutable."""
         p = Fraction(p)
         probs = [ZERO] * states
         probs[0] = 1 - p
@@ -132,7 +136,7 @@ class Distribution:
         return hash(self.probs)
 
     def __repr__(self) -> str:
-        return "Distribution(%s)" % ", ".join(str(p) for p in self.probs)
+        return "Distribution(%s)" % ", ".join(map(_printable, self.probs))
 
 
 def _rational(value, where: str, error: type) -> Fraction:
@@ -156,6 +160,15 @@ def _simplex(ps, name: Callable[[int], str], error: type) -> tuple[int, list[int
                 raise error(f"probabilities outside [0, 1]: {name(i)} is {_show(ps[i])}")
         raise error(f"probabilities sum to {_show(Fraction(sum(nums), den))}, not 1")
     return den, nums
+
+
+def _printable(x: Fraction) -> str:
+    """``str(x)``, or :func:`_show`'s short form past Python's int-to-string
+    digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return _show(x)
 
 
 def _show(x: Fraction) -> str:
@@ -200,8 +213,10 @@ Element = Union[Pswitch, Det, Input]
 class _Planned:
     """Base of the node classes: each node compiles its subtree into a
     :class:`Plan` on first use and keeps it in its own ``__dict__``, so the
-    plan is freed with the node. Dataclass equality, hashing and ``repr``
-    read only the fields, so a cached plan changes none of them."""
+    plan is freed with the node. The inner nodes compare, hash and print
+    through their plans, with no recursion, so any depth works; ``repr``
+    gives the text the dataclass would derive. A ``Leaf`` keeps the
+    dataclass methods, so comparing it never compiles a plan."""
 
     @cached_property
     def _compiled(self) -> tuple["Plan", dict]:
@@ -212,13 +227,31 @@ class _Planned:
         """This node's post-order plan, compiled on first use."""
         return self._compiled[0]
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.plan.steps == other.plan.steps
+
+    def __hash__(self) -> int:
+        return hash(self.plan.steps)
+
+    def __repr__(self) -> str:
+        def graph(s: str, t: str, ends: tuple, labels: list) -> str:
+            edges = ", ".join(f"Edge(u={u!r}, v={v!r}, label={label})"
+                              for (u, v), label in zip(ends, labels))
+            return f"Graph(s={s!r}, t={t!r}, edges=({edges}{',' * (len(labels) == 1)}))"
+
+        return _fold(self, lambda el: f"Leaf(element={el!r})",
+                     lambda kids: f"Series(children=({', '.join(kids)}))",
+                     lambda kids: f"Parallel(children=({', '.join(kids)}))", graph)
+
 
 @dataclass(frozen=True)
 class Leaf(_Planned):
     element: Element
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Series(_Planned):
     """Series composition: circuit state is the min of the children."""
     children: tuple
@@ -228,7 +261,7 @@ class Series(_Planned):
             raise ValidationError("series composition needs >= 2 children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Parallel(_Planned):
     """Parallel composition: circuit state is the max of the children."""
     children: tuple
@@ -246,7 +279,7 @@ class Edge:
     label: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Graph(_Planned):
     """A two-terminal network evaluated by max-over-paths of min-along-path."""
     s: str
@@ -280,13 +313,6 @@ class Circuit:
         if self.states < 2:
             raise ValidationError("need at least 2 states")
         validate_node(self.root, self.states)
-
-    def __eq__(self, other) -> bool:
-        # Flat plans compare without recursing down the tree; the dataclass
-        # still derives ``__hash__`` from the fields.
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.states == other.states and self.root.plan == other.root.plan
 
     def pswitches(self) -> list[Pswitch]:
         return collect_pswitches(self.root)
@@ -410,18 +436,13 @@ class Plan:
     The root is the last slot, and ``holds[i]`` tells whether slot i's
     subtree holds a pswitch. Nothing depends on the state count or the
     assignment, so one node object may sit in circuits with different N.
-    Two plans are equal exactly when their trees are. Each walk derives
-    its own table from the steps on first use; those are not compared.
+    Two trees are equal exactly when their steps are. Each walk derives
+    its own table from the steps on first use.
     """
 
     def __init__(self, steps: tuple, holds: tuple):
         self.steps = steps
         self.holds = holds
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Plan):
-            return NotImplemented
-        return self.steps == other.steps
 
     @cached_property
     def program(self) -> tuple[tuple[Optional[int], tuple], ...]:
@@ -711,15 +732,8 @@ def _leaf_dist(el: Element, states: int, assignment: Assignment) -> Distribution
     if isinstance(el, Pswitch):
         return el.dist
     if isinstance(el, Det):
-        return _point(el.state, states)
-    return _point(_input_value(el, states, assignment), states)
-
-
-@lru_cache(maxsize=1024)
-def _point(state: int, states: int) -> Distribution:
-    """``Distribution.point``, built once per ``(state, N)``: distributions
-    are immutable, so every Det and input leaf can share it."""
-    return Distribution.point(state, states)
+        return Distribution.point(el.state, states)
+    return Distribution.point(_input_value(el, states, assignment), states)
 
 
 def _input_value(el: Input, states: int, assignment: Assignment) -> int:

@@ -9,6 +9,7 @@ rationals as lowest-term strings; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -61,20 +62,18 @@ def _load_netlist(path: str) -> Circuit:
     return netlist.load(path)
 
 
+# ``synth --method`` name -> synthesizer(target, base)
+_SYNTHESIZERS = {
+    "binary": lambda target, base: synth_binary_nstate(target),
+    "state": lambda target, base: state_reduction(target),
+    "denom": denominator_reduction,
+    "composite": composite_synthesis,
+}
+
+
 def _cmd_synth(args) -> int:
     target = Distribution(parse_rational_list(args.target))
-    method = args.method
-    if method == "binary":
-        report = synth_binary_nstate(target)
-    elif method == "state":
-        report = state_reduction(target)
-    elif method == "denom":
-        report = denominator_reduction(target, base=args.base)
-    elif method == "composite":
-        report = composite_synthesis(target, base=args.base)
-    else:  # pragma: no cover - argparse choices guard this
-        raise RationalParseError(f"unknown method {method!r}")
-    _emit(report.to_json())
+    _emit(_SYNTHESIZERS[args.method](target, base=args.base).to_json())
     return EXIT_OK
 
 
@@ -166,6 +165,21 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+# subcommand name -> handler; a partial adds no Python frame, so every
+# handler loads its netlist at the same stack depth
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "eval": functools.partial(_cmd_eval, oracle=False),
+    "oracle-eval": functools.partial(_cmd_eval, oracle=True),
+    "dual": _cmd_dual,
+    "bound": _cmd_bound,
+    "robustness": _cmd_robustness,
+    "upg": _cmd_upg,
+    "lattice-search": _cmd_lattice_search,
+    "render": _cmd_render,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaycircuits",
@@ -174,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a circuit for a rational target")
     p.add_argument("--target", required=True, help='comma-separated rationals, e.g. "5/8,1/4,1/8"')
-    p.add_argument("--method", choices=["binary", "state", "denom", "composite"],
-                   default="binary")
+    p.add_argument("--method", choices=list(_SYNTHESIZERS), default="binary")
     p.add_argument("--base", type=int, default=None, help="denominator base q (denom/composite)")
 
     for name in ("eval", "oracle-eval"):
@@ -236,25 +249,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "eval":
-            return _cmd_eval(args, oracle=False)
-        if args.command == "oracle-eval":
-            return _cmd_eval(args, oracle=True)
-        if args.command == "dual":
-            return _cmd_dual(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "robustness":
-            return _cmd_robustness(args)
-        if args.command == "upg":
-            return _cmd_upg(args)
-        if args.command == "lattice-search":
-            return _cmd_lattice_search(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
+        return _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -269,7 +264,6 @@ def run(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_OK  # pragma: no cover
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ import itertools
 
 from .circuits import (
     Circuit, Det, Graph, Leaf, Parallel, Pswitch, Series,
-    ValidationError,
+    ValidationError, _fold,
 )
 from .rational import format_rational
 
@@ -28,32 +28,14 @@ def element_label(el) -> str:
 
 
 def ascii_render(circuit: Circuit) -> str:
-    """Nested ascii expression, built with an explicit stack so that the
-    nesting depth is not limited by Python's recursion limit."""
-    out: list[str] = []
-    stack: list = [circuit.root]  # nodes to render and literal text, last first
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Leaf):
-            out.append(element_label(item.element))
-        elif isinstance(item, (Series, Parallel)):
-            sep = " * " if isinstance(item, Series) else " + "
-            parts: list = ["("]
-            for i, child in enumerate(item.children):
-                parts += [sep, child] if i else [child]
-            parts.append(")")
-            stack.extend(reversed(parts))
-        elif isinstance(item, Graph):
-            parts = [f"graph[{item.s}->{item.t}]{{"]
-            for i, e in enumerate(item.edges):
-                parts += [", " if i else "", f"{e.u}-{e.v}: ", e.label]
-            parts.append("}")
-            stack.extend(reversed(parts))
-        else:
-            raise ValidationError(f"unknown node {item!r}")
-    return "".join(out)
+    """Nested ascii expression, folded bottom up over the circuit's plan so
+    that the nesting depth is not limited by Python's recursion limit."""
+    def graph(s: str, t: str, ends: tuple, labels: list) -> str:
+        edges = ", ".join(f"{u}-{v}: {label}" for (u, v), label in zip(ends, labels))
+        return f"graph[{s}->{t}]{{{edges}}}"
+
+    return _fold(circuit.root, element_label, lambda kids: "(%s)" % " * ".join(kids),
+                 lambda kids: "(%s)" % " + ".join(kids), graph)
 
 
 def dot_render(circuit: Circuit) -> str:

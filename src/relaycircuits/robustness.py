@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .circuits import (
     CapacityError, Circuit, Distribution, Element, Node, Pswitch, RelayError,
@@ -60,14 +60,12 @@ class ErrorReport:
     per_state_max_error: tuple[Fraction, ...]
     worst_assignment: PerturbationModel
     exhaustive: bool
-    bound_boundary: Optional[Fraction] = None
-    bound_interior: Optional[Fraction] = None
 
     def max_error(self) -> Fraction:
         return max(self.per_state_max_error)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "epsilon": format_rational(self.epsilon),
             "nominal": [format_rational(p) for p in self.nominal],
             "per_state_max_error": [format_rational(e) for e in self.per_state_max_error],
@@ -75,10 +73,6 @@ class ErrorReport:
                                  for pid, e in sorted(self.worst_assignment.assignments.items())},
             "exhaustive": self.exhaustive,
         }
-        if self.bound_boundary is not None:
-            out["bound_boundary"] = format_rational(self.bound_boundary)
-            out["bound_interior"] = format_rational(self.bound_interior)
-        return out
 
 
 @dataclass
@@ -302,6 +296,4 @@ def check_bounds(report: ErrorReport, family: str, q: int = 2) -> BoundVerdict:
     failing = tuple(
         i for i, err in enumerate(report.per_state_max_error)
         if err > (boundary if i in (0, n - 1) else interior))
-    report.bound_boundary = boundary
-    report.bound_interior = interior
     return BoundVerdict(family, q, boundary, interior, not failing, failing)

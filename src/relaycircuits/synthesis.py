@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Union
 
@@ -107,7 +107,7 @@ class SwitchSet:
             return None
         low, high = support
         if dist[high] in self._members:
-            member = pswitch(_shorthand(dist[high], len(dist)), ids())
+            member = pswitch(Distribution.shorthand(dist[high], len(dist)), ids())
             return clamp_node(member, low, high, len(dist))
         return None
 
@@ -264,14 +264,7 @@ def _cut_pieces(p: Distribution, q: Fraction,
 
 def cut_switch(q: Fraction, states: int, pid: str) -> Leaf:
     """The cut pswitch ``(q, 0, ..., 0, 1-q)``."""
-    return pswitch(_shorthand(ONE - q, states), pid)
-
-
-@lru_cache(maxsize=1024)
-def _shorthand(p: Fraction, states: int) -> Distribution:
-    """``Distribution.shorthand``, built once per ``(p, N)``: distributions
-    are immutable, so every cut switch and clamped leaf can share it."""
-    return Distribution.shorthand(p, states)
+    return pswitch(Distribution.shorthand(ONE - q, states), pid)
 
 
 def reassemble_cut(p: Distribution, q: Fraction) -> Circuit:

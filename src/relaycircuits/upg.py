@@ -41,10 +41,13 @@ from .circuits import (
     opt_parallel, opt_series, pswitch,
 )
 
-CONSTRUCTIONS = (
-    "exponential", "reduced_sp", "reduced_nonsp",
-    "bit_removed_sp", "bit_removed_nonsp",
-)
+# Each construction name and the form of circuit it builds; the reduced and
+# bit-removed names build the same circuits (see above).
+_FORMS = {
+    "exponential": "exponential", "reduced_sp": "sp", "reduced_nonsp": "bridge",
+    "bit_removed_sp": "sp", "bit_removed_nonsp": "bridge",
+}
+CONSTRUCTIONS = tuple(_FORMS)
 
 _VECTOR_NAMES = "rstuvwxyz"
 
@@ -55,6 +58,19 @@ class UnsupportedConstructionError(RelayError):
 
 class InvalidUpgInputError(RelayError):
     """Input bits do not encode a valid (monotone, <= 1) prefix chain."""
+
+
+def _vector(x: int, bits: int, top: int) -> tuple:
+    """The bit vector carrying the prefix sum ``x / 2^n`` (0 <= x <= 2^n):
+    the binary digits of x, most significant first, are bit 0 then bits n
+    down to 1, and a set bit is the symbol ``top``."""
+    digits = tuple(top if ch == "1" else 0 for ch in f"{x:0{bits + 1}b}")
+    return digits[:1] + digits[:0:-1]
+
+
+def _value(vec: tuple, bits: int) -> int:
+    """The ``x`` of the prefix sum ``x / 2^n`` that ``vec`` carries."""
+    return int("".join("1" if b else "0" for b in vec[:1] + vec[:0:-1]), 2)
 
 
 def vector_names(states: int) -> list[str]:
@@ -99,14 +115,7 @@ class UpgInput:
 
     def encoding(self, i: int) -> Fraction:
         """Decoded prefix sum carried by vector i."""
-        vec = self.vectors[i]
-        top = self.states - 1
-        value = Fraction(1 if vec[0] == top else 0)
-        scale = 2 ** self.bits
-        for j in range(1, self.bits + 1):
-            if vec[j] == top:
-                value += Fraction(2 ** (j - 1), scale)
-        return value
+        return Fraction(_value(self.vectors[i], self.bits), 2 ** self.bits)
 
     def decode_target(self) -> Distribution:
         """The distribution this input demands; rejects invalid encodings."""
@@ -115,13 +124,8 @@ class UpgInput:
             raise InvalidUpgInputError(f"prefix encodings exceed 1: {values}")
         if any(a > b for a, b in zip(values, values[1:])):
             raise InvalidUpgInputError(f"prefix encodings not monotone: {values}")
-        probs = []
-        prev = ZERO
-        for v in values:
-            probs.append(v - prev)
-            prev = v
-        probs.append(ONE - prev)
-        return Distribution(probs)
+        edges = (ZERO, *values, ONE)
+        return Distribution(b - a for a, b in zip(edges, edges[1:]))
 
     def assignment(self) -> dict[str, int]:
         names = vector_names(self.states)
@@ -133,66 +137,41 @@ class UpgInput:
 
     def display(self) -> dict[str, str]:
         """Display order: bit 0 first, then bits n down to 1, e.g. ``0101``."""
-        names = vector_names(self.states)
-        out = {}
-        for i, vec in enumerate(self.vectors):
-            digits = [vec[0]] + [vec[j] for j in range(self.bits, 0, -1)]
-            out[names[i]] = "".join(str(d) for d in digits)
-        return out
+        return {name: "".join(map(str, vec[:1] + vec[:0:-1]))
+                for name, vec in zip(vector_names(self.states), self.vectors)}
 
     @classmethod
     def from_strings(cls, states: int, bits: int, strings: dict) -> "UpgInput":
-        names = vector_names(states)
         vectors = []
-        for name in names:
+        for name in vector_names(states):
             text = strings[name]
             if len(text) != bits + 1:
                 raise InvalidUpgInputError(
                     f"vector {name!r} needs {bits + 1} digits, got {text!r}")
-            digits = [int(ch) for ch in text]
-            vec = [digits[0]] + [0] * bits
-            for pos, j in enumerate(range(bits, 0, -1)):
-                vec[j] = digits[1 + pos]
-            vectors.append(tuple(vec))
+            digits = tuple(int(ch) for ch in text)
+            vectors.append(digits[:1] + digits[:0:-1])
         return cls(states, bits, tuple(vectors))
 
 
 def encode_input(target: Distribution, bits: int) -> UpgInput:
     """Encode a dyadic target as the N-1 prefix-sum bit vectors."""
     states = len(target)
-    scale = 2 ** bits
-    top = states - 1
     vectors = []
     prefix = ZERO
     for i in range(states - 1):
         prefix += target[i]
-        scaled = prefix * scale
+        scaled = prefix * 2 ** bits
         if scaled.denominator != 1:
             raise InvalidUpgInputError(
                 f"{target[i]} prefix is not a multiple of 1/2^{bits}")
-        x = scaled.numerator
-        vec = [0] * (bits + 1)
-        if x >= scale:
-            vec[0] = top
-            x -= scale
-        for j in range(1, bits + 1):
-            if (x >> (j - 1)) & 1:
-                vec[j] = top
-        vectors.append(tuple(vec))
+        vectors.append(_vector(scaled.numerator, bits, states - 1))
     return UpgInput(states, bits, tuple(vectors))
 
 
 def valid_inputs(states: int, bits: int) -> Iterator[UpgInput]:
     """All monotone input rows; there are C(2^n + N - 1, N - 1) of them."""
-    scale = 2 ** bits
-    for values in itertools.combinations_with_replacement(range(scale + 1), states - 1):
-        probs = []
-        prev = 0
-        for v in values:
-            probs.append(Fraction(v - prev, scale))
-            prev = v
-        probs.append(Fraction(scale - prev, scale))
-        yield encode_input(Distribution(probs), bits)
+    for values in itertools.combinations_with_replacement(range(2 ** bits + 1), states - 1):
+        yield UpgInput(states, bits, tuple(_vector(x, bits, states - 1) for x in values))
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +190,13 @@ class _Builder:
 
     def bit(self, vector: int, j: int, complemented: bool = False) -> Node:
         return inp(f"{self.names[vector]}{j}", complemented)
+
+    def guards(self, lo: int, hi: int) -> list[Node]:
+        """The integer-bit clamp terms of vectors lo..hi-1, one each: vector
+        i's complemented bit 0, raised to at least state i."""
+        return [self.bit(i, 0, True) if i == 0
+                else opt_parallel(self.states, self.bit(i, 0, True), det(i))
+                for i in range(lo, hi)]
 
     def mux(self, branches, else_node: Node) -> Node:
         """Selector chain: first live selector wins, else the final branch.
@@ -242,20 +228,12 @@ class _ExponentialBuilder(_Builder):
         if lo == hi:
             return det(lo)
         if m == 0:
-            return self._base(lo, hi)
+            return opt_series(self.states, *self.guards(lo, hi), det(hi))
         left = self._left_chain(lo, hi, m)
         right = self._right_chain(lo, hi, m)
         return opt_parallel(
             self.states, left,
             opt_series(self.states, self.base_switch(), right))
-
-    def _base(self, lo: int, hi: int) -> Node:
-        terms = []
-        for i in range(lo, hi):
-            guard = self.bit(i, 0, True)
-            terms.append(guard if i == 0 else opt_parallel(self.states, guard, det(i)))
-        terms.append(det(hi))
-        return opt_series(self.states, *terms)
 
     def _left_chain(self, lo: int, hi: int, m: int) -> Node:
         branches = []
@@ -287,12 +265,6 @@ class _ReducedBuilder(_Builder):
     def __init__(self, states: int, bits: int, sp: bool):
         super().__init__(states, bits)
         self.sp = sp
-
-    def prefix_terms(self) -> list[Node]:
-        terms = [self.bit(0, 0, True)]
-        for i in range(1, self.states - 1):
-            terms.append(opt_parallel(self.states, self.bit(i, 0, True), det(i)))
-        return terms
 
     def box(self, lo: int, hi: int, m: int) -> Node:
         """Raw sub-UPG over fraction bits; callers clamp into [lo, hi]."""
@@ -365,14 +337,12 @@ def build_upg(spec: UpgSpec) -> Circuit:
     """Build the requested construction; leaves are fresh (1/2, 0, ..., 0, 1/2)
     pswitches, deterministic switches, and named input switches."""
     states, bits = spec.states, spec.bits
-    if spec.construction == "exponential":
-        builder = _ExponentialBuilder(states, bits)
-        return Circuit(states, builder.box(0, states - 1, bits))
-    sp = spec.construction.endswith("_sp")
-    builder = _ReducedBuilder(states, bits, sp)
+    form = _FORMS[spec.construction]
+    if form == "exponential":
+        return Circuit(states, _ExponentialBuilder(states, bits).box(0, states - 1, bits))
+    builder = _ReducedBuilder(states, bits, sp=form == "sp")
     inner = builder.box(0, states - 1, bits)
-    root = opt_series(states, *builder.prefix_terms(), inner)
-    return Circuit(states, root)
+    return Circuit(states, opt_series(states, *builder.guards(0, states - 1), inner))
 
 
 def embedded_pair_upg(states: int, lo: int, bits: int) -> Circuit:

@@ -2,14 +2,16 @@
 
     PYTHONPATH=src python3 tests/output_digest.py
 
-Prints two digests. The first hashes the ``repr`` of: ``evaluate`` and
+Prints three digests. The first hashes the ``repr`` of: ``evaluate`` and
 ``evaluate_oracle`` on random series-parallel and graph circuits (with
 input switches), ``compose_series`` and ``compose_parallel`` on random
 pairs, the netlists of the four synthesizers, and ``search_expressible``
 on the diamond lattice. The second hashes the tree walks: ``dual``,
 ``perturb``, corner-search reports, ``dumps``, ``ascii_render`` and
-``dot_render``. A change meant to keep every output prints the same
-digests before and after it; ``test_output_digest.py`` pins both. The
+``dot_render``. The third hashes the UPGs: the netlists of every
+construction name, and every valid input row's encodings. A change meant
+to keep every output prints the same digests before and after it;
+``test_output_digest.py`` pins all three. The
 generators live here, not in ``conftest.py``, so that editing test helpers
 cannot move the pinned values.
 """
@@ -152,6 +154,23 @@ def walk_outputs():
             yield rc.worst_case_error(circuit, epsilon).to_json()
 
 
+def upg_outputs():
+    """The hashed values of the UPGs: ``dumps`` of every construction for
+    N = 2..4 and n = 0..3, and each valid input row through ``display``,
+    ``from_strings``, ``assignment``, ``encoding``, ``decode_target`` and
+    ``encode_input``."""
+    for states in range(2, 5):
+        for bits in range(4):
+            for name in rc.CONSTRUCTIONS:
+                yield name, rc.dumps(rc.build_upg(rc.UpgSpec(states, bits, name)))
+            for row in rc.valid_inputs(states, bits):
+                shown = row.display()
+                target = row.decode_target()
+                yield row, shown, rc.UpgInput.from_strings(states, bits, shown), row.assignment()
+                yield [row.encoding(i) for i in range(states - 1)], target
+                yield rc.encode_input(target, bits)
+
+
 def digest(values=None) -> str:
     """sha256 over the ``repr`` of ``values``, by default :func:`outputs`."""
     h = hashlib.sha256()
@@ -164,3 +183,4 @@ def digest(values=None) -> str:
 if __name__ == "__main__":
     print(digest())
     print(digest(walk_outputs()))
+    print(digest(upg_outputs()))

@@ -82,6 +82,13 @@ class TestDistribution:
         tiny = Distribution([1 / huge, 1 - 1 / huge])   # valid: only messages are bounded
         assert tiny[0] == 1 / huge
 
+    def test_repr_past_the_digit_limit(self):
+        huge = F(10 ** 5000)
+        text = repr(Distribution([1 / huge, 1 - 1 / huge]))
+        assert text == "Distribution(about 10^-5000, about 10^0)"
+        assert repr(Distribution([F(1, 2 ** 300), 1 - F(1, 2 ** 300)])) == \
+            f"Distribution(1/{2 ** 300}, {2 ** 300 - 1}/{2 ** 300})"
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc", None, "1/0", 1j])
     def test_non_rational_entries_are_validation_errors(self, bad):
         with pytest.raises(ValidationError, match="^state 1 is not a rational number: "):

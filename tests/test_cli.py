@@ -124,6 +124,11 @@ def test_bound(capsys):
     assert capsys.readouterr().out.strip() == "15"
 
 
+def test_bound_far_past_the_recursion_limit(capsys):
+    assert run(["bound", "--n", "3000", "--states", "3"]) == 0
+    assert capsys.readouterr().out == "5999\n"
+
+
 def test_robustness(capsys, three_state_path):
     code, doc = run_json(capsys, [
         "robustness", "--netlist", three_state_path, "--epsilon", "1/100",

@@ -79,6 +79,28 @@ def test_every_walk_takes_a_circuit_5000_levels_deep():
     assert dual(dual(sp)) == sp
 
 
+def test_hash_repr_and_equality_take_a_circuit_5000_levels_deep():
+    c, twin = chain(DEPTH, with_graph=True), chain(DEPTH, with_graph=True)
+    assert c == twin and c.root == twin.root and hash(c) == hash(twin)
+    assert len({c, twin, chain(DEPTH, with_graph=False)}) == 2
+    assert c != chain(DEPTH, with_graph=False)
+    text = repr(c)
+    assert text == repr(twin)
+    assert text.startswith("Circuit(states=3, root=Series(children=(Series(children=(Parallel(")
+    assert text.count("Leaf(element=") == DEPTH + 1 and text.count("Graph(s='s'") == 1
+
+
+def test_node_repr_is_the_dataclass_text():
+    one_edge = Graph("s", "t", (Edge("s", "t", det(1)),))
+    assert repr(Circuit(2, one_edge)) == (
+        "Circuit(states=2, root=Graph(s='s', t='t', edges=("
+        "Edge(u='s', v='t', label=Leaf(element=Det(state=1))),)))")
+    assert repr(series(det(1), parallel(pswitch([F(1, 2), F(1, 2)], "p"), det(0)))) == (
+        "Series(children=(Leaf(element=Det(state=1)), Parallel(children=("
+        "Leaf(element=Pswitch(dist=Distribution(1/2, 1/2), id='p')), "
+        "Leaf(element=Det(state=0))))))")
+
+
 def test_a_circuit_of_anything_but_nodes_is_a_validation_error():
     with pytest.raises(ValidationError, match="unknown node"):
         Circuit(2, object())

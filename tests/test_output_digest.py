@@ -1,6 +1,6 @@
 """The output sweeps of ``output_digest.py`` are unchanged."""
 
-from output_digest import digest, walk_outputs
+from output_digest import digest, upg_outputs, walk_outputs
 
 # Computed with the library before its composition moved onto integer tails;
 # a change that keeps every output keeps this value.
@@ -9,6 +9,11 @@ PINNED = "1a06be664fa74d72f392fdb135da7dc323fc173db8f4e3f49c55838eebe98a6e"
 # Computed with the library while its tree walks still recursed node by node.
 WALKS_PINNED = "83d72f308c947d770cfabfb830962a0a27dcbee184fc89f9d64e467c1781d4da"
 
+# Computed with the library while `build_upg` still branched on the
+# construction name's suffix and encode, decode and display each carried
+# their own bit codec.
+UPG_PINNED = "a7468faa5ea4fe06deef897b8e96202dbc6cc95bd62ea4b4969511563fca2e02"
+
 
 def test_output_digest_is_pinned():
     assert digest() == PINNED
@@ -16,3 +21,7 @@ def test_output_digest_is_pinned():
 
 def test_walk_digest_is_pinned():
     assert digest(walk_outputs()) == WALKS_PINNED
+
+
+def test_upg_digest_is_pinned():
+    assert digest(upg_outputs()) == UPG_PINNED

@@ -133,6 +133,12 @@ class TestTruthTables:
             tables.append([(r.display()["r"], tuple(out)) for r, out in rows])
         assert all(t == tables[0] for t in tables[1:])
 
+    @pytest.mark.parametrize("form", ["sp", "nonsp"])
+    def test_bit_removed_names_build_the_reduced_circuits(self, form):
+        for states, bits in ((2, 0), (2, 3), (3, 2), (4, 2)):
+            assert build_upg(UpgSpec(states, bits, f"bit_removed_{form}")) == \
+                build_upg(UpgSpec(states, bits, f"reduced_{form}"))
+
 
 class TestCounts:
     def test_reduced_sp_two_state(self):
