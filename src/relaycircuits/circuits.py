@@ -337,33 +337,26 @@ def inp(name: str, complemented: bool = False) -> Leaf:
 
 
 def series(*children: Node) -> Node:
-    if len(children) == 1:
-        return children[0]
-    return Series(tuple(children))
+    return children[0] if len(children) == 1 else Series(tuple(children))
 
 
 def parallel(*children: Node) -> Node:
-    if len(children) == 1:
-        return children[0]
-    return Parallel(tuple(children))
+    return children[0] if len(children) == 1 else Parallel(tuple(children))
 
 
 def opt_series(states: int, *children: Node) -> Node:
     """Series constructor that drops ``Det(N-1)`` factors (min identity)."""
-    identity = det(states - 1)
-    kept = [c for c in children if c != identity]
-    if not kept:
-        return identity
-    return series(*kept)
+    return _without(det(states - 1), series, children)
 
 
 def opt_parallel(states: int, *children: Node) -> Node:
     """Parallel constructor that drops ``Det(0)`` branches (max identity)."""
-    identity = det(0)
+    return _without(det(0), parallel, children)
+
+
+def _without(identity: Leaf, build: Callable, children: tuple) -> Node:
     kept = [c for c in children if c != identity]
-    if not kept:
-        return identity
-    return parallel(*kept)
+    return build(*kept) if kept else identity
 
 
 class IdGen:
@@ -477,21 +470,26 @@ class Plan:
     @cached_property
     def resolver(self) -> tuple[list, tuple, tuple, tuple]:
         """For :func:`resolve`: a template with every Det state in its slot;
-        ``(slot, id)`` per pswitch; ``(slot, element)`` per input; and
-        ``(slot, fold, arg)`` per inner step, in slot order, where ``fold``
-        is ``min`` or ``max`` over the ``itemgetter`` ``arg``, or None for
-        the graph step ``arg``."""
+        ``(slot, id)`` per pswitch; ``(slot, element)`` per input; and, in
+        slot order, n - 1 entries ``(slot, is_min, a, b)`` per n-child series
+        (min) or parallel (max) step, each storing the min or max of slots a
+        and b in slot, and one ``(slot, None, step, None)`` per graph step."""
         leaves = [(i, step[1]) for i, step in enumerate(self.steps) if step[0] is _LEAF]
         template = [0] * len(self.steps)
         for i, el in leaves:
             if isinstance(el, Det):
                 template[i] = el.state
+        entries = []
+        for i, (kind, *_, kids) in enumerate(self.steps):
+            if kind is _GRAPH:
+                entries.append((i, None, self.steps[i], None))
+            elif kind is not _LEAF:   # kids[0], then this slot, against each later kid
+                entries.extend((i, kind is _SERIES, i if k else kids[0], kid)
+                               for k, kid in enumerate(kids[1:]))
         return (template,
                 tuple((i, el.id) for i, el in leaves if isinstance(el, Pswitch)),
                 tuple((i, el) for i, el in leaves if isinstance(el, Input)),
-                tuple((i, None, step) if step[0] is _GRAPH else
-                      (i, min if step[0] is _SERIES else max, operator.itemgetter(*step[1]))
-                      for i, step in enumerate(self.steps) if step[0] is not _LEAF))
+                tuple(entries))
 
 
 def _compile(root: Node) -> tuple[Plan, dict[int, Node]]:
@@ -828,18 +826,22 @@ def resolve(node: Node, states: int, assignment: Assignment,
 
     Runs ``node``'s cached plan with no recursion, so any depth works:
     pswitch slots read ``outcome``, Det slots come from the plan's
-    template, input slots from ``assignment``; each series or parallel
-    step takes the ``min`` or ``max`` of its child slots, and a graph step
-    the largest k whose edges of value >= k join s to t.
+    template, input slots from ``assignment``. An n-child series or
+    parallel step costs n - 1 entries of two list reads, one compare and
+    one store; a graph step the largest k whose edges >= k join s to t.
     """
-    template, pswitches, inputs, folds = node.plan.resolver
+    template, pswitches, inputs, entries = node._compiled[0].resolver
     vals = template.copy()
     for slot, pid in pswitches:
         vals[slot] = outcome[pid]
     for slot, el in inputs:
         vals[slot] = _input_value(el, states, assignment)
-    for slot, fold, arg in folds:
-        vals[slot] = fold(arg(vals)) if fold else _graph_state(arg, vals, states)
+    for slot, is_min, a, b in entries:
+        if is_min is None:
+            vals[slot] = _graph_state(a, vals, states)
+        else:
+            x, y = vals[a], vals[b]
+            vals[slot] = x if (x < y) is is_min else y
     return vals[-1]
 
 

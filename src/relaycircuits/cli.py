@@ -9,7 +9,6 @@ rationals as lowest-term strings; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -36,6 +35,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 
+# ``bound`` checks the closed form against the recursion, of time n * N^2 / 4
+# (0.2 s at n = 10, N = 1,000 on a 2-core Xeon VM), up to this n * N^2
+BOUND_CHECK_CAP = 10 ** 7
 GRAPH_CAP_HELP = ("cap on the edges of one graph whose label holds a pswitch; "
                   "each level enumerates 2^that edge subsets")
 
@@ -77,10 +79,10 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args, oracle: bool) -> int:
+def _cmd_eval(args) -> int:
     circuit = _load_netlist(args.netlist)
     assignment = _parse_assignment(args.assign)
-    if oracle:
+    if args.command == "oracle-eval":
         dist = evaluate_oracle(circuit, assignment, max_outcomes=args.max_outcomes)
     else:
         dist = evaluate(circuit, assignment, graph_cap=args.graph_cap)
@@ -96,9 +98,11 @@ def _cmd_dual(args) -> int:
 
 def _cmd_bound(args) -> int:
     closed = complexity_bound(args.n, args.states)
-    recursive = complexity_bound_recursive(args.n, args.states)
-    if closed != recursive:  # pragma: no cover - the two always agree
-        raise RelayError(f"closed form {closed} != recursion {recursive}")
+    if args.n * args.states ** 2 > BOUND_CHECK_CAP:
+        print(f"note: n * N^2 is past {BOUND_CHECK_CAP}; the recursion "
+              "cross-check was skipped", file=sys.stderr)
+    elif closed != (recursive := complexity_bound_recursive(args.n, args.states)):
+        raise RelayError(f"closed form {closed} != recursion {recursive}")  # pragma: no cover
     sys.stdout.write(f"{closed}\n")
     return EXIT_OK
 
@@ -165,12 +169,12 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-# subcommand name -> handler; a partial adds no Python frame, so every
-# handler loads its netlist at the same stack depth
+# subcommand name -> handler; each is a plain function, called straight
+# from ``run``, so every handler loads its netlist at the same stack depth
 _COMMANDS = {
     "synth": _cmd_synth,
-    "eval": functools.partial(_cmd_eval, oracle=False),
-    "oracle-eval": functools.partial(_cmd_eval, oracle=True),
+    "eval": _cmd_eval,
+    "oracle-eval": _cmd_eval,
     "dual": _cmd_dual,
     "bound": _cmd_bound,
     "robustness": _cmd_robustness,
@@ -203,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="emit the dual netlist")
     p.add_argument("--netlist", required=True)
 
-    p = sub.add_parser("bound", help="pswitch-count bound f(n, N)")
+    p = sub.add_parser("bound", help="pswitch-count bound f(n, N)", description=(
+        f"Print f(n, N), checked against the recursion while n * N^2 <= {BOUND_CHECK_CAP}; "
+        "past that the check is skipped, with a note on stderr."))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--states", type=int, required=True)
 

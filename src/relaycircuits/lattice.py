@@ -14,7 +14,8 @@ A ``LatticeDistribution`` keeps one canonical exact form: integer
 numerators in element order over one positive denominator, with no common
 factor left. Composition multiplies integers and reduces once, and the
 search deduplicates on that integer pair, which is exact rational equality
-without building a ``Fraction`` per composition.
+without building a ``Fraction`` per composition. Each distribution keeps
+its nonzero ``(index, numerator)`` pairs, built once, as a right operand.
 """
 
 from __future__ import annotations
@@ -65,14 +66,10 @@ class Lattice:
                 raise LatticeError(f"leq pair ({a}, {b}) names unknown element")
             leq[index[a]][index[b]] = True
         # Warshall closure, then antisymmetry
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    row_k = leq[k]
-                    row_i = leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+        for k, row_k in enumerate(leq):
+            for row_i in leq:
+                if row_i[k]:
+                    row_i[:] = [a or b for a, b in zip(row_i, row_k)]
         for i in range(n):
             for j in range(i + 1, n):
                 if leq[i][j] and leq[j][i]:
@@ -158,7 +155,7 @@ class LatticeDistribution:
     and ``[]`` hand out ``Fraction`` values built from that form.
     """
 
-    __slots__ = ("lattice", "_num", "_den")
+    __slots__ = ("lattice", "_num", "_den", "_nz")
 
     def __init__(self, lattice: Lattice, probs: Union[dict, Sequence]):
         if not isinstance(probs, dict):
@@ -173,9 +170,11 @@ class LatticeDistribution:
         self._set(lattice, tuple(num), den)
 
     def _set(self, lattice: Lattice, num: tuple, den: int) -> None:
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        # slot descriptors get past the immutable __setattr__; _nz waits for a composition
+        _SET_LATTICE(self, lattice)
+        _SET_NUM(self, num)
+        _SET_DEN(self, den)
+        _SET_NZ(self, None)
 
     @classmethod
     def _from_ints(cls, lattice: Lattice, num: Sequence[int],
@@ -190,6 +189,9 @@ class LatticeDistribution:
         out = object.__new__(cls)
         out._set(lattice, tuple(num), den)
         return out
+
+    def __reduce__(self):
+        return LatticeDistribution._from_ints, (self.lattice, self._num, self._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeDistribution is immutable")
@@ -222,12 +224,16 @@ class LatticeDistribution:
         return f"LatticeDistribution({inner})"
 
 
+_SET_LATTICE, _SET_NUM, _SET_DEN, _SET_NZ = (
+    LatticeDistribution.__dict__[name].__set__ for name in LatticeDistribution.__slots__)
+
+
 def compose_lattice(p: LatticeDistribution, q: LatticeDistribution,
                     op: str) -> LatticeDistribution:
     """Distribution of ``X op Y`` for independent X~p, Y~q; op is join or meet.
 
-    Works on the integer form: the products of numerators land over
-    ``p._den * q._den``, and the result is reduced once.
+    Works on the integer form: the products of p's nonzero numerators and
+    q's cached nonzero ones land over ``p._den * q._den``, reduced once.
     """
     lattice = p.lattice
     if q.lattice is not lattice and q.lattice != lattice:
@@ -239,7 +245,10 @@ def compose_lattice(p: LatticeDistribution, q: LatticeDistribution,
     else:
         raise LatticeError(f"op must be 'join' or 'meet', got {op!r}")
     out = [0] * len(lattice.elements)
-    qs = [(j, qy) for j, qy in enumerate(q._num) if qy]
+    qs = q._nz
+    if qs is None:   # q's nonzero (index, numerator) pairs, built once
+        qs = tuple([(j, qy) for j, qy in enumerate(q._num) if qy])
+        _SET_NZ(q, qs)
     for px, row in zip(p._num, table):
         if px:
             for j, qy in qs:
@@ -371,12 +380,9 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
 
 
 def lattice_to_json(lattice: Lattice) -> dict:
-    pairs = []
-    for a in lattice.elements:
-        for b in lattice.elements:
-            if a != b and lattice.leq(a, b):
-                pairs.append([a, b])
-    return {"elements": list(lattice.elements), "leq": pairs}
+    els = lattice.elements
+    return {"elements": list(els),
+            "leq": [[a, b] for a in els for b in els if a != b and lattice.leq(a, b)]}
 
 
 def lattice_from_json(data: dict, max_elements: int = DEFAULT_LATTICE_CAP) -> Lattice:

@@ -547,6 +547,43 @@ class TestPlan:
                         == resolve_reference(c.root, states, assignment, outcome))
         assert nested > 0
 
+    def test_resolve_matches_recursive_reference_wide_steps(self, rng):
+        """Series and parallel steps of 3 to 5 children, each run as a chain
+        of binary min/max entries, over Det, bound input and pswitch leaves
+        and nested graphs."""
+
+        def build(states: int, ids: IdGen, depth: int):
+            roll = rng.random()
+            if depth and roll < 0.55:
+                kids = tuple(build(states, ids, depth - 1) for _ in range(rng.randint(3, 5)))
+                return Series(kids) if rng.random() < 0.5 else Parallel(kids)
+            if depth and roll < 0.7:
+                return random_graph_node(rng, states, ids, depth=1)
+            if roll < 0.8:
+                return det(rng.randrange(states))
+            if roll < 0.9:
+                return inp(f"x{rng.randrange(3)}", rng.random() < 0.5)
+            return pswitch(random_distribution(rng, states, max_denom=4), ids())
+
+        wide = graphs = 0
+        for _ in range(200):
+            states, ids = rng.randint(2, 5), IdGen()
+            c = Circuit(states, Parallel(tuple(build(states, ids, 3)
+                                               for _ in range(rng.randint(3, 5)))))
+            steps = c.root.plan.steps
+            wide += sum(step[0] != "leaf" and len(step[-1]) >= 3 for step in steps)
+            graphs += sum(step[0] == "graph" for step in steps)
+            # n - 1 binary entries per n-child series or parallel step, one per graph
+            assert len(c.root.plan.resolver[3]) == sum(
+                1 if step[0] == "graph" else len(step[1]) - 1
+                for step in steps if step[0] != "leaf")
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            for _ in range(3):
+                outcome = self.random_outcome(rng, c)
+                assert (resolve(c.root, states, assignment, outcome)
+                        == resolve_reference(c.root, states, assignment, outcome))
+        assert wide > 200 and graphs > 50
+
     def test_shared_pswitch_free_node_across_state_counts(self):
         shared = series(inp("x", complemented=True), Graph("s", "t", (
             Edge("s", "a", det(1)),

@@ -14,7 +14,7 @@ from relaycircuits import (
     Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, parallel,
     pswitch, series,
 )
-from relaycircuits import netlist
+from relaycircuits import cli, netlist
 from relaycircuits.cli import EXIT_CAPACITY, run
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -127,6 +127,35 @@ def test_bound(capsys):
 def test_bound_far_past_the_recursion_limit(capsys):
     assert run(["bound", "--n", "3000", "--states", "3"]) == 0
     assert capsys.readouterr().out == "5999\n"
+
+
+def test_bound_cross_checks_up_to_the_cap(capsys, monkeypatch):
+    checked = []
+    recursion = cli.complexity_bound_recursive
+    monkeypatch.setattr(cli, "complexity_bound_recursive",
+                        lambda n, states: checked.append((n, states)) or recursion(n, states))
+    monkeypatch.setattr(cli, "BOUND_CHECK_CAP", 4 * 9 ** 2)
+    assert run(["bound", "--n", "4", "--states", "9"]) == 0   # n * N^2 at the cap
+    assert capsys.readouterr() == ("15\n", "")
+    assert checked == [(4, 9)]
+    monkeypatch.setattr(cli, "BOUND_CHECK_CAP", 4 * 9 ** 2 - 1)
+    assert run(["bound", "--n", "4", "--states", "9"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "15\n" and "cross-check was skipped" in err
+    assert checked == [(4, 9)]
+
+
+def test_bound_past_the_cap_skips_the_cross_check(capsys):
+    start = time.perf_counter()
+    assert run(["bound", "--n", "100", "--states", "20000"]) == 0
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == f"{2 ** 15 - 1 + 19999 * 85}\n"   # border ceil(log2 20000) = 15
+    assert err == (f"note: n * N^2 is past {cli.BOUND_CHECK_CAP}; "
+                   "the recursion cross-check was skipped\n")
+    with pytest.raises(SystemExit):
+        run(["bound", "--help"])
+    assert f"n * N^2 <= {cli.BOUND_CHECK_CAP}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_robustness(capsys, three_state_path):
@@ -368,53 +397,58 @@ def _series_netlist(depth: int) -> str:
     return '{"states": 2, "circuit": %s}' % text
 
 
-def _deepest_loadable(path, command: str) -> tuple[int, int]:
-    """``(low, high)``: ``command`` on the series netlist of depth ``low``
-    at ``path`` succeeds, one level deeper is refused at decode."""
+def _deepest_loadable(capsys, path, commands) -> tuple[int, dict]:
+    """``(low, runs)``: ``render`` succeeds on the series netlist of depth
+    ``low`` at ``path`` and is refused one level deeper, at decode; ``runs``
+    maps ``(command, depth)`` to ``(exit code, captured output)`` for each
+    of ``commands`` at depths ``low`` and ``low + 1``.
 
-    def attempt(depth: int) -> int:
+    The decoder's limit counts Python frames, so every run, in the search
+    and after it, goes through ``attempt`` called from this frame: the
+    boundary found is the boundary the returned runs were made at.
+    """
+
+    def attempt(command: str, depth: int) -> tuple:
         path.write_text(_series_netlist(depth))
-        return run([command, "--netlist", str(path)])
+        capsys.readouterr()
+        code = run([command, "--netlist", str(path)])
+        return code, capsys.readouterr()
 
-    low, high = 1, 5000  # the command succeeds at depth low, is refused at depth high
+    low, high = 1, 5000  # render succeeds at depth low, is refused at depth high
     while high - low > 1:
         mid = (low + high) // 2
-        code = attempt(mid)
+        code, _ = attempt("render", mid)
         assert code in (0, 2)
         low, high = (mid, high) if code == 0 else (low, mid)
-    return low, high
+    runs = {}
+    for command in commands:
+        for depth in (low, high):
+            runs[command, depth] = attempt(command, depth)
+    return low, runs
 
 
 def test_render_deepest_loadable_netlist(capsys, tmp_path):
     """Find the deepest series netlist the CLI loads; rendering it must not
     hit the recursion limit, and one level deeper is refused with exit 2."""
-    path = tmp_path / "deep.json"
-
-    def render(depth: int) -> int:
-        path.write_text(_series_netlist(depth))
-        return run(["render", "--netlist", str(path)])
-
-    low, high = _deepest_loadable(path, "render")
-    capsys.readouterr()
+    low, runs = _deepest_loadable(capsys, tmp_path / "deep.json", ["render"])
     assert low > 300
-    assert render(low) == 0
-    assert capsys.readouterr().out == "(" * low + "det(1)" + " * det(1))" * low + "\n"
-    assert render(high) == 2
-    assert "nesting depth" in capsys.readouterr().err
+    code, captured = runs["render", low]
+    assert code == 0
+    assert captured.out == "(" * low + "det(1)" + " * det(1))" * low + "\n"
+    code, captured = runs["render", low + 1]
+    assert code == 2
+    assert "nesting depth" in captured.err
 
 
 def test_eval_and_oracle_deepest_loadable_netlist(capsys, tmp_path):
     """Both evaluators walk the deepest netlist the CLI loads without
     recursing, and agree on it."""
-    path = tmp_path / "deep.json"
-    low, _ = _deepest_loadable(path, "render")
-    path.write_text(_series_netlist(low))
-    capsys.readouterr()
+    low, runs = _deepest_loadable(capsys, tmp_path / "deep.json", ["eval", "oracle-eval"])
     outputs = []
     for command in ("eval", "oracle-eval"):
-        code, doc = run_json(capsys, [command, "--netlist", str(path)])
+        code, captured = runs[command, low]
         assert code == 0
-        outputs.append(doc)
+        outputs.append(json.loads(captured.out))
     assert outputs == [["0", "1"], ["0", "1"]]
 
 

@@ -1,5 +1,7 @@
 """Lattice composition and the expressibility search."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -226,6 +228,47 @@ class TestCanonicalForm:
         for bad in (float("nan"), "abc", None):
             with pytest.raises(LatticeError, match="^element '11' is not a rational number"):
                 LatticeDistribution(dia, {"00": 1, "11": bad})
+
+
+class TestNonzeroCache:
+    """Each distribution's cached nonzero ``(index, numerator)`` pairs change
+    nothing a caller can observe."""
+
+    @pytest.mark.parametrize("lattice", [Lattice.diamond(), Lattice.chain(4), N5, M3],
+                             ids=["diamond", "chain4", "N5", "M3"])
+    def test_cache_changes_no_observable_value(self, rng, lattice):
+        round_trips = (copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d)))
+        for _ in range(20):
+            p, q = mixed_distribution(rng, lattice), mixed_distribution(rng, lattice)
+            fresh = LatticeDistribution(lattice, p.probs)
+            before = (repr(p), hash(p), p.key())
+            out = compose_lattice(q, p, "meet")   # builds p's pairs
+            assert p._nz == tuple((i, n) for i, n in enumerate(p._num) if n)
+            assert fresh._nz is None and out._nz is None
+            assert p == fresh and fresh == p and hash(p) == hash(fresh)
+            assert (repr(p), hash(p), p.key()) == before
+            for d in (p, fresh, out):
+                for round_trip in round_trips:
+                    twin = round_trip(d)
+                    assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+                    assert compose_lattice(q, twin, "join") == compose_lattice(q, d, "join")
+            for name in ("lattice", "_num", "_den", "_nz"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(p, name, None)
+
+    def test_compose_checks_before_any_work(self, monkeypatch):
+        dia = Lattice.diamond()
+        p, q, other = uniform(dia), uniform(dia), uniform(Lattice.chain(4))
+
+        def no_work(*_):
+            raise AssertionError("composed before the checks")
+
+        monkeypatch.setattr(LatticeDistribution, "_from_ints", classmethod(no_work))
+        with pytest.raises(LatticeMismatchError):
+            compose_lattice(p, other, "meet")
+        with pytest.raises(LatticeError, match="op must be 'join' or 'meet'"):
+            compose_lattice(p, q, "xor")
+        assert p._nz is q._nz is other._nz is None
 
 
 class TestSearch:
