@@ -68,9 +68,11 @@ class Distribution:
 
     Invariants: length >= 2, every entry in [0, 1], entries sum to exactly 1.
     Immutable and hashable; equality is exact componentwise equality.
+    Beside ``probs`` it keeps its canonical integer tail (see ``_to_tail``);
+    ``_from_ints`` builds one from integers, skipping ``__init__``'s work.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "_den", "_tail")
 
     def __init__(self, probs: Iterable[Union[Fraction, int, str]]):
         ps = tuple(probs)
@@ -78,8 +80,27 @@ class Distribution:
             ps = tuple(_rational(p, f"state {i}", ValidationError) for i, p in enumerate(ps))
         if len(ps) < 2:
             raise DimensionError(f"need at least 2 states, got {len(ps)}")
-        _simplex(ps, "state {}".format, ValidationError)
-        object.__setattr__(self, "probs", ps)
+        den, nums = _simplex(ps, "state {}".format, ValidationError)
+        _SET_PROBS(self, ps)
+        _SET_DEN(self, den)
+        _SET_TAIL(self, tuple(itertools.accumulate(nums[:0:-1]))[::-1])
+
+    @classmethod
+    def _from_ints(cls, den: int, nums) -> "Distribution":
+        """The distribution of integer numerators ``nums`` over ``den``, checked
+        as ``_simplex`` checks and reduced to the canonical form by one gcd."""
+        _check_simplex(den, nums, "state {}".format, ValidationError)
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, [n // g for n in nums]
+        out = object.__new__(cls)
+        _SET_PROBS(out, tuple([Fraction(n, den) if n else ZERO for n in nums]))
+        _SET_DEN(out, den)
+        _SET_TAIL(out, tuple(itertools.accumulate(nums[:0:-1]))[::-1])
+        return out
+
+    def __reduce__(self):
+        return Distribution, (self.probs,)
 
     def __setattr__(self, name, value):
         raise AttributeError("Distribution is immutable")
@@ -139,6 +160,10 @@ class Distribution:
         return "Distribution(%s)" % ", ".join(map(_printable, self.probs))
 
 
+_SET_PROBS, _SET_DEN, _SET_TAIL = (
+    Distribution.__dict__[name].__set__ for name in Distribution.__slots__)
+
+
 def _rational(value, where: str, error: type) -> Fraction:
     """``value`` as a plain ``Fraction`` in lowest terms; ``error`` naming
     ``where`` if it is not a rational number."""
@@ -150,14 +175,21 @@ def _rational(value, where: str, error: type) -> Fraction:
 
 def _simplex(ps, name: Callable[[int], str], error: type) -> tuple[int, list[int]]:
     """Fractions ``ps`` as integer numerators over the lcm of their
-    denominators, checked in integers: ``error`` names the first entry
-    outside [0, 1] (``name(index)``), else a sum other than 1."""
+    denominators (no common factor is left), checked by :func:`_check_simplex`."""
     den = math.lcm(*[p.denominator for p in ps])
-    nums = [p.numerator * (den // p.denominator) for p in ps]
+    return _check_simplex(den, [p.numerator * (den // p.denominator) for p in ps], name, error)
+
+
+def _check_simplex(den: int, nums, name: Callable[[int], str], error: type) -> tuple:
+    """``(den, nums)``, checked in integers: ``error`` names a denominator <= 0,
+    else the first entry outside [0, 1] (``name(index)``), else a sum other than 1."""
+    if den <= 0:
+        raise error(f"probabilities need a positive denominator, got {den}")
     if sum(nums) != den or min(nums) < 0:
         for i, n in enumerate(nums):
             if not 0 <= n <= den:
-                raise error(f"probabilities outside [0, 1]: {name(i)} is {_show(ps[i])}")
+                raise error(
+                    f"probabilities outside [0, 1]: {name(i)} is {_show(Fraction(n, den))}")
         raise error(f"probabilities sum to {_show(Fraction(sum(nums), den))}, not 1")
     return den, nums
 
@@ -221,6 +253,9 @@ class _Planned:
     @cached_property
     def _compiled(self) -> tuple["Plan", dict]:
         return _compile(self)
+
+    def __getstate__(self) -> dict:   # copies and pickles rebuild the plan on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
 
     @property
     def plan(self) -> "Plan":
@@ -744,30 +779,30 @@ def _input_value(el: Input, states: int, assignment: Assignment) -> int:
 
 
 # An integer tail ``(D, T)`` stands for the distribution with
-# ``T[k-1] = D * P(X >= k)`` for k = 1..N-1, over a positive D. Series
-# multiplies tails elementwise over ``D1 * D2`` (``_tail_series``); parallel
-# does the same on the complements ``D - T`` (``_tail_complement``), which
-# hold ``D * P(X < k)``, and complements the product over ``D1 * D2``. No
-# gcd is taken, so a subtree's D is the product of its leaves' Ds, shared
-# by every value it takes.
+# ``T[k-1] = D * P(X >= k)`` for k = 1..N-1, over a positive D; each
+# ``Distribution`` keeps its canonical one, D the lcm of its denominators.
+# Series multiplies tails elementwise over ``D1 * D2`` (``_tail_series``);
+# parallel does so on the complements ``D - T``, ``D * P(X < k)``
+# (``_tail_complement``), and complements the product. No gcd is taken
+# until ``_from_tail``, so a subtree's D is the product of its leaves' Ds.
 
 def _to_tail(dist: Distribution, den: int = 0) -> tuple[int, tuple[int, ...]]:
-    """``dist`` as an integer tail over ``den``, by default the lcm of its
-    denominators; ``den`` must be a multiple of every denominator."""
-    den = den or math.lcm(*(p.denominator for p in dist))
-    nums = (p.numerator * (den // p.denominator) for p in reversed(dist.probs[1:]))
-    return den, tuple(itertools.accumulate(nums))[::-1]
+    """``dist`` as an integer tail over ``den``, by default its canonical
+    D; ``den`` must be a multiple of D, that is of every denominator."""
+    if den and den != dist._den:
+        return den, tuple(t * (den // dist._den) for t in dist._tail)
+    return dist._den, dist._tail
 
 
 def _from_tail(den: int, tail: tuple[int, ...]) -> Distribution:
     """The ``Distribution`` of the integer tail ``(den, tail)``."""
-    return Distribution(Fraction(n, den) for n in _tail_numerators(den, tail))
+    return Distribution._from_ints(den, _tail_numerators(den, tail))
 
 
 def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
     """Per-state numerators over ``den``: ``D * P(X = k)`` for k = 0..N-1."""
     levels = (den, *tail, 0)
-    return tuple(a - b for a, b in zip(levels, levels[1:]))
+    return tuple(map(operator.sub, levels, levels[1:]))
 
 
 def _tail_series(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -165,7 +165,7 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
                 f"{corner_cap} pswitches; raise corner_cap (CLI --corner-cap) or "
                 f"use sampled mode (CLI --mode sampled)")
         den, tails = _corner_outputs(circuit, epsilon)
-        scaled = [p.numerator * (den // p.denominator) for p in nominal]
+        scaled = _tail_numerators(*_to_tail(nominal, den))
         errors = ([abs(a - n) for a, n in zip(_tail_numerators(den, tail), scaled)]
                   for tail in tails)
         best, signs = _select(circuit.states,
@@ -214,7 +214,7 @@ def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, tuple[tup
     for sw in switches:
         # The nominal's denominators, not the perturbed ones: at eps = 1/2 a
         # perturbed switch can collapse to 0/1 and lose them.
-        den = math.lcm(epsilon.denominator, *(p.denominator for p in sw.dist))
+        den = math.lcm(epsilon.denominator, _to_tail(sw.dist)[0])
         leaves[sw.id] = (den, (_to_tail(minus[sw.id], den)[1],
                                _to_tail(plus[sw.id], den)[1]))
     return _corner_table(circuit.root, circuit.states, leaves)

@@ -29,13 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Callable, Optional, Union
 
 from .bounds import ceil_log2, complexity_bound, rational_bound
 from .circuits import (
     CapacityError, Circuit, Distribution, IdGen, Leaf, Node, ONE, RelayError,
-    ZERO, clamp_node, det, opt_parallel, opt_series, pswitch,
+    ZERO, _tail_numerators, _to_tail, clamp_node, det, opt_parallel, opt_series, pswitch,
 )
 from .netlist import circuit_to_json, distribution_to_json
 from .rational import format_rational
@@ -133,7 +132,7 @@ class TargetSpec:
         Without an explicit base the smallest base whose perfect power equals
         the denominator is used, maximizing the exponent.
         """
-        denom = lcm(*(p.denominator for p in dist))
+        denom = _to_tail(dist)[0]
         if base is None:
             base, exponent = _power_form(denom)
         else:
@@ -238,28 +237,24 @@ def block_interval_cut(p: Distribution, q: Fraction) -> tuple[Distribution, Dist
 
 
 def _cut_index(p: Distribution, q: Fraction, strict: bool) -> int:
-    """Smallest k with prefix(k) >= q (standalone cuts) or > q (synthesis)."""
-    acc = ZERO
-    for k, x in enumerate(p):
-        acc += x
-        if acc > q or (not strict and acc == q):
-            return k
-    return len(p) - 1
+    """Smallest k with prefix(k) >= q (standalone cuts) or > q (synthesis), in
+    integers: prefix(k) is ``(D - T[k]) / D``, and ``+ strict`` turns >= into >."""
+    den, tail = _to_tail(p)
+    goal = q.numerator * den + strict
+    return next((k for k, t in enumerate(tail) if (den - t) * q.denominator >= goal), len(tail))
 
 
 def _cut_pieces(p: Distribution, q: Fraction,
                 k: int) -> tuple[Distribution, Distribution, int]:
-    n = len(p)
-    before = sum(p[i] for i in range(k))
-    left = [ZERO] * n
-    for i in range(k):
-        left[i] = p[i] / q
-    left[k] = (q - before) / q
-    right = [ZERO] * n
-    right[k] = (before + p[k] - q) / (ONE - q)
-    for i in range(k + 1, n):
-        right[i] = p[i] / (ONE - q)
-    return Distribution(left), Distribution(right), k
+    """Both pieces in integers: for ``q = a/b`` and ``p``'s numerators over D,
+    the left piece lies over ``a * D`` and the right one over ``(b - a) * D``."""
+    den, tail = _to_tail(p)
+    nums, levels = _tail_numerators(den, tail), (den, *tail, 0)
+    a, b = q.numerator, q.denominator
+    rest = (b - a) * den   # b * D * (1 - q)
+    left = [b * n for n in nums[:k]] + [b * levels[k] - rest] + [0] * (len(tail) - k)
+    right = [0] * k + [rest - b * levels[k + 1]] + [b * n for n in nums[k + 1:]]
+    return Distribution._from_ints(a * den, left), Distribution._from_ints(rest, right), k
 
 
 def cut_switch(q: Fraction, states: int, pid: str) -> Leaf:
@@ -419,7 +414,7 @@ def state_reduction(target: Union[Distribution, TargetSpec]) -> SynthesisReport:
     if isinstance(target, TargetSpec):
         dist, q = target.dist, max(target.base ** target.exponent, 2)
     else:
-        dist, q = target, max(lcm(*(p.denominator for p in target)), 2)
+        dist, q = target, max(_to_tail(target)[0], 2)
     states = len(dist)
     halves = SwitchSet.binary()
 

@@ -3,11 +3,14 @@
 The composition oracles here deliberately re-derive series/parallel by
 enumerating all N^2 outcome pairs, so the library's cumulative-identity
 implementations are checked against a different computation; the
-recursive ``resolve_reference`` checks the library's flat ``resolve``.
+recursive ``resolve_reference`` checks the library's flat ``resolve``, and
+``cut_reference`` and ``canonical_tail_reference`` check the integer
+synthesis cuts and the integer tail every ``Distribution`` keeps.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -60,6 +63,39 @@ def resolve_reference(node, states, assignment, outcome) -> int:
         if _connected(((u, v) for u, v, val in values if val >= k), node.s, node.t):
             return k
     return 0
+
+
+def cut_reference(p: Distribution, q: Fraction, strict: bool) -> tuple:
+    """The block-interval cut in ``Fraction`` arithmetic: ``k`` is the
+    smallest index whose prefix sum is >= q (> q if ``strict``), the left
+    piece ``p[:k] / q`` plus ``(q - prefix(k-1)) / q`` at k, the right piece
+    ``(prefix(k) - q) / (1 - q)`` at k plus ``p[k+1:] / (1 - q)``."""
+    acc, k = Fraction(0), len(p) - 1
+    for i, x in enumerate(p):
+        acc += x
+        if acc > q or (not strict and acc == q):
+            k = i
+            break
+    n = len(p)
+    before = sum(p[i] for i in range(k))
+    left = [Fraction(0)] * n
+    for i in range(k):
+        left[i] = p[i] / q
+    left[k] = (q - before) / q
+    right = [Fraction(0)] * n
+    right[k] = (before + p[k] - q) / (1 - q)
+    for i in range(k + 1, n):
+        right[i] = p[i] / (1 - q)
+    return Distribution(left), Distribution(right), k
+
+
+def canonical_tail_reference(d: Distribution) -> tuple:
+    """``(D, T)`` recomputed from ``d.probs``: D the lcm of the denominators,
+    ``T[k-1] = D * P(X >= k)``."""
+    den = math.lcm(*(p.denominator for p in d.probs))
+    tail = tuple(sum(d.probs[k:]) * den for k in range(1, len(d)))
+    assert all(t.denominator == 1 for t in tail)
+    return den, tuple(int(t) for t in tail)
 
 
 def random_distribution(rng: random.Random, states: int, max_denom: int = 8) -> Distribution:

@@ -1,8 +1,10 @@
 """Circuit core: composition rules, evaluation, duality, remap, clamp."""
 
+import copy
 import itertools
 import json
 import math
+import pickle
 import weakref
 from fractions import Fraction as F
 
@@ -16,16 +18,18 @@ from relaycircuits import (
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
     evaluate_oracle, inp, parallel, pswitch, remap_states, resolve, series,
 )
+from relaycircuits import block_interval_cut, perturb_dist, valid_inputs
 from relaycircuits import circuits as circuits_module
 from relaycircuits.circuits import (
     Det, Input, Leaf, Parallel, Pswitch, Series, _from_tail,
     _tail_complement, _tail_numerators, _tail_series, _to_tail,
 )
-from relaycircuits.netlist import circuit_from_json, dumps
+from relaycircuits.netlist import circuit_from_json, dumps, loads
+from relaycircuits.synthesis import _cut_index, _cut_pieces
 from conftest import (
-    deep_binary_circuit, distributions, map_pswitches, mixed_distributions, parallel_direct,
-    random_distribution, random_graph_node, random_sp_circuit,
-    resolve_reference, series_direct,
+    canonical_tail_reference, deep_binary_circuit, distributions, map_pswitches,
+    mixed_distributions, parallel_direct, random_distribution, random_graph_node,
+    random_sp_circuit, resolve_reference, series_direct,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -242,6 +246,99 @@ class TestIntegerTails:
         parallel_tail = _tail_complement(
             den, _tail_series(_tail_complement(d1, t1), _tail_complement(d2, t2)))
         assert _from_tail(den, parallel_tail) == compose_parallel(p, q)
+
+
+def assert_canonical(d):
+    """``d`` keeps the integer tail recomputed from its ``probs``, which
+    has no common factor, and hands out plain reduced ``Fraction``s."""
+    den, tail = _to_tail(d)
+    assert (den, tail) == canonical_tail_reference(d)
+    assert math.gcd(den, *tail) == 1
+    assert all(type(p) is F for p in d.probs)
+    assert all(math.gcd(p.numerator, p.denominator) == 1 for p in d.probs)
+
+
+class TestCanonicalTail:
+    """Every path that makes a ``Distribution`` leaves it in the canonical
+    integer form ``(D, T)``, whether or not it ran ``__init__``."""
+
+    def test_init_from_fractions_ints_and_strings(self):
+        for probs in ([F(2, 6), F(4, 6)], [0, 1, 0], ["1/4", " 2/8 ", "1/2"],
+                      [F(1, 2 ** 300), 1 - F(1, 2 ** 300)], [True, False]):
+            assert_canonical(Distribution(probs))
+
+    @given(data=st.data(), states=st.integers(2, 6))
+    def test_compose(self, data, states):
+        p, q = data.draw(mixed_distributions(states)), data.draw(mixed_distributions(states))
+        for d in (compose_series(p, q), compose_parallel(p, q), p.reversed()):
+            assert_canonical(d)
+
+    def test_evaluate_oracle_and_leaf_constructors(self, rng):
+        for _ in range(40):
+            states = rng.randint(2, 4)
+            c = Circuit(states, random_graph_node(rng, states, IdGen(), depth=1))
+            if len(c.pswitches()) > 6:
+                continue
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            assert_canonical(evaluate(c, assignment))
+            assert_canonical(evaluate_oracle(c, assignment))
+        for states in (2, 3, 5):
+            for s in range(states):
+                assert_canonical(Distribution.point(s, states))
+            assert_canonical(Distribution.shorthand(F(3, 9), states))
+        assert_canonical(perturb_dist(Distribution([F(1, 2), 0, F(1, 2)]), F(1, 6)))
+        assert_canonical(perturb_dist(Distribution([F(1, 2), F(1, 2)]), F(1, 2)))
+
+    def test_cuts_targets_and_netlists(self, rng):
+        for _ in range(60):
+            p = random_distribution(rng, rng.randint(2, 5), max_denom=12)
+            q = F(rng.randint(1, 11), 12)
+            pieces = block_interval_cut(p, q)[:2] + _cut_pieces(p, q, _cut_index(p, q, True))[:2]
+            for d in pieces:
+                assert_canonical(d)
+        for row in valid_inputs(3, 3):
+            assert_canonical(row.decode_target())
+        ids = IdGen()
+        c = Circuit(3, series(pswitch([F(2, 8), F(3, 8), F(3, 8)], ids()),
+                              parallel(pswitch([F(1, 3), 0, F(2, 3)], ids()), det(1))))
+        for sw in loads(dumps(c)).pswitches():
+            assert_canonical(sw.dist)
+
+    def test_integer_constructor_checks_and_reduces(self):
+        d = Distribution._from_ints(12, [3, 0, 9])
+        assert d == (F(1, 4), 0, F(3, 4)) and _to_tail(d) == (4, (3, 3))
+        assert_canonical(d)
+        with pytest.raises(ValidationError) as exc:
+            Distribution._from_ints(4, [3, -1, 2])
+        assert str(exc.value) == "probabilities outside [0, 1]: state 1 is -1/4"
+        with pytest.raises(ValidationError) as exc:
+            Distribution._from_ints(4, [1, 1, 1])
+        assert str(exc.value) == "probabilities sum to 3/4, not 1"
+        for den in (0, -4):
+            with pytest.raises(ValidationError, match=f"positive denominator, got {den}$"):
+                Distribution._from_ints(den, [0, 0] if den == 0 else [-2, -2])
+
+    def test_copies_and_pickles_keep_the_form(self, rng):
+        round_trips = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+        p, q = Distribution([F(1, 6), F(1, 3), F(1, 2)]), Distribution(["1/4", 0, "3/4"])
+        for d in (p, compose_series(p, q), compose_parallel(p, q), Distribution.point(1, 3)):
+            for round_trip in round_trips:
+                twin = round_trip(d)
+                assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+                assert _to_tail(twin) == _to_tail(d)
+            for name in Distribution.__slots__:
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(d, name, None)
+        circuits = [random_sp_circuit(rng, 3, 5),
+                    Circuit(3, random_graph_node(rng, 3, IdGen()))]
+        for c in circuits:
+            for round_trip in round_trips:
+                twin = round_trip(c)
+                assert twin == c
+                assert [_to_tail(sw.dist) for sw in twin.pswitches()] == \
+                    [_to_tail(sw.dist) for sw in c.pswitches()]
+                assignment = {f"x{i}": 1 for i in range(3)}
+                assert evaluate(twin, assignment) == evaluate(c, assignment)
 
 
 def denominators(rng, states, dens):

@@ -15,10 +15,10 @@ from relaycircuits import (
     denominator_reduction, evaluate, evaluate_oracle, rational_bound,
     reassemble_cut, state_reduction, synth_binary_nstate,
 )
-from relaycircuits.circuits import collect_pswitches
+from relaycircuits.circuits import _to_tail, collect_pswitches
 from relaycircuits.netlist import dumps, loads
-from relaycircuits.synthesis import _MAX_ROUNDS
-from conftest import distributions
+from relaycircuits.synthesis import _MAX_ROUNDS, _cut_index, _cut_pieces
+from conftest import canonical_tail_reference, cut_reference, distributions, mixed_distributions
 
 
 def scaled_targets(states, scale):
@@ -75,6 +75,43 @@ class TestBlockIntervalCut:
         assert sum(left) == 1 and sum(right) == 1
         assert all(x >= 0 for x in left) and all(x >= 0 for x in right)
         assert left.support()[-1] <= k <= right.support()[0]
+
+
+@st.composite
+def cut_cases(draw):
+    """A distribution and a cut point in (0, 1): in about half the draws a
+    prefix sum of the distribution itself, so the cut lands on a block edge."""
+    p = draw(mixed_distributions(draw(st.integers(2, 6))))
+    edges = sorted({x for x in itertools.accumulate(p) if 0 < x < 1})
+    if edges and draw(st.booleans()):
+        return p, draw(st.sampled_from(edges))
+    return p, draw(st.fractions(0, 1, max_denominator=30).filter(lambda x: 0 < x < 1))
+
+
+class TestCutOracle:
+    """The integer cuts against ``conftest.cut_reference``, the ``Fraction``
+    formulas they replaced, in both modes."""
+
+    @given(case=cut_cases())
+    @settings(max_examples=300)
+    def test_cuts_equal_the_fraction_reference(self, case):
+        p, q = case
+        for strict in (False, True):
+            expected = cut_reference(p, q, strict)
+            k = _cut_index(p, q, strict)
+            got = _cut_pieces(p, q, k)
+            assert got == expected and got[2] == k
+            for piece in got[:2]:
+                assert _to_tail(piece) == canonical_tail_reference(piece)
+        assert block_interval_cut(p, q) == cut_reference(p, q, strict=False)
+
+    def test_cuts_on_a_prefix_sum(self):
+        p = Distribution([F(1, 4), F(1, 4), F(1, 2)])
+        assert _cut_index(p, F(1, 2), strict=False) == 1
+        assert _cut_index(p, F(1, 2), strict=True) == 2
+        assert _cut_pieces(p, F(1, 2), 1) == ((F(1, 2), F(1, 2), 0), (0, 0, 1), 1)
+        assert _cut_pieces(p, F(1, 2), 2) == ((F(1, 2), F(1, 2), 0), (0, 0, 1), 2)
+        assert _cut_index(Distribution([0, 1, 0]), F(1, 3), strict=True) == 1
 
 
 class TestBinarySynthesis:
