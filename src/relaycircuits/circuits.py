@@ -68,11 +68,13 @@ class Distribution:
 
     Invariants: length >= 2, every entry in [0, 1], entries sum to exactly 1.
     Immutable and hashable; equality is exact componentwise equality.
-    Beside ``probs`` it keeps its canonical integer tail (see ``_to_tail``);
-    ``_from_ints`` builds one from integers, skipping ``__init__``'s work.
+    It keeps its canonical integer tail ``(D, T)`` (see ``_to_tail``), and
+    two distributions compare by it. ``_from_ints`` builds one from integers,
+    skipping ``__init__``'s work; ``probs`` is then built from the tail on
+    first read, so results nobody reads hold no ``Fraction``s.
     """
 
-    __slots__ = ("probs", "_den", "_tail")
+    __slots__ = ("_probs", "_den", "_tail")
 
     def __init__(self, probs: Iterable[Union[Fraction, int, str]]):
         ps = tuple(probs)
@@ -94,13 +96,24 @@ class Distribution:
         if g > 1:
             den, nums = den // g, [n // g for n in nums]
         out = object.__new__(cls)
-        _SET_PROBS(out, tuple([Fraction(n, den) if n else ZERO for n in nums]))
+        _SET_PROBS(out, None)
         _SET_DEN(out, den)
         _SET_TAIL(out, tuple(itertools.accumulate(nums[:0:-1]))[::-1])
         return out
 
-    def __reduce__(self):
-        return Distribution, (self.probs,)
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The entries as plain reduced ``Fraction``s, built on first read."""
+        ps = self._probs
+        if ps is None:
+            den = self._den
+            ps = tuple([Fraction(n, den) if n else ZERO
+                        for n in _tail_numerators(den, self._tail)])
+            _SET_PROBS(self, ps)
+        return ps
+
+    def __reduce__(self):   # copies rebuild from the tail, unread ones stay unread
+        return _from_tail, (self._den, self._tail)
 
     def __setattr__(self, name, value):
         raise AttributeError("Distribution is immutable")
@@ -127,18 +140,18 @@ class Distribution:
 
     @property
     def states(self) -> int:
-        return len(self.probs)
+        return len(self._tail) + 1
 
     def support(self) -> tuple[int, ...]:
         """Indices of the active (nonzero-probability) states."""
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
+        return tuple(i for i, n in enumerate(_tail_numerators(self._den, self._tail)) if n)
 
     def reversed(self) -> "Distribution":
         """The dual distribution: state i swapped with N-1-i."""
         return Distribution(self.probs[::-1])
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self._tail) + 1
 
     def __getitem__(self, i):
         return self.probs[i]
@@ -147,8 +160,8 @@ class Distribution:
         return iter(self.probs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Distribution):
-            return self.probs == other.probs
+        if isinstance(other, Distribution):   # the integer form is canonical
+            return self._den == other._den and self._tail == other._tail
         if isinstance(other, tuple):
             return self.probs == other
         return NotImplemented
@@ -780,7 +793,8 @@ def _input_value(el: Input, states: int, assignment: Assignment) -> int:
 
 # An integer tail ``(D, T)`` stands for the distribution with
 # ``T[k-1] = D * P(X >= k)`` for k = 1..N-1, over a positive D; each
-# ``Distribution`` keeps its canonical one, D the lcm of its denominators.
+# ``Distribution`` keeps its canonical one, D the lcm of its denominators,
+# compares by it, and builds its ``Fraction``s from it only when read.
 # Series multiplies tails elementwise over ``D1 * D2`` (``_tail_series``);
 # parallel does so on the complements ``D - T``, ``D * P(X < k)``
 # (``_tail_complement``), and complements the product. No gcd is taken

@@ -33,7 +33,8 @@ def format_rational(value: Fraction) -> str:
     Raises ``CapacityError`` when a numerator or denominator has more digits
     than Python converts to a string (``sys.get_int_max_str_digits()``).
     """
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)

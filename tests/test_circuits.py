@@ -18,7 +18,9 @@ from relaycircuits import (
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
     evaluate_oracle, inp, parallel, pswitch, remap_states, resolve, series,
 )
-from relaycircuits import block_interval_cut, perturb_dist, valid_inputs
+from relaycircuits import (
+    block_interval_cut, perturb_dist, reassemble_cut, state_reduction, valid_inputs,
+)
 from relaycircuits import circuits as circuits_module
 from relaycircuits.circuits import (
     Det, Input, Leaf, Parallel, Pswitch, Series, _from_tail,
@@ -248,14 +250,30 @@ class TestIntegerTails:
         assert _from_tail(den, parallel_tail) == compose_parallel(p, q)
 
 
-def assert_canonical(d):
+def assert_canonical(d, unread=False):
     """``d`` keeps the integer tail recomputed from its ``probs``, which
-    has no common factor, and hands out plain reduced ``Fraction``s."""
+    has no common factor, and hands out plain reduced ``Fraction``s.
+
+    With ``unread``, ``d`` came from the integer constructor: it holds no
+    ``Fraction``s until ``probs`` is first read, and ``len``, ``states``
+    and ``==`` with another distribution build none."""
+    assert (d._probs is None) is unread
     den, tail = _to_tail(d)
+    twin = _from_tail(den, tail)
+    assert len(d) == d.states == len(twin) == len(tail) + 1
+    assert d == twin and not d != twin
+    assert (d._probs is None) is unread and twin._probs is None
+    nums = [hi - lo for hi, lo in zip((den, *tail), (*tail, 0))]
+    assert d.probs == tuple(F(n, den) for n in nums)
+    assert d._probs is d.probs
+    if unread:
+        assert all(p is circuits_module.ZERO for p, n in zip(d.probs, nums) if not n)
     assert (den, tail) == canonical_tail_reference(d)
     assert math.gcd(den, *tail) == 1
     assert all(type(p) is F for p in d.probs)
     assert all(math.gcd(p.numerator, p.denominator) == 1 for p in d.probs)
+    assert d == d.probs and d == Distribution(d.probs)
+    assert hash(d) == hash(Distribution(d.probs)) == hash(d.probs) == hash(twin)
 
 
 class TestCanonicalTail:
@@ -270,8 +288,23 @@ class TestCanonicalTail:
     @given(data=st.data(), states=st.integers(2, 6))
     def test_compose(self, data, states):
         p, q = data.draw(mixed_distributions(states)), data.draw(mixed_distributions(states))
-        for d in (compose_series(p, q), compose_parallel(p, q), p.reversed()):
-            assert_canonical(d)
+        assert_canonical(compose_series(p, q), unread=True)
+        assert_canonical(compose_parallel(p, q), unread=True)
+        assert_canonical(p.reversed())
+
+    @given(data=st.data(), states=st.integers(2, 3))
+    def test_equality_is_equality_of_the_integer_form(self, data, states):
+        draw = lambda: data.draw(distributions(states=states, max_denom=4))
+        unread = [compose_series(draw(), draw()), compose_parallel(draw(), draw()),
+                  _from_tail(*_to_tail(draw(), 12))]
+        pairs = list(itertools.product(unread, repeat=2))
+        same = [a == b for a, b in pairs]
+        assert all(d._probs is None for d in unread)
+        assert same == [a.probs == b.probs for a, b in pairs]
+        # one tail T = (1,) over two denominators: (1/2, 1/2) and (2/3, 1/3)
+        half, third = Distribution._from_ints(2, [1, 1]), Distribution._from_ints(3, [2, 1])
+        assert _to_tail(half)[1] == _to_tail(third)[1] and half != third
+        assert half != Distribution._from_ints(4, [2, 0, 2])
 
     def test_evaluate_oracle_and_leaf_constructors(self, rng):
         for _ in range(40):
@@ -280,7 +313,7 @@ class TestCanonicalTail:
             if len(c.pswitches()) > 6:
                 continue
             assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
-            assert_canonical(evaluate(c, assignment))
+            assert_canonical(evaluate(c, assignment), unread=True)   # a graph's result
             assert_canonical(evaluate_oracle(c, assignment))
         for states in (2, 3, 5):
             for s in range(states):
@@ -295,7 +328,7 @@ class TestCanonicalTail:
             q = F(rng.randint(1, 11), 12)
             pieces = block_interval_cut(p, q)[:2] + _cut_pieces(p, q, _cut_index(p, q, True))[:2]
             for d in pieces:
-                assert_canonical(d)
+                assert_canonical(d, unread=True)
         for row in valid_inputs(3, 3):
             assert_canonical(row.decode_target())
         ids = IdGen()
@@ -306,8 +339,9 @@ class TestCanonicalTail:
 
     def test_integer_constructor_checks_and_reduces(self):
         d = Distribution._from_ints(12, [3, 0, 9])
-        assert d == (F(1, 4), 0, F(3, 4)) and _to_tail(d) == (4, (3, 3))
-        assert_canonical(d)
+        assert _to_tail(d) == (4, (3, 3))
+        assert_canonical(d, unread=True)
+        assert d == (F(1, 4), 0, F(3, 4))
         with pytest.raises(ValidationError) as exc:
             Distribution._from_ints(4, [3, -1, 2])
         assert str(exc.value) == "probabilities outside [0, 1]: state 1 is -1/4"
@@ -321,16 +355,27 @@ class TestCanonicalTail:
     def test_copies_and_pickles_keep_the_form(self, rng):
         round_trips = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
         p, q = Distribution([F(1, 6), F(1, 3), F(1, 2)]), Distribution(["1/4", 0, "3/4"])
-        for d in (p, compose_series(p, q), compose_parallel(p, q), Distribution.point(1, 3)):
+        makers = (lambda: p, lambda: compose_series(p, q), lambda: compose_parallel(p, q),
+                  lambda: Distribution.point(1, 3))
+        assert [make()._probs is None for make in makers] == [False, True, True, False]
+        for make in makers:
             for round_trip in round_trips:
+                d = make()
+                unread = d._probs is None
                 twin = round_trip(d)
-                assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
-                assert _to_tail(twin) == _to_tail(d)
-            for name in Distribution.__slots__:
+                assert _to_tail(twin) == _to_tail(d) and twin == d
+                # copies rebuild from the tail, and neither they nor == read it
+                assert twin._probs is None and (d._probs is None) is unread
+                assert hash(twin) == hash(d) and repr(twin) == repr(d) and twin == d.probs
+            for name in (*Distribution.__slots__, "probs"):
                 with pytest.raises(AttributeError, match="immutable"):
                     setattr(d, name, None)
+        # reassemble_cut's leaves are cut pieces nobody has read
+        cut = reassemble_cut(Distribution([F(1, 9), F(5, 9), F(3, 9)]), F(1, 3))
+        assert [sw.dist._probs is None for sw in cut.pswitches()] == [True, False, True]
         circuits = [random_sp_circuit(rng, 3, 5),
-                    Circuit(3, random_graph_node(rng, 3, IdGen()))]
+                    Circuit(3, random_graph_node(rng, 3, IdGen())),
+                    state_reduction(Distribution([F(1, 8), F(1, 2), F(3, 8)])).circuit, cut]
         for c in circuits:
             for round_trip in round_trips:
                 twin = round_trip(c)
@@ -339,6 +384,7 @@ class TestCanonicalTail:
                     [_to_tail(sw.dist) for sw in c.pswitches()]
                 assignment = {f"x{i}": 1 for i in range(3)}
                 assert evaluate(twin, assignment) == evaluate(c, assignment)
+        assert [sw.dist._probs is None for sw in cut.pswitches()] == [True, False, True]
 
 
 def denominators(rng, states, dens):
