@@ -15,7 +15,7 @@ import sys
 from . import netlist
 from .bounds import complexity_bound, complexity_bound_recursive
 from .circuits import (
-    DEFAULT_GRAPH_CAP, DEFAULT_ORACLE_CAP, CapacityError, Circuit, Distribution,
+    DEFAULT_GRAPH_CAP, DEFAULT_ORACLE_CAP, CapacityError, Distribution,
     RelayError, count_switches, dual, evaluate, evaluate_oracle,
 )
 from .lattice import (
@@ -60,10 +60,6 @@ def _parse_assignment(text: str) -> dict[str, int]:
     return out
 
 
-def _load_netlist(path: str) -> Circuit:
-    return netlist.load(path)
-
-
 # ``synth --method`` name -> synthesizer(target, base)
 _SYNTHESIZERS = {
     "binary": lambda target, base: synth_binary_nstate(target),
@@ -80,7 +76,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    circuit = _load_netlist(args.netlist)
+    circuit = netlist.load(args.netlist)
     assignment = _parse_assignment(args.assign)
     if args.command == "oracle-eval":
         dist = evaluate_oracle(circuit, assignment, max_outcomes=args.max_outcomes)
@@ -91,7 +87,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    circuit = _load_netlist(args.netlist)
+    circuit = netlist.load(args.netlist)
     _emit(netlist.circuit_to_json(dual(circuit)))
     return EXIT_OK
 
@@ -108,10 +104,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    circuit = _load_netlist(args.netlist)
+    circuit = netlist.load(args.netlist)
     epsilon = parse_rational(args.epsilon)
-    mode = "sampled" if args.mode == "sample" else args.mode
-    report = worst_case_error(circuit, epsilon, mode=mode, trials=args.trials,
+    report = worst_case_error(circuit, epsilon, mode=args.mode, trials=args.trials,
                               corner_cap=args.corner_cap, seed=args.seed)
     payload = report.to_json()
     if args.family:
@@ -161,7 +156,7 @@ def _cmd_lattice_search(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    circuit = _load_netlist(args.netlist)
+    circuit = netlist.load(args.netlist)
     if args.format == "dot":
         sys.stdout.write(dot_render(circuit))
     else:
@@ -199,10 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a netlist")
         p.add_argument("--netlist", required=True)
         p.add_argument("--assign", default="", help='input bindings, e.g. "r0=1,r1=0"')
-        p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP,
-                       help=GRAPH_CAP_HELP)
-        p.add_argument("--max-outcomes", type=int, default=DEFAULT_ORACLE_CAP,
-                       help="oracle-eval: cap on the number of joint pswitch outcomes")
+        if name == "eval":
+            p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP,
+                           help=GRAPH_CAP_HELP)
+        else:
+            p.add_argument("--max-outcomes", type=int, default=DEFAULT_ORACLE_CAP,
+                           help="cap on the number of joint pswitch outcomes")
 
     p = sub.add_parser("dual", help="emit the dual netlist")
     p.add_argument("--netlist", required=True)
@@ -216,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="worst-case error under switch noise")
     p.add_argument("--netlist", required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--mode", choices=["corners", "sample", "sampled"],
-                   default="corners")
+    p.add_argument("--mode", choices=["corners", "sampled"], default="corners")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--corner-cap", type=int, default=DEFAULT_CORNER_CAP,
                    help="corners mode: cap on the pswitch count m; it tries 2^m corners")
@@ -243,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-explored", type=int, default=SearchSpec.max_explored,
                    help="cap on the distinct distributions the search may reach")
     p.add_argument("--max-elements", type=int, default=DEFAULT_LATTICE_CAP,
-                   help="cap on the lattice's element count; loading takes time cubic in it")
+                   help="cap on the lattice's element count; loading takes n^2 "
+                        "steps on n-bit masks")
 
     p = sub.add_parser("render", help="render a netlist as ascii or DOT")
     p.add_argument("--netlist", required=True)

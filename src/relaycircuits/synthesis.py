@@ -105,8 +105,9 @@ class SwitchSet:
         if len(support) != 2:
             return None
         low, high = support
-        if dist[high] in self._members:
-            member = pswitch(Distribution.shorthand(dist[high], len(dist)), ids())
+        p = Fraction(dist._tail[low], dist._den)   # P(X = high), from the kept tail
+        if p in self._members:
+            member = pswitch(Distribution.shorthand(p, len(dist)), ids())
             return clamp_node(member, low, high, len(dist))
         return None
 
@@ -426,8 +427,8 @@ def state_reduction(target: Union[Distribution, TargetSpec]) -> SynthesisReport:
 
     circuit, trace, rounds = _run(dist, (2,) * ceil_log2(q), accept)
     switches = circuit.pswitches()
-    half = (HALF,) + (ZERO,) * (states - 2) + (HALF,)
-    half_count = sum(sw.dist.probs == half for sw in switches)
+    half = Distribution.shorthand(HALF, states)
+    half_count = sum(sw.dist == half for sw in switches)
     leaf_count = len(switches) - half_count
     half_bound = complexity_bound(ceil_log2(q), states)
     assert half_count <= half_bound and leaf_count <= states - 1

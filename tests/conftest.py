@@ -3,9 +3,11 @@
 The composition oracles here deliberately re-derive series/parallel by
 enumerating all N^2 outcome pairs, so the library's cumulative-identity
 implementations are checked against a different computation; the
-recursive ``resolve_reference`` checks the library's flat ``resolve``, and
+recursive ``resolve_reference`` checks the library's flat ``resolve``,
 ``cut_reference`` and ``canonical_tail_reference`` check the integer
-synthesis cuts and the integer tail every ``Distribution`` keeps.
+synthesis cuts and the integer tail every ``Distribution`` keeps, and
+``lattice_reference`` checks the bitmask cones a ``Lattice`` keeps its
+order in against a boolean matrix and per-pair bound scans.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import pytest
 from hypothesis import strategies as st
 
 from relaycircuits import (
-    Circuit, Det, Distribution, Edge, Graph, IdGen, Leaf, Parallel, Pswitch,
-    Series, det, inp, parallel, pswitch, series, synth_binary_nstate,
+    Circuit, Det, Distribution, Edge, Graph, IdGen, LatticeError, Leaf, Parallel,
+    Pswitch, Series, det, inp, parallel, pswitch, series, synth_binary_nstate,
 )
 from relaycircuits.circuits import _connected, _input_value
 
@@ -96,6 +98,52 @@ def canonical_tail_reference(d: Distribution) -> tuple:
     tail = tuple(sum(d.probs[k:]) * den for k in range(1, len(d)))
     assert all(t.denominator == 1 for t in tail)
     return den, tuple(int(t) for t in tail)
+
+
+def lattice_reference(elements, leq_pairs) -> dict:
+    """A lattice the matrix way: a boolean order matrix closed by Warshall,
+    antisymmetry checked pair by pair, and every bound of every pair found
+    by scanning all candidates. Returns ``leq``, ``join`` and ``meet`` keyed
+    by element-name pairs, and ``bottom`` and ``top``; or raises the
+    ``LatticeError`` that ``Lattice`` raises, with the same text."""
+    elements = tuple(str(e) for e in elements)
+    if not elements:
+        raise LatticeError("a lattice needs at least one element")
+    if len(set(elements)) != len(elements):
+        raise LatticeError(f"duplicate elements: {elements}")
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in leq_pairs:
+        a, b = str(a), str(b)
+        if a not in index or b not in index:
+            raise LatticeError(f"leq pair ({a}, {b}) names unknown element")
+        leq[index[a]][index[b]] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise LatticeError(f"not antisymmetric: {elements[i]} and {elements[j]}")
+    out = {"leq": {(a, b): leq[index[a]][index[b]] for a in elements for b in elements}}
+    for op, kind, above in (("join", "least upper", True), ("meet", "greatest lower", False)):
+        def le(x, y):
+            return leq[x][y] if above else leq[y][x]
+        table = {}
+        for i in range(n):
+            for j in range(n):
+                bounds = [k for k in range(n) if le(i, k) and le(j, k)]
+                best = [k for k in bounds if all(le(k, m) for m in bounds)]
+                if len(best) != 1:
+                    raise LatticeError(
+                        f"no unique {kind} bound for ({elements[i]}, {elements[j]})")
+                table[elements[i], elements[j]] = elements[best[0]]
+        out[op] = table
+    out["bottom"], = (e for e in elements if all(out["leq"][e, x] for x in elements))
+    out["top"], = (e for e in elements if all(out["leq"][x, e] for x in elements))
+    return out
 
 
 def random_distribution(rng: random.Random, states: int, max_denom: int = 8) -> Distribution:
@@ -188,6 +236,29 @@ def distributions(draw, states=None, max_denom: int = 12):
     cuts = sorted(draw(st.lists(st.integers(0, denom), min_size=n - 1, max_size=n - 1)))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
     return Distribution(Fraction(x, denom) for x in parts)
+
+
+@st.composite
+def posets(draw, max_elements: int = 7):
+    """``(elements, leq_pairs)`` for ``Lattice``: up to ``max_elements``
+    elements in random order and random order pairs, mostly acyclic, in
+    about half of the draws with a least and a greatest element added to
+    the pairs (so many draws are lattices), and now and then a pair that
+    names an unknown element."""
+    n = draw(st.integers(0, max_elements))
+    names = [f"e{i}" for i in range(n)]
+    pairs = []
+    if n:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+        if draw(st.integers(0, 3)):
+            pairs = [(min(p), max(p)) for p in pairs]
+        if draw(st.booleans()):
+            pairs += [(0, k) for k in range(n)] + [(k, n - 1) for k in range(n)]
+        pairs = [(names[a], names[b]) for a, b in pairs]
+        if draw(st.integers(0, 9)) == 0:
+            pairs.insert(draw(st.integers(0, len(pairs))), ("ghost", names[0]))
+    return draw(st.permutations(names)), pairs
 
 
 @st.composite

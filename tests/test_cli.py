@@ -104,6 +104,30 @@ def test_eval_graph_cap_exit_code(capsys, bridge_path):
     assert "cap is 1" in err and "--graph-cap" in err
 
 
+def test_oracle_eval_max_outcomes_exit_code(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    netlist.save(Circuit(2, series(pswitch(HALF2, "a"), pswitch(HALF2, "b"))), path)
+    assert run(["oracle-eval", "--netlist", str(path), "--max-outcomes", "1"]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        "error: 2 pswitches have 4 joint outcomes, cap is 1; raise max_outcomes "
+        "(CLI --max-outcomes)\n")
+    code, doc = run_json(capsys, ["oracle-eval", "--netlist", str(path),
+                                  "--max-outcomes", "4"])
+    assert code == 0 and doc == ["3/4", "1/4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--netlist", "n.json", "--max-outcomes", "4"],
+    ["oracle-eval", "--netlist", "n.json", "--graph-cap", "4"],
+    ["robustness", "--netlist", "n.json", "--epsilon", "1/100", "--mode", "sample"],
+], ids=["eval-max-outcomes", "oracle-eval-graph-cap", "robustness-mode-sample"])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_eval_with_assignment(capsys, tmp_path):
     from relaycircuits import inp
     path = tmp_path / "inp.json"
@@ -295,6 +319,16 @@ def test_lattice_search_malformed_files(capsys, tmp_path, lattice, switchset, me
                 "--switchset", str(sw)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_lattice_search_empty_lattice(capsys, tmp_path):
+    lat = tmp_path / "empty.json"
+    lat.write_text(json.dumps({"elements": [], "leq": []}))
+    sw = tmp_path / "switchset.json"
+    sw.write_text(json.dumps([]))
+    assert run(["lattice-search", "--lattice", str(lat), "--target", "1",
+                "--switchset", str(sw)]) == 2
+    assert capsys.readouterr().err == "error: a lattice needs at least one element\n"
 
 
 def test_render(capsys, three_state_path):

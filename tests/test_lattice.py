@@ -5,6 +5,7 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from relaycircuits import (
     CapacityError, Lattice, LatticeDistribution, LatticeError,
@@ -13,7 +14,7 @@ from relaycircuits import (
 )
 from relaycircuits import lattice as lattice_module
 from relaycircuits.lattice import DEFAULT_LATTICE_CAP
-from conftest import random_distribution
+from conftest import lattice_reference, posets, random_distribution
 
 N5 = Lattice(["0", "a", "b", "c", "1"],
              [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
@@ -109,6 +110,32 @@ class TestLattice:
     def test_json_round_trip(self):
         dia = Lattice.diamond()
         assert lattice_from_json(lattice_to_json(dia)) == dia
+
+    def test_empty_element_list_refused(self):
+        message = "a lattice needs at least one element"
+        with pytest.raises(LatticeError, match=message):
+            Lattice([], [])
+        with pytest.raises(LatticeError, match=message):
+            lattice_from_json({"elements": [], "leq": []})
+
+    @settings(max_examples=400, deadline=None)
+    @given(posets())
+    def test_order_matches_matrix_reference(self, poset):
+        elements, pairs = poset
+        try:
+            ref = lattice_reference(elements, pairs)
+        except LatticeError as exc:
+            with pytest.raises(LatticeError) as got:
+                Lattice(elements, pairs)
+            assert str(got.value) == str(exc)
+            return
+        lat = Lattice(elements, pairs)
+        names = [(a, b) for a in elements for b in elements]
+        assert {(a, b): lat.leq(a, b) for a, b in names} == ref["leq"]
+        assert {(a, b): lat.join(a, b) for a, b in names} == ref["join"]
+        assert {(a, b): lat.meet(a, b) for a, b in names} == ref["meet"]
+        assert (lat.bottom(), lat.top()) == (ref["bottom"], ref["top"])
+        assert lat == Lattice(elements, [ab for ab in names if ref["leq"][ab]])
 
 
 class TestCompose:

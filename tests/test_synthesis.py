@@ -221,6 +221,15 @@ class TestStateReduction:
         for sw in collect_pswitches(report.circuit.root):
             assert sw.dist == Distribution.shorthand(F(1, 2), 3)
 
+    def test_cut_pieces_stay_unread(self):
+        # the leaves are cut pieces built from integers; matching them against
+        # the switch set and counting the 1/2 switches reads only their tails
+        report = state_reduction(Distribution([F(1, 8), F(1, 2), F(3, 8)]))
+        half = Distribution.shorthand(F(1, 2), 3)
+        leaves = [sw.dist for sw in collect_pswitches(report.circuit.root) if sw.dist != half]
+        assert (report.half_pswitches, report.leaf_pswitches, len(leaves)) == (1, 2, 2)
+        assert all(dist._probs is None for dist in leaves)
+
     def test_two_state_target_single_leaf(self):
         target = Distribution([F(2, 5), F(3, 5)])
         report = state_reduction(target)
