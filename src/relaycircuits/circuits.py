@@ -526,7 +526,7 @@ class Plan:
         template = [0] * len(self.steps)
         for i, el in leaves:
             if isinstance(el, Det):
-                template[i] = el.state
+                template[i] = operator.index(el.state)
         entries = []
         for i, (kind, *_, kids) in enumerate(self.steps):
             if kind is _GRAPH:
@@ -538,6 +538,53 @@ class Plan:
                 tuple((i, el.id) for i, el in leaves if isinstance(el, Pswitch)),
                 tuple((i, el) for i, el in leaves if isinstance(el, Input)),
                 tuple(entries))
+
+    @cached_property
+    def resolve(self) -> Callable[[Mapping[str, int], Assignment, int], int]:
+        """:func:`resolve` as one straight-line function ``(outcome,
+        assignment, states) -> state``, generated from :attr:`resolver` on
+        first use. Slot i is the local ``v<i>``, or its state
+        where it is a Det leaf. The pswitch reads come first, then the input
+        reads, each in slot order, then one line per entry. The source holds
+        only slot numbers, Det states as ``int`` and fixed names: the pswitch
+        ids, input elements and graph steps are bound from one constant
+        tuple, so no text of a circuit is compiled."""
+        template, pswitches, inputs, entries = self.resolver
+        val = [str(template[i]) if step[0] is _LEAF and isinstance(step[1], Det) else f"v{i}"
+               for i, step in enumerate(self.steps)]
+        consts = [pid for _, pid in pswitches] + [el for _, el in inputs]
+        body = [f"v{slot} = outcome[c{k}]" for k, (slot, _) in enumerate(pswitches)]
+        body += [f"v{slot} = _input_value(c{k}, states, assignment)"
+                 for k, (slot, _) in enumerate(inputs, len(pswitches))]
+        for slot, is_min, a, b in entries:
+            if is_min is None:
+                kids = "".join(f"{val[c]}, " for c in a[-1])
+                body.append(f"v{slot} = _graph_state(c{len(consts)}, ({kids}), states)")
+                consts.append(a)
+            else:
+                a, b = val[a], val[b]
+                body.append(f"v{slot} = {a} if {a} {'<' if is_min else '>'} {b} else {b}")
+        source = "\n    ".join([
+            "def make(consts, _input_value, _graph_state):",
+            f"({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
+            "def resolve(outcome, assignment, states):",
+            *(f"    {line}" for line in body),
+            f"    return {val[-1]}",
+            "return resolve"])
+        return _resolver_factory(source)(tuple(consts), _input_value, _graph_state)
+
+
+@lru_cache(maxsize=64)
+def _resolver_factory(source: str) -> Callable:
+    """The ``make`` function that ``source`` defines, compiled once per
+    source; plans of one shape share its code and bind their own constants.
+    ``perturb`` rebuilds every node, so each sampled robustness trial brings
+    new plans for the circuit's fixed graph labels, as does each freshly
+    built graph circuit: compiling per plan made both about twice as slow
+    as the interpreted resolver, and this cache brings them back near it."""
+    namespace: dict = {}
+    exec(compile(source, "<resolver>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _compile(root: Node) -> tuple[Plan, dict[int, Node]]:
@@ -873,34 +920,25 @@ def resolve(node: Node, states: int, assignment: Assignment,
             outcome: Mapping[str, int]) -> int:
     """Deterministic circuit state once every pswitch outcome is fixed.
 
-    Runs ``node``'s cached plan with no recursion, so any depth works:
-    pswitch slots read ``outcome``, Det slots come from the plan's
-    template, input slots from ``assignment``. An n-child series or
-    parallel step costs n - 1 entries of two list reads, one compare and
-    one store; a graph step the largest k whose edges >= k join s to t.
+    Calls the straight-line function generated once per plan
+    (``Plan.resolve``), with no recursion, so any depth works: pswitch
+    slots read ``outcome``, input slots ``assignment``, Det slots are
+    constants. An n-child series or parallel step costs n - 1 lines of one
+    compare and one store; a graph step the largest k whose edges >= k
+    join s to t. A missing outcome raises ``KeyError`` before any input is
+    read, and inputs are read in slot order.
     """
-    template, pswitches, inputs, entries = node._compiled[0].resolver
-    vals = template.copy()
-    for slot, pid in pswitches:
-        vals[slot] = outcome[pid]
-    for slot, el in inputs:
-        vals[slot] = _input_value(el, states, assignment)
-    for slot, is_min, a, b in entries:
-        if is_min is None:
-            vals[slot] = _graph_state(a, vals, states)
-        else:
-            x, y = vals[a], vals[b]
-            vals[slot] = x if (x < y) is is_min else y
-    return vals[-1]
+    return node._compiled[0].resolve(outcome, assignment, states)
 
 
-def _graph_state(step: tuple, vals: list, states: int) -> int:
+def _graph_state(step: tuple, values: tuple, states: int) -> int:
     # max over s-t paths of min edge value == largest k with s,t connected
-    # in the subgraph of edges whose value is >= k.
-    _, s, t, ends, kids = step
-    values = [(u, v, vals[c]) for (u, v), c in zip(ends, kids)]
+    # in the subgraph of edges whose value is >= k; ``values`` are the
+    # edge labels' states, in edge order.
+    _, s, t, ends, _ = step
+    edges = tuple(zip(ends, values))
     for k in range(states - 1, 0, -1):
-        if _connected(((u, v) for u, v, val in values if val >= k), s, t):
+        if _connected((e for e, val in edges if val >= k), s, t):
             return k
     return 0
 

@@ -171,13 +171,8 @@ class LatticeDistribution:
                    den: int) -> "LatticeDistribution":
         """Build from integer numerators over ``den``, checking the simplex in
         integers and reducing to the canonical form; skips ``__init__``."""
-        if den <= 0 or min(num) < 0 or sum(num) != den:
-            raise LatticeError(f"numerators over {_show(Fraction(den))} are not a distribution")
-        g = gcd(den, *num)
-        if g > 1:
-            num, den = [n // g for n in num], den // g
         out = object.__new__(cls)
-        out._set(lattice, tuple(num), den)
+        out._set(lattice, *_canonical(num, den))
         return out
 
     def __reduce__(self):
@@ -212,6 +207,17 @@ class LatticeDistribution:
     def __repr__(self):
         inner = ", ".join(f"{e}: {p}" for e, p in self.probs.items())
         return f"LatticeDistribution({inner})"
+
+
+def _canonical(num: Sequence[int], den: int) -> tuple[tuple, int]:
+    """``(num, den)`` checked as a distribution in integers (nonnegative,
+    summing to ``den > 0``) and reduced by one gcd: the canonical form."""
+    if den <= 0 or min(num) < 0 or sum(num) != den:
+        raise LatticeError(f"numerators over {_show(Fraction(den))} are not a distribution")
+    g = gcd(den, *num)
+    if g > 1:
+        return tuple([n // g for n in num]), den // g
+    return tuple(num), den
 
 
 _SET_LATTICE, _SET_NUM, _SET_DEN, _SET_NZ = (
@@ -286,6 +292,23 @@ class SearchResult:
         return out
 
 
+def _meet_join(p: tuple, q: tuple, n: int) -> tuple[tuple, tuple]:
+    """Canonical forms ``(numerators, denominator)`` of the meet and the join
+    of two search entries' distributions. Both are filled in one pass over
+    the products of p's nonzero ``(numerator, meet row, join row)`` triples
+    and q's nonzero ``(index, numerator)`` pairs, each product landing in
+    both, then checked and reduced by :func:`_canonical`."""
+    meet, join = [0] * n, [0] * n
+    qs = q[5]
+    for px, mrow, jrow in p[4]:
+        for j, qy in qs:
+            v = px * qy
+            meet[mrow[j]] += v
+            join[jrow[j]] += v
+    den = p[0]._den * q[0]._den
+    return _canonical(meet, den), _canonical(join, den)
+
+
 def search_expressible(spec: SearchSpec) -> SearchResult:
     """Exhaust sp combinations of the switch set up to ``max_switches`` leaves.
 
@@ -305,18 +328,33 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     are already in the memo, so recording them would change nothing. Two
     bitmasks per reached distribution decide this in integers: its support,
     and the elements above all of its support.
+
+    Each reached distribution keeps its nonzero ``(numerator, meet row,
+    join row)`` triples and ``(index, numerator)`` pairs, and a pair's meet
+    and join are filled in one pass over the products (``_meet_join``).
+    Each result is checked and reduced in integers and looked up in the
+    memo before any object is built. Only a new distribution below the
+    budget becomes an operand, built by the public rule
+    :func:`compose_lattice`. One first reached at ``max_switches`` is
+    recorded by its key alone, and its witness text is formatted only if
+    it is the target.
     """
     lattice = spec.lattice
-    up = lattice._up
+    up, meets, joins = lattice._up, lattice._meet, lattice._join
+    n, last = len(lattice.elements), spec.max_switches
 
-    def masks(dist: LatticeDistribution) -> tuple[int, int]:
-        # (support, complement of the elements above the whole support)
-        support, above = 0, -1
-        for i, n in enumerate(dist._num):
-            if n:
+    def entry(dist: LatticeDistribution, expr: str) -> tuple:
+        # (distribution, witness, support, complement of the elements above
+        #  the whole support, nonzero (numerator, meet row, join row) triples,
+        #  nonzero (index, numerator) pairs)
+        support, above, rows, pairs = 0, -1, [], []
+        for i, x in enumerate(dist._num):
+            if x:
                 support |= 1 << i
                 above &= up[i]
-        return support, ~above
+                rows.append((x, meets[i], joins[i]))
+                pairs.append((i, x))
+        return dist, expr, support, ~above, tuple(rows), tuple(pairs)
 
     base: list[tuple[LatticeDistribution, str]] = []
     for i, dist in enumerate(spec.switch_set):
@@ -327,46 +365,58 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
         for e in lattice.elements:
             base.append((LatticeDistribution.point(lattice, e), f"det({e})"))
 
-    # seen maps the canonical integer form (_num, _den) to (leaves, witness);
-    # by_size[k] lists (distribution, witness, *masks) for the distributions
-    # first reached with exactly k leaves
-    seen: dict[tuple, tuple[int, str]] = {}
-    by_size: dict[int, list[tuple]] = {k: [] for k in range(1, spec.max_switches + 1)}
+    # seen maps the canonical integer form (_num, _den) to (leaves, witness),
+    # the witness of a distribution first reached at the budget kept as its
+    # (left, symbol, right) parts; by_size[k] lists the entries of the
+    # operands first reached with exactly k < max_switches leaves
+    seen: dict[tuple, tuple[int, Union[str, tuple]]] = {}
+    by_size: dict[int, list[tuple]] = {k: [] for k in range(1, last + 1)}
     for dist, name in base:
         key = (dist._num, dist._den)
         if key not in seen:
             seen[key] = (1, name)
-            by_size[1].append((dist, name, *masks(dist)))
+            by_size[1].append(entry(dist, name))
 
-    def record(dist: LatticeDistribution, size: int, pexpr: str, sym: str,
-               qexpr: str) -> None:
-        key = (dist._num, dist._den)
-        if key not in seen:
-            if len(seen) >= spec.max_explored:
-                raise CapacityError(
-                    f"search up to {spec.max_switches} switches explored more than "
-                    f"{spec.max_explored} distributions; raise SearchSpec.max_explored "
-                    "(CLI --max-explored)")
-            expr = f"({pexpr} {sym} {qexpr})"  # built only for a new distribution
-            seen[key] = (size, expr)
-            by_size[size].append((dist, expr, *masks(dist)))
+    def record(key: tuple, size: int, pe: tuple, op: str, qe: tuple) -> None:
+        # a new distribution: at the budget it is kept by its key and witness
+        # parts alone; below it, it is built as an operand
+        if len(seen) >= spec.max_explored:
+            raise CapacityError(
+                f"search up to {last} switches explored more than "
+                f"{spec.max_explored} distributions; raise SearchSpec.max_explored "
+                "(CLI --max-explored)")
+        parts = (pe[1], "*" if op == "meet" else "+", qe[1])
+        if size == last:
+            seen[key] = (size, parts)
+            return
+        dist = compose_lattice(pe[0], qe[0], op)
+        expr = "({} {} {})".format(*parts)
+        seen[key] = (size, expr)
+        by_size[size].append(entry(dist, expr))
 
-    for size in range(2, spec.max_switches + 1):
+    for size in range(2, last + 1):
         # meet and join commute, so each unordered pair is composed once:
         # lsize <= rsize, and among equal sizes q never precedes p
         for lsize in range(1, size // 2 + 1):
             rsize = size - lsize
-            for i, (p, pexpr, psup, pnot) in enumerate(by_size[lsize]):
-                for q, qexpr, qsup, qnot in by_size[rsize][i if lsize == rsize else 0:]:
+            for i, pe in enumerate(by_size[lsize]):
+                psup, pnot = pe[2], pe[3]
+                for qe in by_size[rsize][i if lsize == rsize else 0:]:
                     # skip when p is surely below q or q surely below p
-                    if qsup & pnot and psup & qnot:
-                        record(compose_lattice(p, q, "meet"), size, pexpr, "*", qexpr)
-                        record(compose_lattice(p, q, "join"), size, pexpr, "+", qexpr)
+                    if qe[2] & pnot and psup & qe[3]:
+                        meet, join = _meet_join(pe, qe, n)
+                        if meet not in seen:
+                            record(meet, size, pe, "meet", qe)
+                        if join not in seen:
+                            record(join, size, pe, "join", qe)
 
     hit = seen.get((spec.target._num, spec.target._den))
     if hit is None:
-        return SearchResult(False, None, None, len(seen), spec.max_switches)
-    return SearchResult(True, hit[1], hit[0], len(seen), spec.max_switches)
+        return SearchResult(False, None, None, len(seen), last)
+    size, expr = hit
+    if type(expr) is tuple:   # first reached at the budget
+        expr = "({} {} {})".format(*expr)
+    return SearchResult(True, expr, size, len(seen), last)
 
 
 def lattice_to_json(lattice: Lattice) -> dict:

@@ -18,6 +18,7 @@ identical circuits produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from typing import Union
 
@@ -40,7 +41,7 @@ def _element_to_json(el: Element) -> dict:
     if isinstance(el, Pswitch):
         return {"op": "pswitch", "dist": distribution_to_json(el.dist), "id": el.id}
     if isinstance(el, Det):
-        return {"op": "det", "state": el.state}
+        return {"op": "det", "state": operator.index(el.state)}
     return {"op": "input", "name": el.name, "complemented": el.complemented}
 
 
@@ -58,26 +59,49 @@ def node_to_json(node: Node) -> dict:
                  })
 
 
+_JSON_TYPES = {int: "an integer", bool: "true or false", list: "a list", dict: "an object"}
+
+
+def _field(data: dict, name: str, kind: type, op=None, default=None):
+    """``data[name]`` (or ``default``, if given, for an absent field),
+    checked to be of JSON type ``kind``, a bool never an integer; the error
+    names the field and the node's ``op``, or the document."""
+    value = data[name] if default is None else data.get(name, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValidationError(f"netlist {'document' if op is None else f'{op} node'}: "
+                              f"field {name!r} must be {_JSON_TYPES[kind]}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
 def node_from_json(data: dict) -> Node:
     if not isinstance(data, dict) or "op" not in data:
         raise ValidationError(f"malformed netlist node: {data!r}")
     op = data["op"]
     try:
         if op == "pswitch":
-            return Leaf(Pswitch(distribution_from_json(data["dist"]), str(data["id"])))
+            return Leaf(Pswitch(distribution_from_json(_field(data, "dist", list, op)),
+                                str(data["id"])))
         if op == "det":
-            return Leaf(Det(int(data["state"])))
+            return Leaf(Det(_field(data, "state", int, op)))
         if op == "input":
-            return Leaf(Input(str(data["name"]), bool(data.get("complemented", False))))
-        if op == "series":
-            return Series(tuple(node_from_json(c) for c in data["children"]))
-        if op == "parallel":
-            return Parallel(tuple(node_from_json(c) for c in data["children"]))
+            return Leaf(Input(str(data["name"]),
+                              _field(data, "complemented", bool, op, default=False)))
+        if op in ("series", "parallel"):
+            kids = tuple(node_from_json(c) for c in _field(data, "children", list, op))
+            return (Series if op == "series" else Parallel)(kids)
         if op == "graph":
-            s, t = data["terminals"]
-            edges = tuple(Edge(str(e["from"]), str(e["to"]), node_from_json(e["element"]))
-                          for e in data["edges"])
-            return Graph(str(s), str(t), edges)
+            terminals = _field(data, "terminals", list, op)
+            if len(terminals) != 2:
+                raise ValidationError(f"netlist graph node: field 'terminals' must list "
+                                      f"2 vertices, got {len(terminals)}")
+            edges = []
+            for i, e in enumerate(_field(data, "edges", list, op)):
+                if not isinstance(e, dict):
+                    raise ValidationError(f"netlist graph node: edge {i} must be an object, "
+                                          f"got {type(e).__name__}")
+                edges.append(Edge(str(e["from"]), str(e["to"]), node_from_json(e["element"])))
+            return Graph(str(terminals[0]), str(terminals[1]), tuple(edges))
     except KeyError as exc:
         raise ValidationError(f"netlist node missing field {exc} in {data!r}") from exc
     raise ValidationError(f"unknown netlist op {op!r}")
@@ -90,7 +114,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
 def circuit_from_json(data: dict) -> Circuit:
     if not isinstance(data, dict) or "states" not in data or "circuit" not in data:
         raise ValidationError("netlist must be {\"states\": N, \"circuit\": node}")
-    return Circuit(int(data["states"]), node_from_json(data["circuit"]))
+    return Circuit(_field(data, "states", int), node_from_json(data["circuit"]))
 
 
 def dumps(circuit: Circuit) -> str:

@@ -147,15 +147,17 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     (131,072 at the default cap of 16; a parallel node briefly holds its
     children's complements too). The per-state errors are compared as
     integers over the root's denominator.
-    ``sampled`` mode draws ``trials`` assignments from a rational grid plus
-    random corners, and evaluates each perturbed circuit; its report is
-    flagged non-exhaustive. In both modes the worst assignment is the first,
+    ``sampled`` mode draws ``trials`` (at least 1) assignments from a
+    rational grid plus random corners, and evaluates each perturbed
+    circuit; its report is flagged non-exhaustive. In both modes the worst assignment is the first,
     in the order tried, of largest deviation; corners are tried in
     ``itertools.product`` order over the pswitch ids, first id slowest.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InvalidPerturbationError(f"epsilon must be >= 0, got {_show(epsilon)}")
+    if mode == "sampled" and trials < 1:
+        raise ValidationError(f"sampled mode needs trials >= 1, got {trials}")
     ids = [sw.id for sw in circuit.pswitches()]
     nominal = evaluate(circuit)
     if mode == "corners":

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import weakref
 from fractions import Fraction as F
 
@@ -13,10 +14,10 @@ from hypothesis import given, strategies as st
 
 from relaycircuits import (
     CapacityError, Circuit, DimensionError, Distribution, Edge, Graph, IdGen,
-    InvalidMappingError, InvalidRangeError, MissingAssignmentError,
+    InvalidMappingError, InvalidRangeError, MissingAssignmentError, PerturbationModel,
     UnsupportedStructureError, ValidationError, clamp,
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
-    evaluate_oracle, inp, parallel, pswitch, remap_states, resolve, series,
+    evaluate_oracle, inp, parallel, perturb, pswitch, remap_states, resolve, series,
 )
 from relaycircuits import (
     block_interval_cut, perturb_dist, reassemble_cut, state_reduction, valid_inputs,
@@ -801,3 +802,109 @@ class TestPlan:
         fixed = circuit_from_json(doc)
         assert fixed.pswitches() == []
         assert evaluate(fixed) == Distribution.point(state, c.states)
+
+
+class TestGeneratedResolver:
+    """``resolve`` runs one straight-line function compiled per plan; the
+    compiled text is built from slot numbers, Det states and fixed names."""
+
+    HOSTILE = ["'", '"', "\n", "#", "__import__('os')", "');__import__('os').system('x')#",
+               "v0", "c0", "outcome[c0]", "states", "\\", "{}"]
+    # every line the generator may write: X is a slot's local or a Det state
+    X = r"(v\d+|\d+)"
+    LINE = re.compile("|".join([
+        r"def make\(consts, _input_value, _graph_state\):",
+        r"\((c\d+, )*\) = consts",
+        r"def resolve\(outcome, assignment, states\):",
+        r"v\d+ = outcome\[c\d+\]",
+        r"v\d+ = _input_value\(c\d+, states, assignment\)",
+        rf"v\d+ = _graph_state\(c\d+, \(({X}, )*\), states\)",
+        rf"v\d+ = (?P<a>{X}) if (?P=a) [<>] (?P<b>{X}) else (?P=b)",
+        rf"return ({X}|resolve)",
+    ]))
+
+    @staticmethod
+    def renamed(node, rng, names):
+        """``node`` with every pswitch id and input name drawn from ``names``
+        (ids kept unique by a hostile suffix) and hostile graph vertices."""
+        ids = iter(range(10 ** 6))
+
+        def element(el):
+            if isinstance(el, Pswitch):
+                return Pswitch(el.dist, f"{rng.choice(names)}{next(ids)}'")
+            if isinstance(el, Input):
+                return Input(f"{rng.choice(names)}{el.name}", el.complemented)
+            return el
+
+        hostile = circuits_module._rebuild(node, element)
+        s, t = rng.sample(names, 2)
+        return Graph(s, t, (Edge(s, t, hostile), Edge(s, t + "#", det(0)),
+                            Edge(t + "#", t, inp(t))))
+
+    def test_hostile_ids_names_and_vertices_match_the_reference(self, monkeypatch, rng):
+        sources = []
+        real = compile
+
+        def recording(source, *args):
+            sources.append(source)
+            return real(source, *args)
+
+        monkeypatch.setattr(circuits_module, "compile", recording, raising=False)
+        circuits_module._resolver_factory.cache_clear()
+        labels = 0
+        for _ in range(60):
+            states = rng.randint(2, 4)
+            c = Circuit(states, self.renamed(
+                random_graph_node(rng, states, IdGen(), depth=2), rng, self.HOSTILE))
+            if math.prod(len(p.dist.support()) for p in c.pswitches()) > 512:
+                continue
+            assignment = {name: rng.randrange(states) for name in c.input_names()}
+            outcome = {p.id: rng.choice(p.dist.support()) for p in c.pswitches()}
+            assert (resolve(c.root, states, assignment, outcome)
+                    == resolve_reference(c.root, states, assignment, outcome))
+            expected = oracle_reference(c, assignment)
+            assert evaluate_oracle(c, assignment) == expected
+            assert evaluate(c, assignment) == expected   # fixed labels are resolved
+            labels += sum(step[0] == "graph" for step in c.root.plan.steps)
+        assert labels > 60 and len(sources) > 60
+        for source in sources:
+            for line in source.splitlines():
+                assert self.LINE.fullmatch(line.strip()), line
+            for text in ("'", '"', "#", "__import__", "\\", "{"):
+                assert text not in source
+
+    def test_plans_of_one_shape_share_one_compile(self, monkeypatch):
+        """Each perturbed copy of a circuit has new nodes, and so new plans;
+        its fixed graph labels resolve through one compiled source."""
+        sources = []
+        real = compile
+        monkeypatch.setattr(circuits_module, "compile",
+                            lambda source, *args: sources.append(source) or real(source, *args),
+                            raising=False)
+        circuits_module._resolver_factory.cache_clear()
+        c = Circuit(3, Graph("s", "t", (Edge("s", "t", series(inp("x"), det(1))),
+                                        Edge("s", "t", pswitch(HALF3, "p")))))
+        copies = [perturb(c, PerturbationModel(F(1, 8), {"p": e})) for e in (F(1, 8), -F(1, 8))]
+        assert [evaluate(k, {"x": 2}) for k in copies] == [(0, F(5, 8), F(3, 8)),
+                                                          (0, F(3, 8), F(5, 8))]
+        assert len(sources) == 1
+        assert resolve(c.root, 3, {"x": 2}, {"p": 2}) == 2 and len(sources) == 2
+
+    def test_a_missing_outcome_comes_before_an_unbound_input(self):
+        c = Circuit(3, series(inp("b"), parallel(pswitch(HALF3, "p"), inp("a")),
+                              pswitch(HALF3, "q")))
+        with pytest.raises(KeyError, match="q"):
+            resolve(c.root, 3, {}, {"p": 0})
+        with pytest.raises(MissingAssignmentError, match="'b'"):
+            resolve(c.root, 3, {"a": 1}, {"p": 0, "q": 2})
+        with pytest.raises(MissingAssignmentError, match="'a'"):
+            resolve(c.root, 3, {"b": 1}, {"p": 0, "q": 2})
+        with pytest.raises(ValidationError, match="b=3 out of range"):
+            resolve(c.root, 3, {"b": 3, "a": 0}, {"p": 0, "q": 2})
+        assert resolve(c.root, 3, {"b": 2, "a": 1}, {"p": 0, "q": 2}) == 1
+
+    def test_det_states_are_compiled_as_integers(self):
+        assert resolve(det(True), 2, {}, {}) == 1
+        assert type(resolve(det(True), 2, {}, {})) is int
+        with pytest.raises(TypeError):
+            resolve(series(det("1"), det(0)), 2, {}, {})

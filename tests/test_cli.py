@@ -513,3 +513,50 @@ def test_python_dash_m_runs_without_an_install(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "15\n", "")
     done = module("synth", "--target", "1/3,1/3,1/3", "--method", "binary")
     assert done.returncode == 2 and done.stderr.startswith("error: ")
+
+
+# A valid three-state netlist holding every node kind; each case below
+# replaces one piece of its text.
+WELL_FORMED = json.dumps({"states": 3, "circuit": {"op": "series", "children": [
+    {"op": "pswitch", "dist": ["1/2", "0", "1/2"], "id": "p"},
+    {"op": "det", "state": 2},
+    {"op": "input", "name": "r", "complemented": False},
+    {"op": "graph", "terminals": ["s", "t"], "edges": [
+        {"from": "s", "to": "t", "element": {"op": "det", "state": 1}}]},
+]}})
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ('"children": [', '"children": 5, "x": [', "'children' must be a list"),
+    ('"state": 2', '"state": [1]', "'state' must be an integer"),
+    ('"states": 3', '"states": [3]', "'states' must be an integer"),
+    ('[{"from": "s", "to": "t", "element": {"op": "det", "state": 1}}]', '["s-t"]',
+     "edge 0 must be an object"),
+    ('"dist": ["1/2", "0", "1/2"]', '"dist": 1', "'dist' must be a list"),
+    ('"states": 3', '"states": 1e400', "'states' must be an integer"),
+    ('"complemented": false', '"complemented": "false"', "'complemented' must be true or false"),
+    ('"states": 3', '"states": 3.7', "'states' must be an integer"),
+    ('"state": 2', '"state": 1.9', "'state' must be an integer"),
+    ('"state": 2', '"state": true', "'state' must be an integer"),
+    ('"terminals": ["s", "t"]', '"terminals": "st"', "'terminals' must be a list"),
+    ('"terminals": ["s", "t"]', '"terminals": ["s", "t", "u"]', "'terminals' must list 2"),
+    ('"edges": [', '"edges": {}, "x": [', "'edges' must be a list"),
+])
+@pytest.mark.parametrize("command", ["eval", "oracle-eval", "render", "dual"])
+def test_malformed_netlist_fields_exit_2(capsys, tmp_path, command, old, new, field):
+    assert old in WELL_FORMED
+    path = tmp_path / "bad.json"
+    path.write_text(WELL_FORMED.replace(old, new, 1))
+    assert run([command, "--netlist", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    if command != "dual":   # the dual of a graph is undefined
+        path.write_text(WELL_FORMED)
+        assign = ["--assign", "r=1"] if "eval" in command else []
+        assert run([command, "--netlist", str(path), *assign]) == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_robustness_sampled_refuses_fewer_than_one_trial(capsys, three_state_path, trials):
+    assert run(["robustness", "--netlist", three_state_path, "--epsilon", "1/100",
+                "--mode", "sampled", "--trials", trials]) == 2
+    assert f"trials >= 1, got {trials}" in capsys.readouterr().err

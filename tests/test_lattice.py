@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from relaycircuits import (
     CapacityError, Lattice, LatticeDistribution, LatticeError,
@@ -482,16 +482,24 @@ class TestSearchMatchesReference:
 
     def test_surely_comparable_pairs_are_not_composed(self, monkeypatch):
         """A pair in which one side lies surely below the other never reaches
-        ``compose_lattice``: its meet and join are the two operands."""
+        the pair kernel ``_meet_join``: its meet and join are the two
+        operands. At budget 2 no result is an operand, so none is built by
+        ``compose_lattice``."""
         dia = Lattice.diamond()
         switch, point = uniform(dia), LatticeDistribution.point(dia, "01")
-        calls = []
+        calls, composed_calls = [], []
+        kernel = lattice_module._meet_join
 
-        def counting(p, q, op):
-            calls.append(op)
+        def counting(p, q, n):
+            calls.append((p[0], q[0]))
+            return kernel(p, q, n)
+
+        def counting_compose(p, q, op):
+            composed_calls.append(op)
             return compose_lattice(p, q, op)
 
-        monkeypatch.setattr(lattice_module, "compose_lattice", counting)
+        monkeypatch.setattr(lattice_module, "_meet_join", counting)
+        monkeypatch.setattr(lattice_module, "compose_lattice", counting_compose)
         target = LatticeDistribution(dia, {"01": F(1, 2), "10": F(1, 2)})
         res = search_expressible(SearchSpec(dia, (switch, point), target, max_switches=2))
         # the distinct leaves: s0, s1 (which det(01) duplicates) and det(00, 10, 11)
@@ -501,10 +509,131 @@ class TestSearchMatchesReference:
             return all(dia.leq(x, y) for x in dia.elements if p[x]
                        for y in dia.elements if q[y])
 
-        pairs = [(p, q) for i, p in enumerate(leaves) for q in leaves[i:]]
-        composed = [(p, q) for p, q in pairs if not surely_below(p, q)
-                    and not surely_below(q, p)]
+        def leaf(d):
+            # the switch set's members are passed on as they are; the search
+            # builds its own det leaves
+            return next(k for k, x in enumerate(leaves) if x is d or (k >= 2 and x == d))
+
+        pairs = [(i, j) for i in range(len(leaves)) for j in range(i, len(leaves))]
+        composed = [(i, j) for i, j in pairs if not surely_below(leaves[i], leaves[j])
+                    and not surely_below(leaves[j], leaves[i])]
         assert len(pairs) == 15 and len(composed) == 4
-        assert len(calls) == 2 * len(composed)
+        assert sorted(tuple(sorted(map(leaf, call))) for call in calls) == composed
+        assert composed_calls == []
         assert (res.realizable, res.expression, res.switches_used,
                 res.explored_distributions) == reference_search(dia, (switch, point), target, 2)
+
+
+LATTICES = [Lattice.diamond(), Lattice.chain(4), M3, N5]
+# the reference composes every ordered pair with Fractions, so the random
+# searches below are capped, and a search that passes the cap must raise
+# CapacityError at the same point in both engines
+REFERENCE_CAP = 80
+
+
+def search_outcome(lattice, switches, target, budget, max_explored, include_deterministic):
+    """(realizable, expression, switches_used, explored), or "cap", for both
+    the library search and ``reference_search``."""
+    outcomes = []
+    for engine in ("library", "reference"):
+        try:
+            if engine == "library":
+                res = search_expressible(SearchSpec(
+                    lattice, switches, target, max_switches=budget, max_explored=max_explored,
+                    include_deterministic=include_deterministic))
+                outcomes.append((res.realizable, res.expression, res.switches_used,
+                                 res.explored_distributions))
+            else:
+                outcomes.append(reference_search(lattice, switches, target, budget, max_explored,
+                                                 include_deterministic))
+        except CapacityError:
+            outcomes.append("cap")
+    return outcomes
+
+
+@st.composite
+def searches(draw):
+    lattice = draw(st.sampled_from(LATTICES))
+    n = len(lattice.elements)
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+
+    def distribution():
+        ws = draw(weights)
+        return LatticeDistribution(lattice, [F(w, sum(ws)) for w in ws])
+
+    switches = tuple(distribution() for _ in range(draw(st.integers(1, 2))))
+    budget = draw(st.integers(1, 5))
+    include_deterministic = draw(st.booleans())
+    leaves = list(switches)
+    if include_deterministic:
+        leaves += [LatticeDistribution.point(lattice, e) for e in lattice.elements]
+    # a target built from up to `budget` leaves, or any distribution
+    target = draw(st.sampled_from(leaves))
+    for _ in range(draw(st.integers(0, budget - 1))):
+        pair = draw(st.permutations([target, draw(st.sampled_from(leaves))]))
+        target = compose_lattice(*pair, draw(st.sampled_from(["meet", "join"])))
+    if draw(st.booleans()):
+        target = distribution()
+    return lattice, switches, target, budget, include_deterministic
+
+
+class TestSearchProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(searches())
+    def test_search_matches_the_reference(self, case):
+        """Random switch sets on four lattices, budgets 1 to 5, with and
+        without Dets; then with ``max_explored`` one below the explored
+        count, where both engines raise unless nothing was composed."""
+        lattice, switches, target, budget, include_deterministic = case
+        library, reference = search_outcome(lattice, switches, target, budget,
+                                            REFERENCE_CAP, include_deterministic)
+        assert library == reference
+        if reference == "cap":
+            return
+        explored = reference[3]
+        leaves = search_expressible(SearchSpec(
+            lattice, switches, target, max_switches=1,
+            include_deterministic=include_deterministic)).explored_distributions
+        expected = reference if explored == leaves else "cap"
+        assert search_outcome(lattice, switches, target, budget, explored - 1,
+                              include_deterministic) == [expected, expected]
+
+    def test_only_operands_are_built(self, monkeypatch):
+        """``compose_lattice`` builds each distribution first reached below
+        the budget once, and none first reached at it."""
+        dia = Lattice.diamond()
+        switch = LatticeDistribution(dia, [F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
+        explored = {budget: search_expressible(SearchSpec(
+            dia, (switch,), switch, max_switches=budget)).explored_distributions
+            for budget in (1, 3, 4)}
+        calls = []
+
+        def counting(p, q, op):
+            calls.append(op)
+            return compose_lattice(p, q, op)
+
+        monkeypatch.setattr(lattice_module, "compose_lattice", counting)
+        target = LatticeDistribution(dia, [0, F(1, 2), F(1, 2), 0])
+        res = search_expressible(SearchSpec(dia, (switch,), target, max_switches=4))
+        assert res.explored_distributions == explored[4] > explored[3]
+        assert len(calls) == explored[3] - explored[1] > 0
+
+    def test_pair_kernel_matches_compose_lattice(self, monkeypatch, rng):
+        """Every pair the search hands ``_meet_join`` gets the canonical
+        ``(_num, _den)`` of ``compose_lattice``'s meet and join."""
+        kernel, pairs = lattice_module._meet_join, []
+
+        def checking(p, q, n):
+            meet, join = kernel(p, q, n)
+            for op, got in (("meet", meet), ("join", join)):
+                out = compose_lattice(p[0], q[0], op)
+                assert got == (out._num, out._den), op
+            pairs.append(p)
+            return meet, join
+
+        monkeypatch.setattr(lattice_module, "_meet_join", checking)
+        for lattice in LATTICES:
+            for _ in range(4):
+                switches = tuple(mixed_distribution(rng, lattice) for _ in range(2))
+                search_expressible(SearchSpec(lattice, switches, switches[0], max_switches=3))
+        assert len(pairs) > 200

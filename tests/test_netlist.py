@@ -107,3 +107,45 @@ def test_deep_nesting_is_a_validation_error():
     for depth in (600, 5000):
         with pytest.raises(ValidationError, match="nesting depth"):
             loads(chain(depth))
+
+
+@pytest.mark.parametrize("node, field", [
+    ({"op": "series", "children": 5}, "series node: field 'children' must be a list"),
+    ({"op": "det", "state": [1]}, "det node: field 'state' must be an integer, got list"),
+    ({"op": "det", "state": True}, "det node: field 'state' must be an integer, got bool"),
+    ({"op": "det", "state": 1.0}, "det node: field 'state' must be an integer, got float"),
+    ({"op": "input", "name": "r", "complemented": "false"},
+     "input node: field 'complemented' must be true or false, got str"),
+    ({"op": "input", "name": "r", "complemented": 0},
+     "input node: field 'complemented' must be true or false, got int"),
+    ({"op": "pswitch", "dist": 1, "id": "p"}, "pswitch node: field 'dist' must be a list"),
+    ({"op": "graph", "terminals": ["s", "t"], "edges": ["s-t"]},
+     "graph node: edge 0 must be an object, got str"),
+    ({"op": "graph", "terminals": ["s"], "edges": []},
+     "graph node: field 'terminals' must list 2 vertices, got 1"),
+    ({"op": "graph", "terminals": ["s", "t"], "edges": None},
+     "graph node: field 'edges' must be a list, got NoneType"),
+])
+def test_fields_of_the_wrong_json_type_are_named(node, field):
+    with pytest.raises(ValidationError) as info:
+        circuit_from_json({"states": 2, "circuit": node})
+    assert field in str(info.value)
+
+
+@pytest.mark.parametrize("states", [[3], 3.7, True, "3", float("inf")])
+def test_a_state_count_that_is_no_integer_is_refused(states):
+    with pytest.raises(ValidationError, match="document: field 'states' must be an integer"):
+        circuit_from_json({"states": states, "circuit": {"op": "det", "state": 0}})
+
+
+def test_an_absent_complemented_field_means_false():
+    doc = {"states": 2, "circuit": {"op": "input", "name": "r"}}
+    assert circuit_from_json(doc) == Circuit(2, inp("r"))
+
+
+def test_bool_det_state_round_trips_as_an_integer():
+    """A bool Det state validates and resolves as 0 or 1, so the netlist
+    writes it as that integer and reads it back."""
+    doc = dumps(Circuit(2, det(True)))
+    assert '"state": 1' in doc
+    assert loads(doc) == Circuit(2, det(1))

@@ -143,6 +143,13 @@ class TestWorstCase:
         report = worst_case_error(c, EPS, mode="sampled", trials=20, corner_cap=4)
         assert not report.exhaustive
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_sampled_needs_a_trial(self, trials):
+        c = Circuit(2, parallel(pswitch(HALF2, "a"), pswitch(HALF2, "b")))
+        with pytest.raises(ValidationError, match=f"trials >= 1, got {trials}"):
+            worst_case_error(c, EPS, mode="sampled", trials=trials)
+        assert worst_case_error(c, EPS, mode="sampled", trials=1).max_error() <= EPS + EPS * EPS
+
     def test_sampled_never_exceeds_corners(self):
         """Multilinearity: interior grid points stay below the corner max."""
         target = Distribution([F(5, 8), F(1, 4), F(1, 8)])
