@@ -462,9 +462,6 @@ def _connected(edges: Iterable[tuple[str, str]], s: str, t: str) -> bool:
 
 
 _LEAF, _SERIES, _PARALLEL, _GRAPH = "leaf", "series", "parallel", "graph"
-# evaluation-only steps of ``Plan.program``, and the phases of its walk
-_CAP, _FIXED = "cap", "fixed"
-_VISIT, _FOLD = "visit", "fold"
 
 
 class Plan:
@@ -475,103 +472,62 @@ class Plan:
     kids)``, where ``kids`` are the child slots (all lower than ``i``; a
     graph's are its edge labels') and ``ends`` the graph's edge endpoints.
     The root is the last slot, and ``holds[i]`` tells whether slot i's
-    subtree holds a pswitch. Nothing depends on the state count or the
-    assignment, so one node object may sit in circuits with different N.
-    Two trees are equal exactly when their steps are. Each walk derives
-    its own table from the steps on first use.
+    subtree holds a pswitch. ``widest`` is the most edges holding a pswitch
+    in any one graph step, -1 without a graph, and :attr:`resolve` is
+    generated from the steps on first use. Nothing depends on the state
+    count or the assignment, so one node object may sit in circuits with
+    different N. Two trees are equal exactly when their steps are.
     """
 
-    def __init__(self, steps: tuple, holds: tuple):
+    def __init__(self, steps: tuple, holds: tuple, widest: int):
         self.steps = steps
         self.holds = holds
-
-    @cached_property
-    def program(self) -> tuple[tuple[Optional[int], tuple], ...]:
-        """For :func:`evaluate`: ``(slot, step)`` in the order of a
-        depth-first walk, children before parents, so a graph's cap is
-        checked before anything inside it and errors surface in tree order.
-        Without graphs that is slot order. Each graph first checks its cap,
-        ``(None, (_CAP, live edges))``, and a graph label without a pswitch
-        is one ``(slot, (_FIXED,))``: it is resolved, not walked."""
-        steps, holds = self.steps, self.holds
-        if _GRAPH not in map(operator.itemgetter(0), steps):
-            return tuple(enumerate(steps))
-        program = []
-        todo = [(len(steps) - 1, _VISIT)]
-        while todo:
-            slot, phase = todo.pop()
-            step = steps[slot]
-            if phase is _FIXED:
-                program.append((slot, (_FIXED,)))
-            elif phase is _FOLD or step[0] is _LEAF:
-                program.append((slot, step))
-            else:
-                todo.append((slot, _FOLD))
-                kids = step[-1]
-                if step[0] is _GRAPH:
-                    program.append((None, (_CAP, sum(holds[c] for c in kids))))
-                    todo.extend((c, _VISIT if holds[c] else _FIXED) for c in reversed(kids))
-                else:
-                    todo.extend((c, _VISIT) for c in reversed(kids))
-        return tuple(program)
-
-    @cached_property
-    def resolver(self) -> tuple[list, tuple, tuple, tuple]:
-        """For :func:`resolve`: a template with every Det state in its slot;
-        ``(slot, id)`` per pswitch; ``(slot, element)`` per input; and, in
-        slot order, n - 1 entries ``(slot, is_min, a, b)`` per n-child series
-        (min) or parallel (max) step, each storing the min or max of slots a
-        and b in slot, and one ``(slot, None, step, None)`` per graph step."""
-        leaves = [(i, step[1]) for i, step in enumerate(self.steps) if step[0] is _LEAF]
-        template = [0] * len(self.steps)
-        for i, el in leaves:
-            if isinstance(el, Det):
-                template[i] = operator.index(el.state)
-        entries = []
-        for i, (kind, *_, kids) in enumerate(self.steps):
-            if kind is _GRAPH:
-                entries.append((i, None, self.steps[i], None))
-            elif kind is not _LEAF:   # kids[0], then this slot, against each later kid
-                entries.extend((i, kind is _SERIES, i if k else kids[0], kid)
-                               for k, kid in enumerate(kids[1:]))
-        return (template,
-                tuple((i, el.id) for i, el in leaves if isinstance(el, Pswitch)),
-                tuple((i, el) for i, el in leaves if isinstance(el, Input)),
-                tuple(entries))
+        self.widest = widest
 
     @cached_property
     def resolve(self) -> Callable[[Mapping[str, int], Assignment, int], int]:
         """:func:`resolve` as one straight-line function ``(outcome,
-        assignment, states) -> state``, generated from :attr:`resolver` on
-        first use. Slot i is the local ``v<i>``, or its state
-        where it is a Det leaf. The pswitch reads come first, then the input
-        reads, each in slot order, then one line per entry. The source holds
-        only slot numbers, Det states as ``int`` and fixed names: the pswitch
-        ids, input elements and graph steps are bound from one constant
-        tuple, so no text of a circuit is compiled."""
-        template, pswitches, inputs, entries = self.resolver
-        val = [str(template[i]) if step[0] is _LEAF and isinstance(step[1], Det) else f"v{i}"
-               for i, step in enumerate(self.steps)]
-        consts = [pid for _, pid in pswitches] + [el for _, el in inputs]
-        body = [f"v{slot} = outcome[c{k}]" for k, (slot, _) in enumerate(pswitches)]
-        body += [f"v{slot} = _input_value(c{k}, states, assignment)"
-                 for k, (slot, _) in enumerate(inputs, len(pswitches))]
-        for slot, is_min, a, b in entries:
-            if is_min is None:
-                kids = "".join(f"{val[c]}, " for c in a[-1])
-                body.append(f"v{slot} = _graph_state(c{len(consts)}, ({kids}), states)")
-                consts.append(a)
-            else:
-                a, b = val[a], val[b]
-                body.append(f"v{slot} = {a} if {a} {'<' if is_min else '>'} {b} else {b}")
+        assignment, states) -> state``, generated in one pass over the steps
+        on first use. Slot i is the local ``v<i>``, or its state where it is
+        a Det leaf, and the constant ``c<i>`` is its pswitch id, input
+        element or graph step. The pswitch reads come first, then the input
+        reads, then n - 1 min (series) or max (parallel) lines per n-child
+        step and one line per graph step, each in slot order. The source
+        holds only slot numbers, Det states as ``int`` and fixed names: the
+        constants are bound from one tuple, so no text of a circuit is
+        compiled."""
+        reads, inputs, body, val = [], [], [], []
+        consts: dict = {}   # slot -> its pswitch id, input element or graph step
+        for i, step in enumerate(self.steps):
+            kind, v = step[0], f"v{i}"
+            if kind is _LEAF:
+                el = step[1]
+                if isinstance(el, Det):
+                    v = str(operator.index(el.state))
+                elif isinstance(el, Pswitch):
+                    reads.append(f"{v} = outcome[c{i}]")
+                    consts[i] = el.id
+                else:
+                    inputs.append(f"{v} = _input_value(c{i}, states, assignment)")
+                    consts[i] = el
+            elif kind is _GRAPH:
+                kids = "".join(f"{val[c]}, " for c in step[-1])
+                body.append(f"{v} = _graph_state(c{i}, ({kids}), states)")
+                consts[i] = step
+            else:   # kids[0], then this slot, against each later kid
+                a, op = val[step[1][0]], "<" if kind is _SERIES else ">"
+                for kid in step[1][1:]:
+                    body.append(f"{v} = {a} if {a} {op} {val[kid]} else {val[kid]}")
+                    a = v
+            val.append(v)
         source = "\n    ".join([
             "def make(consts, _input_value, _graph_state):",
-            f"({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
+            f"({''.join(f'c{i}, ' for i in consts)}) = consts",
             "def resolve(outcome, assignment, states):",
-            *(f"    {line}" for line in body),
+            *(f"    {line}" for line in reads + inputs + body),
             f"    return {val[-1]}",
             "return resolve"])
-        return _resolver_factory(source)(tuple(consts), _input_value, _graph_state)
+        return _resolver_factory(source)(tuple(consts.values()), _input_value, _graph_state)
 
 
 @lru_cache(maxsize=64)
@@ -587,10 +543,15 @@ def _resolver_factory(source: str) -> Callable:
     return namespace["make"]
 
 
-def _compile(root: Node) -> tuple[Plan, dict[int, Node]]:
+def _compile(root: Node) -> tuple[Plan, dict[int, tuple[int, Node]]]:
     """``root``'s plan, built with an explicit stack, and the graph labels
-    without a pswitch by slot, which :func:`evaluate` resolves."""
+    without a pswitch, which :func:`evaluate` resolves instead of walking:
+    ``(last slot, label)`` keyed by the first slot of the label's subtree,
+    a leaf, as the plan is post-order. A label inside another such label
+    shares its first slot or lies in its span, so only the outer one is met."""
     steps, holds, labels = [], [], {}
+    first: list[int] = []   # the first slot of each slot's subtree
+    widest = -1
     done: list[int] = []   # slots of finished subtrees awaiting their parent
     stack: list = [root]   # a node to visit, or (node, children) to finish
     while stack:
@@ -598,6 +559,7 @@ def _compile(root: Node) -> tuple[Plan, dict[int, Node]]:
         if type(item) is not tuple:
             if isinstance(item, Leaf):
                 done.append(len(steps))
+                first.append(len(steps))
                 steps.append((_LEAF, item.element))
                 holds.append(isinstance(item.element, Pswitch))
                 continue
@@ -615,12 +577,14 @@ def _compile(root: Node) -> tuple[Plan, dict[int, Node]]:
         del done[len(done) - len(kids):]
         if isinstance(node, Graph):
             steps.append((_GRAPH, node.s, node.t, tuple((e.u, e.v) for e in node.edges), slots))
-            labels.update((c, label) for c, label in zip(slots, kids) if not holds[c])
+            widest = max(widest, sum(map(holds.__getitem__, slots)))
+            labels.update((first[c], (c, label)) for c, label in zip(slots, kids) if not holds[c])
         else:
             steps.append((_SERIES if isinstance(node, Series) else _PARALLEL, slots))
         done.append(len(holds))
+        first.append(first[slots[0]])
         holds.append(any(map(holds.__getitem__, slots)))
-    return Plan(tuple(steps), tuple(holds)), labels
+    return Plan(tuple(steps), tuple(holds), widest), labels
 
 
 def _steps(node: Node) -> tuple:
@@ -721,20 +685,48 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
              graph_cap: int = DEFAULT_GRAPH_CAP) -> Distribution:
     """Exact output distribution of a circuit.
 
-    The circuit's cached post-order plan is folded with no recursion, so
-    any depth works: series/parallel steps compose their children's
-    distributions. Edge labels of a graph are independent (pswitch ids are
-    unique), and the graph's output is >= k exactly when s and t are joined
-    by edges whose label is >= k. So each level's P(X >= k) is a
-    two-terminal reliability: labels without a pswitch resolve to one
-    state, the others are folded like any subtree, and each level
-    enumerates the up/down subsets of the edges that are neither certain
-    nor impossible at that level. ``graph_cap`` bounds, per graph, the
-    number of edges whose label holds a pswitch (each level enumerates up
-    to 2^that subsets); a graph with more raises ``CapacityError``.
+    The circuit's cached post-order plan is folded in slot order, with no
+    recursion, so any depth works: series/parallel steps compose their
+    children's distributions. Edge labels of a graph are independent
+    (pswitch ids are unique), and the graph's output is >= k exactly when s
+    and t are joined by edges whose label is >= k. So each level's
+    P(X >= k) is a two-terminal reliability: labels without a pswitch
+    resolve to one state, and their slots are skipped, the others are
+    folded like any subtree, and each level enumerates the up/down subsets
+    of the edges that are neither certain nor impossible at that level.
+    ``graph_cap`` bounds, per graph, the number of edges whose label holds
+    a pswitch (each level enumerates up to 2^that subsets); if the widest
+    graph has more, ``CapacityError`` is raised before any work. A negative
+    ``graph_cap`` is a ``ValidationError``.
     """
-    assignment = assignment or {}
-    return _eval_node(circuit.root, circuit.states, assignment, graph_cap)
+    if graph_cap < 0:
+        raise ValidationError(f"graph_cap must be >= 0, got {graph_cap}")
+    states, assignment = circuit.states, assignment or {}
+    plan, labels = circuit.root._compiled
+    if plan.widest > graph_cap:
+        raise CapacityError(
+            f"graph has {plan.widest} edges holding pswitches (2^{plan.widest} subsets "
+            f"per level), cap is {graph_cap}; raise graph_cap (CLI --graph-cap)")
+    vals: list = [None] * len(plan.steps)
+    walk = enumerate(plan.steps)
+    for slot, step in walk:
+        kind = step[0]
+        if kind is _LEAF:
+            if slot in labels:   # a graph label without a pswitch: its tail, then past it
+                end, label = labels[slot]
+                vals[end] = _fixed_tail(label, states, assignment)
+                if end > slot:
+                    next(itertools.islice(walk, end - slot - 1, None))
+            else:
+                vals[slot] = _leaf_dist(step[1], states, assignment)
+        elif kind is _GRAPH:
+            _, s, t, ends, kids = step
+            dens, tails = zip(*(_to_tail(vals[c]) if plan.holds[c] else vals[c] for c in kids))
+            vals[slot] = _from_tail(math.prod(dens), _graph_dist(s, t, ends, states, dens, tails))
+        else:
+            compose = compose_series if kind is _SERIES else compose_parallel
+            vals[slot] = reduce(compose, map(vals.__getitem__, step[1]))
+    return vals[-1]
 
 
 def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
@@ -793,32 +785,6 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
         if k >= 0:
             picks[k] += 1
     return Distribution(Fraction(c, den) for c in counts)
-
-
-def _eval_node(node: Node, states: int, assignment: Assignment, cap: int) -> Distribution:
-    """Fold ``node``'s plan: one ``Distribution`` (or, for a graph label
-    without a pswitch, one integer tail) per slot, children before parents."""
-    plan, labels = node._compiled
-    vals: list = [None] * len(plan.steps)
-    for slot, step in plan.program:
-        kind = step[0]
-        if kind is _LEAF:
-            vals[slot] = _leaf_dist(step[1], states, assignment)
-        elif kind is _SERIES or kind is _PARALLEL:
-            compose = compose_series if kind is _SERIES else compose_parallel
-            vals[slot] = reduce(compose, map(vals.__getitem__, step[1]))
-        elif kind is _CAP:
-            if step[1] > cap:
-                raise CapacityError(
-                    f"graph has {step[1]} edges holding pswitches (2^{step[1]} subsets "
-                    f"per level), cap is {cap}; raise graph_cap (CLI --graph-cap)")
-        elif kind is _FIXED:
-            vals[slot] = _fixed_tail(labels[slot], states, assignment)
-        else:
-            _, s, t, ends, kids = step
-            dens, tails = zip(*(_to_tail(vals[c]) if plan.holds[c] else vals[c] for c in kids))
-            vals[slot] = _from_tail(math.prod(dens), _graph_dist(s, t, ends, states, dens, tails))
-    return vals[-1]
 
 
 def _leaf_dist(el: Element, states: int, assignment: Assignment) -> Distribution:

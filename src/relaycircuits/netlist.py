@@ -59,19 +59,27 @@ def node_to_json(node: Node) -> dict:
                  })
 
 
-_JSON_TYPES = {int: "an integer", bool: "true or false", list: "a list", dict: "an object"}
+_TEXT = (str, int)   # a pswitch id, input name or graph vertex
+_JSON_TYPES = {int: "an integer", bool: "true or false", list: "a list", dict: "an object",
+               _TEXT: "a string or an integer"}
 
 
-def _field(data: dict, name: str, kind: type, op=None, default=None):
+def _field(data: dict, name: str, kind, op=None, default=None):
     """``data[name]`` (or ``default``, if given, for an absent field),
-    checked to be of JSON type ``kind``, a bool never an integer; the error
-    names the field and the node's ``op``, or the document."""
-    value = data[name] if default is None else data.get(name, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    checked by :func:`_typed`."""
+    return _typed(data[name] if default is None else data.get(name, default), name, kind, op)
+
+
+def _typed(value, name: str, kind, op=None):
+    """``value``, of field ``name``, checked to be of JSON type ``kind``, a
+    bool only ever ``bool``; the error names the field and the node's
+    ``op``, or the document. ``_TEXT`` is returned as text, an integer as
+    its decimal string."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(f"netlist {'document' if op is None else f'{op} node'}: "
                               f"field {name!r} must be {_JSON_TYPES[kind]}, "
                               f"got {type(value).__name__}")
-    return value
+    return str(value) if kind is _TEXT else value
 
 
 def node_from_json(data: dict) -> Node:
@@ -81,11 +89,11 @@ def node_from_json(data: dict) -> Node:
     try:
         if op == "pswitch":
             return Leaf(Pswitch(distribution_from_json(_field(data, "dist", list, op)),
-                                str(data["id"])))
+                                _field(data, "id", _TEXT, op)))
         if op == "det":
             return Leaf(Det(_field(data, "state", int, op)))
         if op == "input":
-            return Leaf(Input(str(data["name"]),
+            return Leaf(Input(_field(data, "name", _TEXT, op),
                               _field(data, "complemented", bool, op, default=False)))
         if op in ("series", "parallel"):
             kids = tuple(node_from_json(c) for c in _field(data, "children", list, op))
@@ -100,8 +108,10 @@ def node_from_json(data: dict) -> Node:
                 if not isinstance(e, dict):
                     raise ValidationError(f"netlist graph node: edge {i} must be an object, "
                                           f"got {type(e).__name__}")
-                edges.append(Edge(str(e["from"]), str(e["to"]), node_from_json(e["element"])))
-            return Graph(str(terminals[0]), str(terminals[1]), tuple(edges))
+                edges.append(Edge(_field(e, "from", _TEXT, op), _field(e, "to", _TEXT, op),
+                                  node_from_json(e["element"])))
+            s, t = (_typed(v, f"terminals[{i}]", _TEXT, op) for i, v in enumerate(terminals))
+            return Graph(s, t, tuple(edges))
     except KeyError as exc:
         raise ValidationError(f"netlist node missing field {exc} in {data!r}") from exc
     raise ValidationError(f"unknown netlist op {op!r}")

@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .circuits import (
-    Circuit, Det, Graph, Leaf, Parallel, Pswitch, Series,
-    ValidationError, _fold,
+    _LEAF, _PARALLEL, _SERIES, Circuit, Det, Pswitch, _fold, _steps,
 )
 from .rational import format_rational
 
@@ -39,30 +38,32 @@ def ascii_render(circuit: Circuit) -> str:
 
 
 def dot_render(circuit: Circuit) -> str:
-    """Undirected DOT graph of the two-terminal network, built with an
-    explicit stack: a node is expanded, and its junctions numbered, in the
-    order of a depth-first walk, children in order."""
+    """Undirected DOT graph of the two-terminal network, built over the
+    circuit's plan with an explicit stack: a slot is expanded, and its
+    junctions numbered, in the order of a depth-first walk, children in
+    order."""
+    steps = _steps(circuit.root)
     numbers = itertools.count(1)   # junction names n1, n2, ...
     lines: list[str] = []
-    stack: list = [(circuit.root, "s", "t")]  # (node, from junction, to junction)
+    stack: list = [(len(steps) - 1, "s", "t")]  # (slot, from junction, to junction)
     while stack:
-        node, a, b = stack.pop()
-        if isinstance(node, Leaf):
-            label = element_label(node.element).replace('"', "'")
+        slot, a, b = stack.pop()
+        kind, *_, kids = step = steps[slot]
+        if kind is _LEAF:
+            label = element_label(step[1]).replace('"', "'")
             lines.append(f'  "{a}" -- "{b}" [label="{label}"];')
             continue
-        if isinstance(node, Series):
-            points = [a, *(f"n{next(numbers)}" for _ in node.children[:-1]), b]
-            parts = list(zip(node.children, points, points[1:]))
-        elif isinstance(node, Parallel):
-            parts = [(child, a, b) for child in node.children]
-        elif isinstance(node, Graph):
-            mapping = {node.s: a, node.t: b}
-            for vertex in node.vertices():
+        if kind is _SERIES:
+            points = [a, *(f"n{next(numbers)}" for _ in kids[:-1]), b]
+            parts = list(zip(kids, points, points[1:]))
+        elif kind is _PARALLEL:
+            parts = [(kid, a, b) for kid in kids]
+        else:   # s and t use up a junction number each, as every vertex does
+            _, s, t, ends, _ = step
+            mapping = {s: a, t: b}
+            for vertex in dict.fromkeys((s, t, *itertools.chain.from_iterable(ends))):
                 mapping.setdefault(vertex, f"n{next(numbers)}")
-            parts = [(e.label, mapping[e.u], mapping[e.v]) for e in node.edges]
-        else:
-            raise ValidationError(f"unknown node {node!r}")
+            parts = [(kid, mapping[u], mapping[v]) for kid, (u, v) in zip(kids, ends)]
         stack.extend(reversed(parts))
     header = [
         "graph circuit {",

@@ -561,6 +561,84 @@ class TestGraph:
             assert len(c.pswitches()) == 10
             assert evaluate(c, graph_cap=2) == evaluate_oracle(c)
 
+    def test_the_widest_graph_is_refused_before_any_work(self, monkeypatch):
+        """The cap is checked against the widest graph before the walk: no
+        level is enumerated, no fixed label resolved, and an unbound input
+        in an earlier sibling is not reached."""
+        def refuse(*args):
+            raise AssertionError("work before the cap check")
+
+        ids = IdGen()
+        inner = self.bridge([pswitch(HALF2, ids()) for _ in range(5)])
+        outer = Graph("s", "t", (Edge("s", "m", inner), Edge("m", "t", pswitch(HALF2, ids())),
+                                 Edge("s", "t", series(det(1), inp("x"))),
+                                 Edge("s", "t", pswitch(HALF2, ids()))))
+        c = Circuit(2, series(inp("y"), outer))
+        assert c.root.plan.widest == 5
+        monkeypatch.setattr(circuits_module, "_graph_dist", refuse)
+        monkeypatch.setattr(circuits_module, "_fixed_tail", refuse)
+        for cap in (2, 4):   # the outer graph has 3 such edges, the bridge 5
+            with pytest.raises(CapacityError, match=rf"graph has 5 edges .*cap is {cap};"):
+                evaluate(c, graph_cap=cap)
+        monkeypatch.undo()
+        assignment = {"x": 1, "y": 1}
+        assert evaluate(c, assignment, graph_cap=5) == evaluate_oracle(c, assignment)
+
+    def test_a_negative_graph_cap_is_refused(self):
+        fixed = Graph("s", "t", (Edge("s", "t", det(1)),))
+        for root in (det(1), fixed, series(pswitch(HALF2, "p"), fixed),
+                     Graph("s", "t", (Edge("s", "t", fixed), Edge("s", "t", pswitch(HALF2, "p"))))):
+            assert evaluate(Circuit(2, root), graph_cap=1).states == 2
+            with pytest.raises(ValidationError, match="graph_cap must be >= 0, got -1"):
+                evaluate(Circuit(2, root), graph_cap=-1)
+
+    def test_calls_follow_the_tree(self, monkeypatch, rng):
+        """One resolve per graph label without a pswitch that no other such
+        label holds, n - 1 compositions per n-child step outside them, and
+        none inside them, counted from the node tree."""
+        calls: dict = {}
+
+        def counted(name):
+            real = getattr(circuits_module, name)
+
+            def call(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            return call
+
+        def expected(root):
+            want, inside, todo = {}, 0, [root]
+            while todo:
+                node = todo.pop()
+                if isinstance(node, Graph):
+                    for e in node.edges:
+                        if e.label.plan.holds[-1]:
+                            todo.append(e.label)
+                        else:
+                            want["resolve"] = want.get("resolve", 0) + 1
+                            inside += sum(s[0] != "leaf" for s in e.label.plan.steps)
+                elif isinstance(node, (Series, Parallel)):
+                    name = "compose_series" if isinstance(node, Series) else "compose_parallel"
+                    want[name] = want.get(name, 0) + len(node.children) - 1
+                    todo.extend(node.children)
+            return want, inside
+
+        for name in ("resolve", "compose_series", "compose_parallel"):
+            monkeypatch.setattr(circuits_module, name, counted(name))
+        skipped = 0
+        for _ in range(150):
+            states, ids = rng.randint(2, 4), IdGen()
+            g = random_graph_node(rng, states, ids, depth=3)
+            root = series(parallel(g, inp("x0")),
+                          pswitch(Distribution.shorthand(F(1, 3), states), ids()))
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            want, inside = expected(root)
+            calls.clear()
+            evaluate(Circuit(states, root), assignment)
+            assert calls == want
+            skipped += inside
+        assert skipped > 50
+
     def test_eval_equals_oracle_random_graphs(self, rng):
         checked = 0
         while checked < 150:
@@ -691,10 +769,16 @@ class TestPlan:
                         == resolve_reference(c.root, states, assignment, outcome))
         assert nested > 0
 
-    def test_resolve_matches_recursive_reference_wide_steps(self, rng):
+    def test_resolve_matches_recursive_reference_wide_steps(self, monkeypatch, rng):
         """Series and parallel steps of 3 to 5 children, each run as a chain
-        of binary min/max entries, over Det, bound input and pswitch leaves
+        of binary min/max lines, over Det, bound input and pswitch leaves
         and nested graphs."""
+        sources = []
+        real = compile
+        monkeypatch.setattr(circuits_module, "compile",
+                            lambda source, *args: sources.append(source) or real(source, *args),
+                            raising=False)
+        operation = re.compile(r"v\d+ = (_graph_state\(|\w+ if \w+ [<>] \w+ else )")
 
         def build(states: int, ids: IdGen, depth: int):
             roll = rng.random()
@@ -717,16 +801,19 @@ class TestPlan:
             steps = c.root.plan.steps
             wide += sum(step[0] != "leaf" and len(step[-1]) >= 3 for step in steps)
             graphs += sum(step[0] == "graph" for step in steps)
-            # n - 1 binary entries per n-child series or parallel step, one per graph
-            assert len(c.root.plan.resolver[3]) == sum(
-                1 if step[0] == "graph" else len(step[1]) - 1
-                for step in steps if step[0] != "leaf")
             assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            circuits_module._resolver_factory.cache_clear()   # so this plan's source compiles
             for _ in range(3):
                 outcome = self.random_outcome(rng, c)
                 assert (resolve(c.root, states, assignment, outcome)
                         == resolve_reference(c.root, states, assignment, outcome))
-        assert wide > 200 and graphs > 50
+            # n - 1 binary min/max lines per n-child series or parallel step,
+            # one _graph_state line per graph
+            lines = [line.strip() for line in sources[-1].splitlines()]
+            assert sum(bool(operation.match(line)) for line in lines) == sum(
+                1 if step[0] == "graph" else len(step[1]) - 1
+                for step in steps if step[0] != "leaf")
+        assert wide > 200 and graphs > 50 and len(sources) == 200
 
     def test_shared_pswitch_free_node_across_state_counts(self):
         shared = series(inp("x", complemented=True), Graph("s", "t", (

@@ -104,6 +104,22 @@ def test_eval_graph_cap_exit_code(capsys, bridge_path):
     assert "cap is 1" in err and "--graph-cap" in err
 
 
+def test_a_negative_graph_cap_exits_2(capsys, bridge_path):
+    assert run(["eval", "--netlist", bridge_path, "--graph-cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: graph_cap must be >= 0, got -1\n"
+    assert run(["upg", "--states", "3", "--bits", "2", "--construction",
+                "reduced_nonsp", "--truth-table", "--graph-cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: graph_cap must be >= 0, got -1\n"
+
+
+def test_eval_of_an_input_named_null_exits_2(capsys, tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text('{"states": 2, "circuit": {"op": "input", "name": null}}')
+    assert run(["eval", "--netlist", str(path), "--assign", "None=1"]) == 2
+    assert capsys.readouterr().err == ("error: netlist input node: field 'name' must be "
+                                       "a string or an integer, got NoneType\n")
+
+
 def test_oracle_eval_max_outcomes_exit_code(capsys, tmp_path):
     path = tmp_path / "pair.json"
     netlist.save(Circuit(2, series(pswitch(HALF2, "a"), pswitch(HALF2, "b"))), path)

@@ -149,3 +149,53 @@ def test_bool_det_state_round_trips_as_an_integer():
     doc = dumps(Circuit(2, det(True)))
     assert '"state": 1' in doc
     assert loads(doc) == Circuit(2, det(1))
+
+
+NOT_TEXT = [("null", "NoneType"), ("[1]", "list"), ("true", "bool"), ("false", "bool"),
+            ("1.5", "float"), ('{"a": 1}', "dict")]
+
+
+def _text_field(template: str, field: str, op: str) -> Circuit:
+    """``template`` with each JSON value in ``NOT_TEXT`` at ``@`` is refused,
+    naming ``field`` and the node kind ``op``; with ``7`` it loads, and the
+    loaded circuit is returned."""
+    for value, kind in NOT_TEXT:
+        with pytest.raises(ValidationError) as info:
+            loads(template.replace("@", value))
+        assert (f"netlist {op} node: field {field!r} must be a string or an integer, got {kind}"
+                == str(info.value))
+    return loads(template.replace("@", "7"))
+
+
+def test_a_pswitch_id_is_a_string_or_an_integer():
+    c = _text_field('{"states": 2, "circuit": {"op": "pswitch", "dist": ["1/2", "1/2"], '
+                    '"id": @}}', "id", "pswitch")
+    assert c == Circuit(2, pswitch(HALF2, "7"))
+
+
+def test_an_input_name_is_a_string_or_an_integer():
+    c = _text_field('{"states": 2, "circuit": {"op": "input", "name": @}}', "name", "input")
+    assert c == Circuit(2, inp("7"))
+    assert evaluate(c, {"7": 1}) == (0, 1)
+
+
+def _graph(terminals: str, ends: str) -> str:
+    return ('{"states": 2, "circuit": {"op": "graph", "terminals": [%s], "edges": '
+            '[{%s, "element": {"op": "det", "state": 1}}]}}' % (terminals, ends))
+
+
+def test_graph_terminals_are_strings_or_integers():
+    c = _text_field(_graph('@, "t"', '"from": "7", "to": "t"'), "terminals[0]", "graph")
+    assert c == Circuit(2, Graph("7", "t", (Edge("7", "t", det(1)),)))
+    c = _text_field(_graph('"s", @', '"from": "s", "to": "7"'), "terminals[1]", "graph")
+    assert c == Circuit(2, Graph("s", "7", (Edge("s", "7", det(1)),)))
+
+
+def test_an_edge_start_is_a_string_or_an_integer():
+    c = _text_field(_graph('"7", "t"', '"from": @, "to": "t"'), "from", "graph")
+    assert c == Circuit(2, Graph("7", "t", (Edge("7", "t", det(1)),)))
+
+
+def test_an_edge_end_is_a_string_or_an_integer():
+    c = _text_field(_graph('"s", "7"', '"from": "s", "to": @'), "to", "graph")
+    assert c == Circuit(2, Graph("s", "7", (Edge("s", "7", det(1)),)))
