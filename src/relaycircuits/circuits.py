@@ -681,6 +681,13 @@ def compose_parallel(p: Distribution, q: Distribution) -> Distribution:
 Assignment = Mapping[str, int]
 
 
+def check_cap(name: str, cap: int) -> None:
+    """``ValidationError`` naming the argument ``name`` if ``cap`` is
+    negative; a cap of 0 is valid."""
+    if cap < 0:
+        raise ValidationError(f"{name} must be >= 0, got {cap}")
+
+
 def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
              graph_cap: int = DEFAULT_GRAPH_CAP) -> Distribution:
     """Exact output distribution of a circuit.
@@ -699,8 +706,7 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
     graph has more, ``CapacityError`` is raised before any work. A negative
     ``graph_cap`` is a ``ValidationError``.
     """
-    if graph_cap < 0:
-        raise ValidationError(f"graph_cap must be >= 0, got {graph_cap}")
+    check_cap("graph_cap", graph_cap)
     states, assignment = circuit.states, assignment or {}
     plan, labels = circuit.root._compiled
     if plan.widest > graph_cap:
@@ -748,8 +754,10 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
     the product of the first ``k`` picks' weights, so an outcome costs its
     ``resolve`` call, one dict store and one product.
     Raises ``CapacityError``, before enumerating, when the product of
-    pswitch support sizes exceeds ``max_outcomes``.
+    pswitch support sizes exceeds ``max_outcomes``; a negative
+    ``max_outcomes`` is a ``ValidationError``.
     """
+    check_cap("max_outcomes", max_outcomes)
     assignment = assignment or {}
     states, root = circuit.states, circuit.root
     switches = collect_pswitches(root)

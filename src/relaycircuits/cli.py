@@ -16,7 +16,7 @@ from . import netlist
 from .bounds import complexity_bound, complexity_bound_recursive
 from .circuits import (
     DEFAULT_GRAPH_CAP, DEFAULT_ORACLE_CAP, CapacityError, Distribution,
-    RelayError, count_switches, dual, evaluate, evaluate_oracle,
+    RelayError, check_cap, count_switches, dual, evaluate, evaluate_oracle,
 )
 from .lattice import (
     DEFAULT_LATTICE_CAP, LatticeDistribution, SearchSpec, lattice_from_json,
@@ -118,6 +118,7 @@ def _cmd_robustness(args) -> int:
 
 
 def _cmd_upg(args) -> int:
+    check_cap("graph_cap", args.graph_cap)   # refused on every path, not only where evaluated
     spec = UpgSpec(args.states, args.bits, args.construction)
     if args.truth_table:
         rows = []

@@ -25,7 +25,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .circuits import CapacityError, ONE, RelayError, ZERO, _rational, _show, _simplex
+from .circuits import (
+    CapacityError, ONE, RelayError, ZERO, _rational, _show, _simplex, check_cap,
+)
 from .rational import parse_rational
 
 
@@ -268,6 +270,7 @@ class SearchSpec:
     def __post_init__(self):
         if self.max_switches < 1:
             raise LatticeError(f"max_switches must be >= 1, got {self.max_switches}")
+        check_cap("max_explored", self.max_explored)
 
 
 @dataclass
@@ -429,8 +432,10 @@ def lattice_from_json(data: dict, max_elements: int = DEFAULT_LATTICE_CAP) -> La
     """The lattice of a ``{"elements": [...], "leq": [[a, b], ...]}`` dict.
 
     Building it takes n^2 steps on n-bit masks for n elements, so a lattice
-    of more than ``max_elements`` elements raises ``CapacityError`` first.
+    of more than ``max_elements`` elements raises ``CapacityError`` first;
+    a negative ``max_elements`` is a ``ValidationError``.
     """
+    check_cap("max_elements", max_elements)
     shape = "lattice file must be {\"elements\": [...], \"leq\": [[a, b], ...]}"
     if not isinstance(data, dict) or "elements" not in data or "leq" not in data:
         raise LatticeError(shape)

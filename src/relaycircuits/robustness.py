@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Iterator, Union
+from functools import partial, reduce
+from typing import Callable, Iterable, Iterator, Union
 
 from .circuits import (
     CapacityError, Circuit, Distribution, Element, Node, Pswitch, RelayError,
     ValidationError, _fold, _graph_dist, _leaf_dist, _rebuild, _show,
-    _tail_complement, _tail_numerators, _tail_series, _to_tail, evaluate,
+    _tail_numerators, _to_tail, check_cap, evaluate,
 )
 from .rational import format_rational
 
@@ -115,18 +116,24 @@ def perturb(circuit: Circuit, model: PerturbationModel) -> Circuit:
 
 
 def perturb_dist(dist: Distribution, error: Fraction) -> Distribution:
+    """``dist`` with its low active state raised by ``error`` and its high
+    active state lowered by it; computed on integer numerators over
+    ``lcm(D, error's denominator)``, and left unread like ``compose_*``
+    results."""
     support = dist.support()
     if len(support) != 2:
         raise InvalidPerturbationError(
             f"perturbation needs exactly 2 active states, got {dist!r}")
     low, high = support
-    probs = list(dist)
-    probs[low] += error
-    probs[high] -= error
-    if probs[low] < 0 or probs[low] > 1 or probs[high] < 0 or probs[high] > 1:
+    den = math.lcm(dist._den, error.denominator)
+    nums = list(_tail_numerators(*_to_tail(dist, den)))
+    shift = error.numerator * (den // error.denominator)
+    nums[low] += shift
+    nums[high] -= shift
+    if not (0 <= nums[low] <= den and 0 <= nums[high] <= den):
         raise InvalidPerturbationError(
             f"error {_show(error)} drives {dist!r} outside [0, 1]")
-    return Distribution(probs)
+    return Distribution._from_ints(den, nums)
 
 
 def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
@@ -138,24 +145,28 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
     exact by multilinearity but capped at ``corner_cap`` switches. It folds
     the circuit's plan once, bottom up, on integer tails (see
-    ``_corner_table``), with no recursion: every node yields its output
-    for each sign corner of the pswitches below it, all over one
-    denominator, so a subtree's compositions are shared by all corners of
-    the switches outside it and no ``Distribution`` is built per corner.
-    Each node's table is materialized as a tuple and its children's tables
-    are dropped once it is built, so about 2 * 2^m tails are alive at once
-    (131,072 at the default cap of 16; a parallel node briefly holds its
-    children's complements too). The per-state errors are compared as
-    integers over the root's denominator.
+    ``_corner_table``), with no recursion: every node yields, for each level
+    k, one column holding its ``T_k`` at every sign corner of the
+    pswitches below it, all over one denominator, so a subtree's
+    compositions are shared by all corners of the switches outside it and
+    no ``Distribution`` is built per corner. A child's column is dropped as
+    soon as its parent's column at that level is built, so the root's
+    (N - 1) * 2^m integers and a partial product are about all that is
+    alive at once. The worst corner is picked by whole-column passes that
+    build no column and no per-corner tuple (see ``_worst_corner``), as
+    integers over the root's denominator; the sign of the j-th of the m
+    ids at corner c is bit m - 1 - j of c, 1 meaning +eps.
     ``sampled`` mode draws ``trials`` (at least 1) assignments from a
     rational grid plus random corners, and evaluates each perturbed
     circuit; its report is flagged non-exhaustive. In both modes the worst assignment is the first,
     in the order tried, of largest deviation; corners are tried in
     ``itertools.product`` order over the pswitch ids, first id slowest.
+    A negative ``corner_cap`` is a ``ValidationError`` in both modes.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InvalidPerturbationError(f"epsilon must be >= 0, got {_show(epsilon)}")
+    check_cap("corner_cap", corner_cap)
     if mode == "sampled" and trials < 1:
         raise ValidationError(f"sampled mode needs trials >= 1, got {trials}")
     ids = [sw.id for sw in circuit.pswitches()]
@@ -166,14 +177,11 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
                 f"{len(ids)} pswitches need 2^{len(ids)} sign corners, corner cap is "
                 f"{corner_cap} pswitches; raise corner_cap (CLI --corner-cap) or "
                 f"use sampled mode (CLI --mode sampled)")
-        den, tails = _corner_outputs(circuit, epsilon)
-        scaled = _tail_numerators(*_to_tail(nominal, den))
-        errors = ([abs(a - n) for a, n in zip(_tail_numerators(den, tail), scaled)]
-                  for tail in tails)
-        best, signs = _select(circuit.states,
-                              itertools.product((-epsilon, epsilon), repeat=len(ids)),
-                              errors)
-        worst = dict(zip(ids, signs))
+        den, levels = _corner_outputs(circuit, epsilon)
+        best, corner = _worst_corner(den, levels, _tail_numerators(*_to_tail(nominal, den)))
+        last = len(ids) - 1
+        worst = {pid: epsilon if corner >> (last - j) & 1 else -epsilon
+                 for j, pid in enumerate(ids)}
         exhaustive = True
     elif mode == "sampled":
         den = 1
@@ -202,9 +210,49 @@ def _select(states: int, candidates: Iterable, errors: Iterable[list]) -> tuple[
     return best, worst
 
 
-def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, tuple[tuple, ...]]:
+def _worst_corner(den: int, levels: list[list[int]],
+                  nominal: tuple[int, ...]) -> tuple[list[int], int]:
+    """Per-state largest deviations from the ``nominal`` numerators, and the
+    index of the first corner whose largest deviation is the largest of all.
+
+    ``levels[k][c]`` is T_(k+1) over ``den`` at corner c; state s's
+    numerator column is column s - 1 minus column s, with D above the first
+    and 0 below the last. No column is built: ``max`` and ``min`` over the
+    root's columns, or over their difference streamed by ``map``, give a
+    state's largest deviation, and a state that reaches the running maximum
+    offers the first corner where its deviation equals its own, found by
+    ``list.index`` or ``itertools.compress``.
+    """
+    best, worst, worst_mag = [], 0, -1
+    for s, nom in enumerate(nominal):
+        if 0 < s < len(levels):
+            column = partial(map, operator.sub, levels[s - 1], levels[s])
+            find = partial(_first_index, column)
+        else:
+            col = levels[-1]
+            if not s:   # |(D - x) - n| is |x - (D - n)|
+                col, nom = levels[0], den - nom
+            column, find = col.__iter__, col.index
+        high, low = max(column()) - nom, nom - min(column())
+        mag = max(high, low)
+        best.append(mag)
+        if mag >= worst_mag:
+            first = min(find(nom + mag) if high == mag else math.inf,
+                        find(nom - mag) if low == mag else math.inf)
+            worst = first if mag > worst_mag else min(worst, first)
+            worst_mag = mag
+    return best, worst
+
+
+def _first_index(column: Callable[[], Iterator[int]], value: int) -> int:
+    """Index of the first ``value`` in the stream ``column()`` makes."""
+    return next(itertools.compress(itertools.count(), map(value.__eq__, column())))
+
+
+def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, list[list[int]]]:
     """The circuit's integer tail at every sign corner, over one denominator,
-    in ``itertools.product`` order over the pswitch ids."""
+    as one column per level in ``itertools.product`` order over the
+    pswitch ids (see ``_corner_table``)."""
     switches = circuit.pswitches()
     # Perturb every switch before the walk, -eps in id order, then +eps in
     # reverse: the first invalid one is the one per-corner perturbation hits.
@@ -217,52 +265,80 @@ def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, tuple[tup
         # The nominal's denominators, not the perturbed ones: at eps = 1/2 a
         # perturbed switch can collapse to 0/1 and lose them.
         den = math.lcm(epsilon.denominator, _to_tail(sw.dist)[0])
-        leaves[sw.id] = (den, (_to_tail(minus[sw.id], den)[1],
-                               _to_tail(plus[sw.id], den)[1]))
+        leaves[sw.id] = (den, _to_tail(minus[sw.id], den)[1], _to_tail(plus[sw.id], den)[1])
     return _corner_table(circuit.root, circuit.states, leaves)
 
 
 def _corner_table(node: Node, states: int,
-                  leaves: dict[str, tuple[int, tuple]]) -> tuple[int, tuple[tuple, ...]]:
-    """``(D, tails)``: ``node``'s integer tail over ``D`` for each sign corner
-    of its pswitches, first pswitch (in tree order) slowest.
+                  leaves: dict[str, tuple[int, tuple, tuple]]) -> tuple[int, list[list[int]]]:
+    """``(D, levels)``: ``levels[k][c]`` is ``node``'s integer tail
+    T_(k+1) over ``D`` at sign corner c of its pswitches, corners in
+    ``itertools.product`` order, first pswitch (in tree order) slowest.
 
-    ``leaves`` maps a pswitch id to its ``(D_j, (minus, plus))``. D is the
-    product of the leaves' D_j, so every corner shares it, and a subtree
-    without a pswitch has one tail over D = 1. A series node multiplies one
-    tail of each child elementwise, for every combination; a parallel node
-    does the same with the complements ``D_i - T_i``, taken once per child
-    table, and complements each product (see ``circuits._tail_series``).
-    One fold over the plan builds every table as a tuple.
+    ``leaves`` maps a pswitch id to its ``(D_j, minus, plus)`` tails, which
+    become two-corner columns. D is the product of the leaves' D_j, so
+    every corner shares it, and a subtree without a pswitch has one-corner
+    columns over D = 1. A series node takes, level by level, the outer
+    product of its children's columns, the last step as
+    ``[a * b for a in A for b in B]`` over two halves (see ``_halves``); a
+    parallel node does the same on the complements ``D_i - x`` and
+    complements the last product as it is built, ``D - a * b`` (see
+    ``circuits._tail_series``). A graph node rebuilds each child's
+    per-corner tails, calls ``_graph_dist`` once per combination, and
+    transposes the results back into columns. A child's column is dropped
+    once its parent's column at that level is built. One fold over the
+    plan builds every table.
     """
-    def leaf(el: Element) -> tuple[int, tuple]:
+    def leaf(el: Element) -> tuple[int, list]:
         if isinstance(el, Pswitch):
-            return leaves[el.id]
+            den, minus, plus = leaves[el.id]
+            return den, [[a, b] for a, b in zip(minus, plus)]
         den, tail = _to_tail(_leaf_dist(el, states, {}))
-        return den, (tail,)
+        return den, [[t] for t in tail]
 
-    def series(kids: list) -> tuple[int, tuple]:
-        return (math.prod(d for d, _ in kids),
-                tuple(_products(tails for _, tails in kids)))
-
-    def parallel(kids: list) -> tuple[int, tuple]:
+    def series(kids: list) -> tuple[int, list]:
         den = math.prod(d for d, _ in kids)
-        complements = [tuple(_tail_complement(d, t) for t in tails) for d, tails in kids]
-        return den, tuple(_tail_complement(den, t) for t in _products(complements))
+        return den, [[a * b for a in left for b in right]
+                     for left, right in _halves(kids, False)]
 
-    def graph(s: str, t: str, ends: tuple, kids: list) -> tuple[int, tuple]:
+    def parallel(kids: list) -> tuple[int, list]:
+        den = math.prod(d for d, _ in kids)
+        return den, [[den - a * b for a in left for b in right]
+                     for left, right in _halves(kids, True)]
+
+    def graph(s: str, t: str, ends: tuple, kids: list) -> tuple[int, list]:
         dens = tuple(d for d, _ in kids)
-        return math.prod(dens), tuple(
+        corners = [list(zip(*cols)) for _, cols in kids]
+        kids.clear()
+        return math.prod(dens), [list(col) for col in zip(*(
             _graph_dist(s, t, ends, states, dens, tails)
-            for tails in itertools.product(*(tails for _, tails in kids)))
+            for tails in itertools.product(*corners)))]
 
     return _fold(node, leaf, series, parallel, graph)
 
 
-def _products(tables: Iterable[tuple]) -> Iterator[tuple]:
-    """Elementwise product of one tail of each table, for every combination,
-    in ``itertools.product`` order."""
-    return (reduce(_tail_series, tails) for tails in itertools.product(*tables))
+def _halves(kids: list, complement: bool) -> Iterator[tuple[list, list]]:
+    """For each level, two columns whose outer product, in order, is the
+    outer product of the ``kids``' columns at that level, or of their
+    complements ``D_i - x``. Each half is folded left, and the kids are
+    split where the halves' lengths are most even, so the partial products
+    stay small. A kid's column is dropped as soon as it is read."""
+    total, size = math.prod(len(cols[0]) for _, cols in kids), 1
+    for cut, (_, cols) in enumerate(kids[:-1], 1):
+        size *= len(cols[0])
+        if size * size >= total:
+            break
+    for k in range(len(kids[0][1])):
+        level = []
+        for d, cols in kids:
+            level.append([d - x for x in cols[k]] if complement else cols[k])
+            cols[k] = None
+        yield _outer(level[:cut]), _outer(level[cut:])
+
+
+def _outer(columns: list[list[int]]) -> list[int]:
+    """Outer product of the columns, first column slowest."""
+    return reduce(lambda left, right: [a * b for a in left for b in right], columns)
 
 
 def _sampled_assignments(ids: list[str], epsilon: Fraction, trials: int, seed: int):

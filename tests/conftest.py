@@ -8,22 +8,31 @@ recursive ``resolve_reference`` checks the library's flat ``resolve``,
 synthesis cuts and the integer tail every ``Distribution`` keeps, and
 ``lattice_reference`` checks the bitmask cones a ``Lattice`` keeps its
 order in against a boolean matrix and per-pair bound scans.
+``corner_table_reference`` checks the column-wise corner search against a
+table with one tail per corner, and ``perturb_dist_reference`` the integer
+``perturb_dist`` against arithmetic on ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import strategies as st
 
 from relaycircuits import (
-    Circuit, Det, Distribution, Edge, Graph, IdGen, LatticeError, Leaf, Parallel,
-    Pswitch, Series, det, inp, parallel, pswitch, series, synth_binary_nstate,
+    Circuit, Det, Distribution, Edge, Graph, IdGen, InvalidPerturbationError,
+    LatticeError, Leaf, Parallel, Pswitch, Series, det, evaluate, inp, parallel,
+    pswitch, series, synth_binary_nstate,
 )
-from relaycircuits.circuits import _connected, _input_value
+from relaycircuits.circuits import (
+    _connected, _fold, _graph_dist, _input_value, _leaf_dist, _show,
+    _tail_complement, _tail_numerators, _tail_series, _to_tail,
+)
 
 
 def series_direct(p: Distribution, q: Distribution) -> Distribution:
@@ -144,6 +153,82 @@ def lattice_reference(elements, leq_pairs) -> dict:
     out["bottom"], = (e for e in elements if all(out["leq"][e, x] for x in elements))
     out["top"], = (e for e in elements if all(out["leq"][x, e] for x in elements))
     return out
+
+
+def perturb_dist_reference(dist: Distribution, error: Fraction) -> Distribution:
+    """``perturb_dist`` on the ``Fraction`` entries: the low active state
+    gains ``error``, the high one loses it, and both are checked."""
+    support = dist.support()
+    if len(support) != 2:
+        raise InvalidPerturbationError(
+            f"perturbation needs exactly 2 active states, got {dist!r}")
+    low, high = support
+    probs = list(dist)
+    probs[low] += error
+    probs[high] -= error
+    if probs[low] < 0 or probs[low] > 1 or probs[high] < 0 or probs[high] > 1:
+        raise InvalidPerturbationError(
+            f"error {_show(error)} drives {dist!r} outside [0, 1]")
+    return Distribution(probs)
+
+
+def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
+    """Corner search on a row-major table: ``(per-state max error, first
+    worst assignment)``, as ``worst_case_error`` reports them.
+
+    Every node's table holds one integer tail per sign corner of the
+    pswitches below it, first pswitch slowest, over the product of the
+    leaves' denominators. Series and parallel nodes multiply one tail of
+    each child (or of their complements) for every combination, a graph
+    calls ``_graph_dist`` for every combination, and the worst corner is
+    picked by a loop over the corners' per-state errors.
+    """
+    epsilon = Fraction(epsilon)
+    states, switches = circuit.states, circuit.pswitches()
+    minus = {sw.id: perturb_dist_reference(sw.dist, -epsilon) if epsilon else sw.dist
+             for sw in switches}
+    plus = {sw.id: perturb_dist_reference(sw.dist, epsilon) if epsilon else sw.dist
+            for sw in reversed(switches)}
+    leaves = {}
+    for sw in switches:
+        den = math.lcm(epsilon.denominator, _to_tail(sw.dist)[0])
+        leaves[sw.id] = (den, (_to_tail(minus[sw.id], den)[1],
+                               _to_tail(plus[sw.id], den)[1]))
+
+    def products(tables):
+        return (reduce(_tail_series, tails) for tails in itertools.product(*tables))
+
+    def leaf(el):
+        if isinstance(el, Pswitch):
+            return leaves[el.id]
+        den, tail = _to_tail(_leaf_dist(el, states, {}))
+        return den, (tail,)
+
+    def series_table(kids):
+        return math.prod(d for d, _ in kids), tuple(products(tails for _, tails in kids))
+
+    def parallel_table(kids):
+        den = math.prod(d for d, _ in kids)
+        complements = [tuple(_tail_complement(d, t) for t in tails) for d, tails in kids]
+        return den, tuple(_tail_complement(den, t) for t in products(complements))
+
+    def graph_table(s, t, ends, kids):
+        dens = tuple(d for d, _ in kids)
+        return math.prod(dens), tuple(
+            _graph_dist(s, t, ends, states, dens, tails)
+            for tails in itertools.product(*(tails for _, tails in kids)))
+
+    den, tails = _fold(circuit.root, leaf, series_table, parallel_table, graph_table)
+    scaled = _tail_numerators(*_to_tail(evaluate(circuit), den))
+    best, worst, worst_mag = [0] * states, None, -1
+    corners = itertools.product((-epsilon, epsilon), repeat=len(switches))
+    for signs, tail in zip(corners, tails):
+        errors = [abs(a - n) for a, n in zip(_tail_numerators(den, tail), scaled)]
+        best = list(map(max, best, errors))
+        if max(errors) > worst_mag:
+            worst, worst_mag = signs, max(errors)
+    return (tuple(Fraction(b, den) for b in best),
+            dict(zip([sw.id for sw in switches], worst)))
 
 
 def random_distribution(rng: random.Random, states: int, max_denom: int = 8) -> Distribution:

@@ -207,6 +207,10 @@ class TestEvaluate:
         c = Circuit(2, series(*[pswitch(HALF2, ids()) for _ in range(4)]))
         with pytest.raises(CapacityError):
             evaluate_oracle(c, max_outcomes=8)
+        with pytest.raises(ValidationError, match="^max_outcomes must be >= 0, got -1$"):
+            evaluate_oracle(c, max_outcomes=-1)
+        with pytest.raises(CapacityError):   # 0 is a cap, not an error
+            evaluate_oracle(c, max_outcomes=0)
 
     def test_eval_equals_oracle_random(self, rng):
         for _ in range(60):
@@ -320,8 +324,8 @@ class TestCanonicalTail:
             for s in range(states):
                 assert_canonical(Distribution.point(s, states))
             assert_canonical(Distribution.shorthand(F(3, 9), states))
-        assert_canonical(perturb_dist(Distribution([F(1, 2), 0, F(1, 2)]), F(1, 6)))
-        assert_canonical(perturb_dist(Distribution([F(1, 2), F(1, 2)]), F(1, 2)))
+        assert_canonical(perturb_dist(Distribution([F(1, 2), 0, F(1, 2)]), F(1, 6)), unread=True)
+        assert_canonical(perturb_dist(Distribution([F(1, 2), F(1, 2)]), F(1, 2)), unread=True)
 
     def test_cuts_targets_and_netlists(self, rng):
         for _ in range(60):

@@ -112,6 +112,41 @@ def test_a_negative_graph_cap_exits_2(capsys, bridge_path):
     assert capsys.readouterr().err == "error: graph_cap must be >= 0, got -1\n"
 
 
+@pytest.fixture
+def diamond_files(tmp_path):
+    lat = tmp_path / "diamond.json"
+    lat.write_text(json.dumps({
+        "elements": ["00", "01", "10", "11"],
+        "leq": [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]]}))
+    sw = tmp_path / "switchset.json"
+    sw.write_text(json.dumps([["1/4", "1/4", "1/4", "1/4"]]))
+    return ["--lattice", str(lat), "--target", "0,1/2,1/2,0", "--switchset", str(sw)]
+
+
+UPG = ["upg", "--states", "2", "--bits", "2", "--construction", "reduced_sp"]
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    (["robustness", "--epsilon", "1/100"], "--corner-cap", "corner_cap"),
+    (["robustness", "--epsilon", "1/100", "--mode", "sampled"], "--corner-cap", "corner_cap"),
+    (["oracle-eval"], "--max-outcomes", "max_outcomes"),
+    (["lattice-search"], "--max-explored", "max_explored"),
+    (["lattice-search"], "--max-elements", "max_elements"),
+    (UPG, "--graph-cap", "graph_cap"),
+    (UPG + ["--target", "1/4,3/4"], "--graph-cap", "graph_cap"),
+], ids=["robustness-corners", "robustness-sampled", "oracle-eval", "lattice-max-explored",
+        "lattice-max-elements", "upg", "upg-target"])
+def test_a_negative_cap_exits_2(capsys, three_state_path, diamond_files, command, flag, name):
+    if command[0] == "lattice-search":
+        command = command + diamond_files
+    elif command[0] != "upg":
+        command = command + ["--netlist", three_state_path]
+    assert run(command + [flag, "-1"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1\n"
+    # a cap of 0 is valid: it refuses the work as a capacity error, or allows it
+    assert run(command + [flag, "0"]) in (0, EXIT_CAPACITY)
+
+
 def test_eval_of_an_input_named_null_exits_2(capsys, tmp_path):
     path = tmp_path / "null.json"
     path.write_text('{"states": 2, "circuit": {"op": "input", "name": null}}')

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from relaycircuits import (
     CapacityError, Lattice, LatticeDistribution, LatticeError,
-    LatticeMismatchError, SearchSpec, compose_lattice, compose_parallel,
+    LatticeMismatchError, SearchSpec, ValidationError, compose_lattice, compose_parallel,
     compose_series, lattice_from_json, lattice_to_json, search_expressible,
 )
 from relaycircuits import lattice as lattice_module
@@ -396,6 +396,14 @@ class TestSearch:
         with pytest.raises(CapacityError, match="lattice has 5 elements, cap is 4;"):
             lattice_from_json(small, max_elements=4)
         assert lattice_from_json(small, max_elements=5) == Lattice.chain(5)
+
+    def test_negative_caps_are_validation_errors(self):
+        dia = Lattice.diamond()
+        with pytest.raises(ValidationError, match="^max_explored must be >= 0, got -1$"):
+            SearchSpec(dia, (uniform(dia),), uniform(dia), max_explored=-1)
+        with pytest.raises(ValidationError, match="^max_elements must be >= 0, got -1$"):
+            lattice_from_json(lattice_to_json(dia), max_elements=-1)
+        SearchSpec(dia, (uniform(dia),), uniform(dia), max_explored=0)   # 0 is a cap
 
 
 class TestSearchMatchesReference:

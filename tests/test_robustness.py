@@ -3,18 +3,23 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from relaycircuits import (
     CapacityError, Circuit, Distribution, Edge, Graph, IdGen, Input,
-    InvalidPerturbationError, Leaf, PerturbationModel, Pswitch,
+    InvalidPerturbationError, Leaf, Parallel, PerturbationModel, Pswitch,
     ValidationError, check_bounds, det, evaluate, parallel, perturb,
     perturb_dist, pswitch, series, synth_binary_nstate, denominator_reduction,
     worst_case_error,
 )
-from conftest import map_pswitches, random_graph_node, random_sp_circuit
+from conftest import (
+    corner_table_reference, map_pswitches, perturb_dist_reference, random_graph_node,
+    random_sp_circuit,
+)
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 EPS = F(1, 100)
@@ -73,6 +78,34 @@ def random_corner_circuits(count):
     return out
 
 
+def wide_corner_circuits():
+    """Sp and nested-graph circuits with 10 to 16 two-point pswitches, N from
+    2 to 5. A graph circuit joins two random graphs of at most 6 pswitches
+    each to an sp tree, as each corner of a graph's own pswitches costs one
+    ``_graph_dist`` call."""
+    rng = random.Random(20261019)
+    out = []
+    for i, count in enumerate((10, 12, 14, 16, 11, 13, 16)):
+        states = 2 + i % 4
+        while True:
+            if i < 4:
+                root = random_sp_circuit(rng, states, count, max_support_product=5 ** 16).root
+            else:
+                ids = IdGen("g")
+                graphs = [random_graph_node(rng, states, ids) for _ in range(2)]
+                sizes = [len(Circuit(states, g).pswitches()) for g in graphs]
+                if not all(1 <= n <= 6 for n in sizes) or sum(sizes) >= count:
+                    continue
+                sp = random_sp_circuit(rng, states, count - sum(sizes),
+                                       max_support_product=5 ** 16).root
+                root = parallel(series(graphs[0], sp), graphs[1])
+            circuit = Circuit(states, two_point(root, rng, states))
+            if len(circuit.pswitches()) == count:
+                break
+        out.append(circuit)
+    return out
+
+
 class TestPerturb:
     def test_examples(self):
         c = Circuit(2, pswitch(HALF2, "a"))
@@ -106,6 +139,45 @@ class TestPerturb:
             perturb_dist(Distribution([F(1, 3), F(1, 3), F(1, 3)]), EPS)
         with pytest.raises(InvalidPerturbationError):
             perturb_dist(Distribution([1, 0]), EPS)
+
+    @given(data=st.data())
+    def test_matches_fraction_arithmetic(self, data):
+        """The integer ``perturb_dist`` gives the ``Fraction`` result, or
+        raises the same error with the same message."""
+        states = data.draw(st.integers(2, 5))
+        active = data.draw(st.lists(st.integers(0, states - 1), min_size=1,
+                                    max_size=min(3, states), unique=True))
+        weights = data.draw(st.lists(st.integers(1, 12), min_size=len(active),
+                                     max_size=len(active)))
+        probs = [F(0)] * states
+        for s, w in zip(active, weights):
+            probs[s] = F(w, sum(weights))
+        denominator = data.draw(st.integers(1, 20))
+        error = F(data.draw(st.integers(-denominator, denominator)), denominator)
+        dist = Distribution(probs)
+        try:
+            expected = perturb_dist_reference(dist, error)
+        except InvalidPerturbationError as exc:
+            with pytest.raises(InvalidPerturbationError) as got:
+                perturb_dist(dist, error)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        out = perturb_dist(dist, error)
+        assert out._probs is None and out == expected and out.probs == expected.probs
+
+    def test_errors_collapsing_or_leaving_the_unit_interval(self):
+        for probs, error in [([F(1, 2), F(1, 2)], F(1, 2)), ([F(1, 2), F(1, 2)], F(-1, 2)),
+                             ([F(1, 4), 0, F(3, 4)], F(3, 4)), ([F(1, 3), F(2, 3)], F(-1, 3)),
+                             ([F(1, 2), F(1, 2)], F(3, 5)), ([F(1, 5), 0, F(4, 5)], F(-1, 4))]:
+            dist = Distribution(probs)
+            try:
+                expected = perturb_dist_reference(dist, error)
+            except InvalidPerturbationError as exc:
+                with pytest.raises(InvalidPerturbationError, match=f"^{re.escape(str(exc))}$"):
+                    perturb_dist(dist, error)
+                continue
+            assert perturb_dist(dist, error) == expected
+            assert sorted(expected)[-1] == 1
 
     def test_deterministic_switches_untouched(self):
         c = Circuit(3, series(pswitch([F(1, 2), 0, F(1, 2)], "a"), det(1)))
@@ -143,6 +215,13 @@ class TestWorstCase:
         report = worst_case_error(c, EPS, mode="sampled", trials=20, corner_cap=4)
         assert not report.exhaustive
 
+    @pytest.mark.parametrize("mode", ["corners", "sampled"])
+    def test_negative_corner_cap_is_a_validation_error(self, mode):
+        c = Circuit(2, pswitch(HALF2, "a"))
+        with pytest.raises(ValidationError, match="^corner_cap must be >= 0, got -1$"):
+            worst_case_error(c, EPS, mode=mode, corner_cap=-1)
+        assert worst_case_error(Circuit(2, det(1)), EPS, mode=mode, corner_cap=0)
+
     @pytest.mark.parametrize("trials", [0, -5])
     def test_sampled_needs_a_trial(self, trials):
         c = Circuit(2, parallel(pswitch(HALF2, "a"), pswitch(HALF2, "b")))
@@ -164,6 +243,18 @@ class TestWorstCase:
         a = worst_case_error(c, EPS, mode="sampled", trials=50, seed=3)
         b = worst_case_error(c, EPS, mode="sampled", trials=50, seed=3)
         assert a.per_state_max_error == b.per_state_max_error
+
+    def test_states_tied_at_the_maximum_report_the_first_corner(self):
+        # states 1 and 2 both reach 297/4096: state 1 first at corner 6
+        # (+, +, -), state 2 only at corner 7
+        eps = F(1, 16)
+        c = Circuit(3, series(parallel(pswitch([F(1, 4), 0, F(3, 4)], "a"),
+                                       pswitch([F(1, 8), 0, F(7, 8)], "b")),
+                              pswitch([0, F(1, 2), F(1, 2)], "c")))
+        report = worst_case_error(c, eps)
+        assert report.per_state_max_error[1:] == (F(297, 4096), F(297, 4096))
+        assert report.worst_assignment.assignments == {"a": eps, "b": eps, "c": -eps}
+        assert corner_reference(c, eps)[2] == report.worst_assignment.assignments
 
     def test_perturbed_outputs_remain_valid_at_quarter(self):
         # Distribution construction validates; no corner may escape [0, 1].
@@ -275,6 +366,52 @@ class TestIntegerCornerWalk:
         for epsilon in (F(1, 16), F(1, 9), F(1, 4)):
             for circuit in graphs:
                 TestCornerWalk.assert_same_outcome(circuit, epsilon)
+
+
+HIGHS = tuple(F(k, 8) for k in range(1, 8)) + (F(1, 3), F(2, 3), F(2, 5), F(3, 5))
+
+
+class TestWideCornerWalk:
+    """Past 9 pswitches, where evaluating every corner from scratch is too
+    slow, the column-wise search agrees exactly with the row-major table of
+    one tail per corner (``conftest.corner_table_reference``)."""
+
+    def test_circuits_cover_the_range(self):
+        circuits = wide_corner_circuits()
+        assert {len(c.pswitches()) for c in circuits} == {10, 11, 12, 13, 14, 16}
+        assert {c.states for c in circuits} == {2, 3, 4, 5}
+        assert sum(isinstance(c.root, Parallel) and isinstance(c.root.children[1], Graph)
+                   for c in circuits) == 3
+
+    @pytest.mark.parametrize("epsilon", [F(0), F(1, 16), F(1, 7), F(1, 2)])
+    def test_matches_row_major_table(self, epsilon):
+        rng = random.Random(epsilon.denominator)
+        highs = [h for h in HIGHS if epsilon <= h <= 1 - epsilon]
+        for circuit in wide_corner_circuits():
+            circuit = reweighted(circuit, highs, rng)
+            report = worst_case_error(circuit, epsilon)
+            assert ((report.per_state_max_error, report.worst_assignment.assignments)
+                    == corner_table_reference(circuit, epsilon))
+
+    def test_sixteen_switch_tree_peak_memory(self):
+        """Column by column, a 16-pswitch N=3 series at eps = 1/16 peaks
+        under 7 MiB; one tuple per corner peaked at about 8.7 MiB."""
+        ids = IdGen()
+        c = Circuit(3, series(*[pswitch([F(1, 2), 0, F(1, 2)], ids()) for _ in range(16)]))
+        worst_case_error(c, F(1, 16))   # builds and caches the plan
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = worst_case_error(c, F(1, 16))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert report.max_error() > 0
+        assert peak < 7 * 2 ** 20
 
 
 class TestCheckBounds:
