@@ -12,17 +12,22 @@ circuits.
 
 A ``LatticeDistribution`` keeps one canonical exact form: integer
 numerators in element order over one positive denominator, with no common
-factor left. Composition multiplies integers and reduces once, and the
-search deduplicates on that integer pair, which is exact rational equality
-without building a ``Fraction`` per composition. Each distribution keeps
-its nonzero ``(index, numerator)`` pairs, built once, as a right operand.
+factor left. Composition multiplies integers and reduces once. Each
+distribution keeps its nonzero ``(index, numerator)`` pairs, built once,
+as a right operand.
+
+The search needs no reduction at all: with L the lcm of its leaves'
+denominators, every distribution of at most k leaves has a denominator
+dividing L^k, so each meet and join is computed as integer numerators over
+one common denominator L^max_switches, and that tuple alone is exact
+rational equality, with no gcd and no ``Fraction`` per composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .circuits import (
@@ -215,11 +220,15 @@ def _canonical(num: Sequence[int], den: int) -> tuple[tuple, int]:
     """``(num, den)`` checked as a distribution in integers (nonnegative,
     summing to ``den > 0``) and reduced by one gcd: the canonical form."""
     if den <= 0 or min(num) < 0 or sum(num) != den:
-        raise LatticeError(f"numerators over {_show(Fraction(den))} are not a distribution")
+        raise _not_a_distribution(den)
     g = gcd(den, *num)
     if g > 1:
         return tuple([n // g for n in num]), den // g
     return tuple(num), den
+
+
+def _not_a_distribution(den: int) -> LatticeError:
+    return LatticeError(f"numerators over {_show(Fraction(den))} are not a distribution")
 
 
 _SET_LATTICE, _SET_NUM, _SET_DEN, _SET_NZ = (
@@ -295,21 +304,23 @@ class SearchResult:
         return out
 
 
-def _meet_join(p: tuple, q: tuple, n: int) -> tuple[tuple, tuple]:
-    """Canonical forms ``(numerators, denominator)`` of the meet and the join
-    of two search entries' distributions. Both are filled in one pass over
-    the products of p's nonzero ``(numerator, meet row, join row)`` triples
-    and q's nonzero ``(index, numerator)`` pairs, each product landing in
-    both, then checked and reduced by :func:`_canonical`."""
+def _meet_join(rows: tuple, pairs: tuple, n: int, full: int) -> tuple[tuple, tuple]:
+    """Numerators over ``full`` of the meet and the join of two search
+    entries' distributions. Both are filled in one pass over the products
+    of the left operand's nonzero ``(numerator, meet row, join row)``
+    triples and the right one's nonzero ``(index, numerator)`` pairs, each
+    product landing in both; the two operands' denominators multiply to
+    ``full``. Each result is checked in integers as :func:`_canonical`
+    checks it (nonnegative, summing to ``full``) and is not reduced."""
     meet, join = [0] * n, [0] * n
-    qs = q[5]
-    for px, mrow, jrow in p[4]:
-        for j, qy in qs:
+    for px, mrow, jrow in rows:
+        for j, qy in pairs:
             v = px * qy
             meet[mrow[j]] += v
             join[jrow[j]] += v
-    den = p[0]._den * q[0]._den
-    return _canonical(meet, den), _canonical(join, den)
+    if sum(meet) != full or sum(join) != full or min(meet) < 0 or min(join) < 0:
+        raise _not_a_distribution(full)
+    return tuple(meet), tuple(join)
 
 
 def search_expressible(spec: SearchSpec) -> SearchResult:
@@ -332,32 +343,25 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     bitmasks per reached distribution decide this in integers: its support,
     and the elements above all of its support.
 
-    Each reached distribution keeps its nonzero ``(numerator, meet row,
-    join row)`` triples and ``(index, numerator)`` pairs, and a pair's meet
-    and join are filled in one pass over the products (``_meet_join``).
-    Each result is checked and reduced in integers and looked up in the
-    memo before any object is built. Only a new distribution below the
-    budget becomes an operand, built by the public rule
-    :func:`compose_lattice`. One first reached at ``max_switches`` is
-    recorded by its key alone, and its witness text is formatted only if
-    it is the target.
+    Every value lives over one denominator. With L the lcm of the leaves'
+    denominators (the switch set's and the Dets' 1), a distribution of k
+    leaves has a denominator dividing L^k, so its numerators over
+    ``full = L**max_switches`` are integers, and that tuple is its key in
+    the memo. Each reached distribution keeps its nonzero ``(numerator,
+    meet row, join row)`` triples and ``(index, numerator)`` pairs over L^k
+    for its leaf count k; at each size level the left operands' numerators
+    are scaled once by L^(max_switches - size), so that every product of a
+    pair lands over ``full``, and a pair's meet and join are filled in one
+    pass (``_meet_join``), checked in integers and looked up with no gcd.
+    Only a new distribution below the budget becomes an operand, built by
+    the public rule :func:`compose_lattice`. One first reached at
+    ``max_switches`` is recorded by its key alone, and its witness text is
+    formatted only if it is the target. A target whose denominator does
+    not divide ``full`` is not realizable within the budget.
     """
     lattice = spec.lattice
     up, meets, joins = lattice._up, lattice._meet, lattice._join
     n, last = len(lattice.elements), spec.max_switches
-
-    def entry(dist: LatticeDistribution, expr: str) -> tuple:
-        # (distribution, witness, support, complement of the elements above
-        #  the whole support, nonzero (numerator, meet row, join row) triples,
-        #  nonzero (index, numerator) pairs)
-        support, above, rows, pairs = 0, -1, [], []
-        for i, x in enumerate(dist._num):
-            if x:
-                support |= 1 << i
-                above &= up[i]
-                rows.append((x, meets[i], joins[i]))
-                pairs.append((i, x))
-        return dist, expr, support, ~above, tuple(rows), tuple(pairs)
 
     base: list[tuple[LatticeDistribution, str]] = []
     for i, dist in enumerate(spec.switch_set):
@@ -367,18 +371,38 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     if spec.include_deterministic:
         for e in lattice.elements:
             base.append((LatticeDistribution.point(lattice, e), f"det({e})"))
+    unit = lcm(*[dist._den for dist, _ in base])
+    full = unit ** last
 
-    # seen maps the canonical integer form (_num, _den) to (leaves, witness),
+    def over(dist: LatticeDistribution, den: int) -> list:
+        # dist's numerators over den, a multiple of its denominator
+        scale = den // dist._den
+        return [x * scale for x in dist._num]
+
+    def entry(dist: LatticeDistribution, expr: str, size: int) -> tuple:
+        # (distribution, witness, support, complement of the elements above
+        #  the whole support, nonzero (numerator, meet row, join row) triples
+        #  and nonzero (index, numerator) pairs, numerators over L^size)
+        support, above, rows, pairs = 0, -1, [], []
+        for i, x in enumerate(over(dist, unit ** size)):
+            if x:
+                support |= 1 << i
+                above &= up[i]
+                rows.append((x, meets[i], joins[i]))
+                pairs.append((i, x))
+        return dist, expr, support, ~above, tuple(rows), tuple(pairs)
+
+    # seen maps a distribution's numerators over full to (leaves, witness),
     # the witness of a distribution first reached at the budget kept as its
     # (left, symbol, right) parts; by_size[k] lists the entries of the
     # operands first reached with exactly k < max_switches leaves
     seen: dict[tuple, tuple[int, Union[str, tuple]]] = {}
     by_size: dict[int, list[tuple]] = {k: [] for k in range(1, last + 1)}
     for dist, name in base:
-        key = (dist._num, dist._den)
+        key = tuple(over(dist, full))
         if key not in seen:
             seen[key] = (1, name)
-            by_size[1].append(entry(dist, name))
+            by_size[1].append(entry(dist, name, 1))
 
     def record(key: tuple, size: int, pe: tuple, op: str, qe: tuple) -> None:
         # a new distribution: at the budget it is kept by its key and witness
@@ -395,25 +419,30 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
         dist = compose_lattice(pe[0], qe[0], op)
         expr = "({} {} {})".format(*parts)
         seen[key] = (size, expr)
-        by_size[size].append(entry(dist, expr))
+        by_size[size].append(entry(dist, expr, size))
 
     for size in range(2, last + 1):
+        lift = unit ** (last - size)
         # meet and join commute, so each unordered pair is composed once:
         # lsize <= rsize, and among equal sizes q never precedes p
         for lsize in range(1, size // 2 + 1):
             rsize = size - lsize
             for i, pe in enumerate(by_size[lsize]):
                 psup, pnot = pe[2], pe[3]
+                # p's numerators over L^lsize, lifted so that its products
+                # with q's over L^rsize land over full
+                rows = tuple([(x * lift, m, j) for x, m, j in pe[4]]) if lift > 1 else pe[4]
                 for qe in by_size[rsize][i if lsize == rsize else 0:]:
                     # skip when p is surely below q or q surely below p
                     if qe[2] & pnot and psup & qe[3]:
-                        meet, join = _meet_join(pe, qe, n)
+                        meet, join = _meet_join(rows, qe[5], n, full)
                         if meet not in seen:
                             record(meet, size, pe, "meet", qe)
                         if join not in seen:
                             record(join, size, pe, "join", qe)
 
-    hit = seen.get((spec.target._num, spec.target._den))
+    target = spec.target
+    hit = seen.get(tuple(over(target, full))) if full % target._den == 0 else None
     if hit is None:
         return SearchResult(False, None, None, len(seen), last)
     size, expr = hit

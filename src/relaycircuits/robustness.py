@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .circuits import (
     CapacityError, Circuit, Distribution, Element, Node, Pswitch, RelayError,
-    ValidationError, _fold, _graph_dist, _leaf_dist, _rebuild, _show,
+    ValidationError, _fold, _from_tail, _graph_dist, _leaf_dist, _rebuild, _show,
     _tail_numerators, _to_tail, check_cap, evaluate,
 )
 from .rational import format_rational
@@ -117,23 +117,30 @@ def perturb(circuit: Circuit, model: PerturbationModel) -> Circuit:
 
 def perturb_dist(dist: Distribution, error: Fraction) -> Distribution:
     """``dist`` with its low active state raised by ``error`` and its high
-    active state lowered by it; computed on integer numerators over
+    active state lowered by it; computed on the integer tail over
     ``lcm(D, error's denominator)``, and left unread like ``compose_*``
     results."""
+    den = math.lcm(dist._den, error.denominator)
+    return _from_tail(den, _perturbed_tail(dist, error, den))
+
+
+def _perturbed_tail(dist: Distribution, error: Fraction, den: int) -> tuple[int, ...]:
+    """The integer tail of ``perturb_dist(dist, error)`` over ``den``, a
+    multiple of both denominators, with its errors: the error moves mass
+    between the two active states only, so ``dist``'s tail is shifted on
+    the levels T_(low+1) .. T_high alone, and T_high is the high state's
+    new numerator."""
     support = dist.support()
     if len(support) != 2:
         raise InvalidPerturbationError(
             f"perturbation needs exactly 2 active states, got {dist!r}")
     low, high = support
-    den = math.lcm(dist._den, error.denominator)
-    nums = list(_tail_numerators(*_to_tail(dist, den)))
+    tail = _to_tail(dist, den)[1]
     shift = error.numerator * (den // error.denominator)
-    nums[low] += shift
-    nums[high] -= shift
-    if not (0 <= nums[low] <= den and 0 <= nums[high] <= den):
+    if not 0 <= tail[high - 1] - shift <= den:   # the low state holds the rest
         raise InvalidPerturbationError(
             f"error {_show(error)} drives {dist!r} outside [0, 1]")
-    return Distribution._from_ints(den, nums)
+    return (*tail[:low], *[t - shift for t in tail[low:high]], *tail[high:])
 
 
 def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
@@ -254,18 +261,16 @@ def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, list[list
     as one column per level in ``itertools.product`` order over the
     pswitch ids (see ``_corner_table``)."""
     switches = circuit.pswitches()
-    # Perturb every switch before the walk, -eps in id order, then +eps in
-    # reverse: the first invalid one is the one per-corner perturbation hits.
-    minus = {sw.id: perturb_dist(sw.dist, -epsilon) if epsilon else sw.dist
-             for sw in switches}
-    plus = {sw.id: perturb_dist(sw.dist, epsilon) if epsilon else sw.dist
-            for sw in reversed(switches)}
-    leaves = {}
-    for sw in switches:
-        # The nominal's denominators, not the perturbed ones: at eps = 1/2 a
-        # perturbed switch can collapse to 0/1 and lose them.
-        den = math.lcm(epsilon.denominator, _to_tail(sw.dist)[0])
-        leaves[sw.id] = (den, _to_tail(minus[sw.id], den)[1], _to_tail(plus[sw.id], den)[1])
+    # The nominal's denominators, not the perturbed ones: at eps = 1/2 a
+    # perturbed switch can collapse to 0/1 and lose them.
+    dens = {sw.id: math.lcm(epsilon.denominator, sw.dist._den) for sw in switches}
+    # Shift every switch's tail before the walk, -eps in id order, then +eps
+    # in reverse: the first invalid one is the one per-corner perturbation hits.
+    minus = {sw.id: _perturbed_tail(sw.dist, -epsilon, dens[sw.id]) if epsilon
+             else sw.dist._tail for sw in switches}
+    plus = {sw.id: _perturbed_tail(sw.dist, epsilon, dens[sw.id]) if epsilon
+            else sw.dist._tail for sw in reversed(switches)}
+    leaves = {pid: (den, minus[pid], plus[pid]) for pid, den in dens.items()}
     return _corner_table(circuit.root, circuit.states, leaves)
 
 

@@ -1,7 +1,11 @@
 """CLI wiring: every subcommand, JSON determinism, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +13,7 @@ from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaycircuits import (
     Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, parallel,
@@ -16,6 +21,7 @@ from relaycircuits import (
 )
 from relaycircuits import cli, netlist
 from relaycircuits.cli import EXIT_CAPACITY, run
+from conftest import random_graph_node, random_sp_circuit
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 HALF3 = Distribution([F(1, 2), 0, F(1, 2)])
@@ -611,3 +617,69 @@ def test_robustness_sampled_refuses_fewer_than_one_trial(capsys, three_state_pat
     assert run(["robustness", "--netlist", three_state_path, "--epsilon", "1/100",
                 "--mode", "sampled", "--trials", trials]) == 2
     assert f"trials >= 1, got {trials}" in capsys.readouterr().err
+
+
+# One value of each JSON type, some at its edges: json.dumps writes the
+# infinite and NaN floats as Infinity and NaN, which json.loads reads back.
+JSON_VALUES = (None, True, False, 0, -1, 3, 10 ** 40, 0.5, -0.0, 1e308, float("inf"),
+               float("nan"), "", "x", "1/2", "s", [], [0], ["1/2", "1/2"], {},
+               {"op": "det", "state": 0}, {"op": "series"})
+
+
+def _json_type(value) -> str:
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+def _fields(doc):
+    """``(container, key)`` for every object field and list item in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(items):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _fields(value)
+
+
+@st.composite
+def netlist_documents(draw):
+    """A netlist document from a random sp or graph circuit of the test
+    generators, with one to three fields each replaced by a value of
+    another JSON type, deleted, or nested in a list or an object."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    states = rng.randint(2, 4)
+    if draw(st.booleans()):
+        circuit = random_sp_circuit(rng, states, 4)
+    else:
+        circuit = Circuit(states, random_graph_node(rng, states, IdGen(), depth=1))
+    doc = netlist.circuit_to_json(circuit)
+    for _ in range(draw(st.integers(1, 3))):
+        fields = list(_fields(doc))   # drawn near uniformly, not first-biased
+        container, key = fields[draw(st.integers(0, 2 ** 16)) % len(fields)]
+        action = draw(st.sampled_from(["replace", "delete", "nest"]))
+        if action == "replace":
+            old = _json_type(container[key])
+            container[key] = copy.deepcopy(draw(st.sampled_from(
+                [v for v in JSON_VALUES if _json_type(v) != old])))
+        elif action == "delete":
+            del container[key]
+        else:
+            value = container[key]
+            container[key] = draw(st.sampled_from([[value], {"op": value}, {str(key): value}]))
+        if not isinstance(doc.get("circuit"), (dict, list)):
+            break   # nothing left to walk into
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(netlist_documents())
+def test_fuzzed_netlists_end_in_an_exit_code(tmp_path_factory, doc):
+    """Every netlist command ends a fuzzed document in exit 0, 2 or 3, with
+    no exception escaping ``cli.run``."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    commands = (["eval", "--assign", "x0=1,x1=0,x2=1"], ["oracle-eval", "--assign", "x0=1"],
+                ["render"], ["dual"])
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run([command[0], "--netlist", str(path), *command[1:]])
+        assert code in (0, 2, 3), (command, doc)

@@ -72,6 +72,21 @@ def reference_search(lattice, switch_set, target, max_switches, max_explored=200
     return True, hit[1], hit[0], len(seen)
 
 
+def kernel_operands(lattice, rows, pairs):
+    """The two distributions one ``_meet_join`` call composes, rebuilt from
+    the left operand's ``(numerator, meet row, join row)`` triples and the
+    right operand's ``(index, numerator)`` pairs, with the sum of each
+    side's numerators as its denominator."""
+
+    def dist(items):
+        num = [0] * len(lattice.elements)
+        for i, x in items:
+            num[i] = x
+        return LatticeDistribution._from_ints(lattice, num, sum(num))
+
+    return dist((lattice._meet.index(m), x) for x, m, _ in rows), dist(pairs)
+
+
 def uniform(lattice):
     n = len(lattice.elements)
     return LatticeDistribution(lattice, [F(1, n)] * n)
@@ -488,6 +503,68 @@ class TestSearchMatchesReference:
                     lattice, switches, targets[0], max_switches=4, max_explored=cap,
                     include_deterministic=include_deterministic))
 
+    # Two switches of coprime denominators 997 and 1009, so that the search's
+    # common denominator (997 * 1009)^budget has up to 80 digits at budget 4.
+    COPRIME = [
+        (Lattice.chain(4), [[F(1, 997), 0, F(996, 997), 0], [0, F(5, 1009), 0, F(1004, 1009)]]),
+        (M3, [[0, F(1, 997), F(996, 997), 0, 0], [F(3, 1009), 0, 0, F(1006, 1009), 0]]),
+        (N5, [[0, F(2, 997), 0, F(995, 997), 0], [F(7, 1009), 0, F(1002, 1009), 0, 0]]),
+    ]
+
+    @pytest.mark.parametrize("include_deterministic", [True, False])
+    @pytest.mark.parametrize("lattice, members", COPRIME, ids=["chain4", "M3", "N5"])
+    def test_large_common_denominators_match(self, lattice, members, include_deterministic):
+        a, b = switches = tuple(LatticeDistribution(lattice, m) for m in members)
+        ab = compose_lattice(a, b, "join")
+        targets = [a, ab, compose_lattice(ab, a, "meet"),
+                   compose_lattice(compose_lattice(b, b, "meet"), ab, "join")]
+        for budget in (1, 2, 3, 4):
+            for target in targets:
+                res = search_expressible(SearchSpec(
+                    lattice, switches, target, max_switches=budget,
+                    include_deterministic=include_deterministic))
+                assert (res.realizable, res.expression, res.switches_used,
+                        res.explored_distributions) == reference_search(
+                    lattice, switches, target, budget,
+                    include_deterministic=include_deterministic)
+        explored = reference_search(lattice, switches, a, 4,
+                                    include_deterministic=include_deterministic)[3]
+        with pytest.raises(CapacityError, match=f"more than {explored - 1} distributions"):
+            search_expressible(SearchSpec(
+                lattice, switches, a, max_switches=4, max_explored=explored - 1,
+                include_deterministic=include_deterministic))
+
+    @pytest.mark.parametrize("lattice, members", COPRIME, ids=["chain4", "M3", "N5"])
+    def test_target_off_the_common_denominator(self, lattice, members):
+        """A target whose denominator does not divide (997 * 1009)^budget,
+        because of a prime the leaves lack or a power of 997 past the
+        budget, is not realizable, after the reference's explored count."""
+        switches = tuple(LatticeDistribution(lattice, m) for m in members)
+        top, bottom = lattice.top(), lattice.bottom()
+        for budget in (1, 2, 3):
+            for den in (3, 997 ** (budget + 1)):
+                target = LatticeDistribution(lattice, {bottom: F(1, den), top: 1 - F(1, den)})
+                res = search_expressible(SearchSpec(lattice, switches, target,
+                                                    max_switches=budget))
+                ref = reference_search(lattice, switches, target, budget)
+                assert not ref[0]
+                assert (res.realizable, res.expression, res.switches_used,
+                        res.explored_distributions) == ref
+
+    def test_the_kernel_check_refuses_a_corrupted_operand(self):
+        """Each meet and join is checked in integers: a switch whose stored
+        numerators miss its denominator, or hold a negative entry, makes a
+        result that does not sum to the common denominator or has a
+        negative numerator, and the search raises ``LatticeError``."""
+        dia = Lattice.diamond()
+        for num in ((1, 1, 1, 2), (2, 2, -1, 1)):
+            bad = LatticeDistribution._from_ints(dia, [1, 1, 1, 1], 4)
+            lattice_module._SET_NUM(bad, num)
+            # over the common denominator 4^2
+            with pytest.raises(LatticeError, match="^numerators over 16 are not a distribution$"):
+                search_expressible(SearchSpec(dia, (bad,), uniform(dia), max_switches=2,
+                                              include_deterministic=False))
+
     def test_surely_comparable_pairs_are_not_composed(self, monkeypatch):
         """A pair in which one side lies surely below the other never reaches
         the pair kernel ``_meet_join``: its meet and join are the two
@@ -498,9 +575,9 @@ class TestSearchMatchesReference:
         calls, composed_calls = [], []
         kernel = lattice_module._meet_join
 
-        def counting(p, q, n):
-            calls.append((p[0], q[0]))
-            return kernel(p, q, n)
+        def counting(rows, pairs, n, full):
+            calls.append(kernel_operands(dia, rows, pairs))
+            return kernel(rows, pairs, n, full)
 
         def counting_compose(p, q, op):
             composed_calls.append(op)
@@ -518,9 +595,7 @@ class TestSearchMatchesReference:
                        for y in dia.elements if q[y])
 
         def leaf(d):
-            # the switch set's members are passed on as they are; the search
-            # builds its own det leaves
-            return next(k for k, x in enumerate(leaves) if x is d or (k >= 2 and x == d))
+            return next(k for k, x in enumerate(leaves) if x == d)
 
         pairs = [(i, j) for i in range(len(leaves)) for j in range(i, len(leaves))]
         composed = [(i, j) for i, j in pairs if not surely_below(leaves[i], leaves[j])
@@ -627,16 +702,20 @@ class TestSearchProperty:
         assert len(calls) == explored[3] - explored[1] > 0
 
     def test_pair_kernel_matches_compose_lattice(self, monkeypatch, rng):
-        """Every pair the search hands ``_meet_join`` gets the canonical
-        ``(_num, _den)`` of ``compose_lattice``'s meet and join."""
+        """Every pair the search hands ``_meet_join`` gets the numerators of
+        ``compose_lattice``'s meet and join scaled to the common denominator
+        ``full``, and the operands' own denominators multiply to ``full``."""
         kernel, pairs = lattice_module._meet_join, []
 
-        def checking(p, q, n):
-            meet, join = kernel(p, q, n)
+        def checking(rows, right, n, full):
+            meet, join = kernel(rows, right, n, full)
+            p, q = kernel_operands(lattice, rows, right)
+            assert sum(x for x, _, _ in rows) * sum(x for _, x in right) == full
             for op, got in (("meet", meet), ("join", join)):
-                out = compose_lattice(p[0], q[0], op)
-                assert got == (out._num, out._den), op
-            pairs.append(p)
+                out = compose_lattice(p, q, op)
+                assert full % out._den == 0, op
+                assert got == tuple(x * (full // out._den) for x in out._num), op
+            pairs.append(rows)
             return meet, join
 
         monkeypatch.setattr(lattice_module, "_meet_join", checking)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from relaycircuits import robustness as robustness_module
 from relaycircuits import (
     CapacityError, Circuit, Distribution, Edge, Graph, IdGen, Input,
     InvalidPerturbationError, Leaf, Parallel, PerturbationModel, Pswitch,
@@ -359,6 +360,30 @@ class TestIntegerCornerWalk:
             # a corner is then a deterministic circuit: its output is a point mass
             worst = evaluate(perturb(circuit, report.worst_assignment))
             assert sorted(worst) == [0] * (circuit.states - 1) + [1]
+
+    def test_corner_leaves_shift_the_nominal_tails(self, monkeypatch):
+        """Each corner leaf is its switch's nominal tail shifted by -eps and
+        +eps: no perturbed ``Distribution`` is built, and the report and the
+        first invalid switch's error stay those of the reference, which
+        perturbs the ``Fraction`` entries."""
+        def refuse(*_):
+            raise AssertionError("a corner leaf went through perturb_dist")
+
+        monkeypatch.setattr(robustness_module, "perturb_dist", refuse)
+        failed = 0
+        for epsilon in (F(0), F(1, 16), F(1, 4)):
+            for circuit in random_corner_circuits(40):
+                try:
+                    expected = corner_table_reference(circuit, epsilon)
+                except InvalidPerturbationError as exc:
+                    failed += 1
+                    with pytest.raises(InvalidPerturbationError, match=re.escape(str(exc))):
+                        worst_case_error(circuit, epsilon)
+                    continue
+                report = worst_case_error(circuit, epsilon)
+                assert (report.per_state_max_error,
+                        report.worst_assignment.assignments) == expected
+        assert failed > 10
 
     def test_mixed_epsilons_on_graph_circuits(self):
         graphs = [c for c in random_corner_circuits(40) if isinstance(c.root, Graph)]
