@@ -9,6 +9,7 @@ rationals as lowest-term strings; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -180,6 +181,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache   # parsing leaves the parser as it was, so a process needs one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaycircuits",

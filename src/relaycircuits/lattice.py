@@ -18,9 +18,10 @@ as a right operand.
 
 The search needs no reduction at all: with L the lcm of its leaves'
 denominators, every distribution of at most k leaves has a denominator
-dividing L^k, so each meet and join is computed as integer numerators over
-one common denominator L^max_switches, and that tuple alone is exact
-rational equality, with no gcd and no ``Fraction`` per composition.
+dividing L^k, so its numerators over L^max_switches, packed into one int
+with a spare bit per field, are exact rational equality, and a pair's meet
+and join take one multiply-add per nonzero numerator, with no gcd and no
+``Fraction`` per composition.
 """
 
 from __future__ import annotations
@@ -304,23 +305,22 @@ class SearchResult:
         return out
 
 
-def _meet_join(rows: tuple, pairs: tuple, n: int, full: int) -> tuple[tuple, tuple]:
-    """Numerators over ``full`` of the meet and the join of two search
-    entries' distributions. Both are filled in one pass over the products
-    of the left operand's nonzero ``(numerator, meet row, join row)``
-    triples and the right one's nonzero ``(index, numerator)`` pairs, each
-    product landing in both; the two operands' denominators multiply to
-    ``full``. Each result is checked in integers as :func:`_canonical`
-    checks it (nonnegative, summing to ``full``) and is not reduced."""
-    meet, join = [0] * n, [0] * n
-    for px, mrow, jrow in rows:
-        for j, qy in pairs:
-            v = px * qy
-            meet[mrow[j]] += v
-            join[jrow[j]] += v
-    if sum(meet) != full or sum(join) != full or min(meet) < 0 or min(join) < 0:
+def _meet_join(images: list, pairs: tuple, split: int, mod: int,
+               full: int) -> tuple[int, int]:
+    """Packed keys of the meet and the join of two search entries'
+    distributions. ``images[j]`` holds the left operand's meet with the
+    point j in its low ``split`` bits and its join with j above them, so
+    one multiply-add per nonzero ``(j, q)`` pair of the right operand
+    fills both. Each result is checked: its fields must sum to ``full``,
+    so the key is ``full`` modulo ``mod = 2**w - 1`` (as ``2**w`` is 1)."""
+    both = 0
+    for j, q in pairs:
+        both += q * images[j]
+    join = both >> split
+    meet = both - (join << split)
+    if meet % mod != full or join % mod != full:
         raise _not_a_distribution(full)
-    return tuple(meet), tuple(join)
+    return meet, join
 
 
 def search_expressible(spec: SearchSpec) -> SearchResult:
@@ -343,24 +343,32 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     bitmasks per reached distribution decide this in integers: its support,
     and the elements above all of its support.
 
-    Every value lives over one denominator. With L the lcm of the leaves'
-    denominators (the switch set's and the Dets' 1), a distribution of k
-    leaves has a denominator dividing L^k, so its numerators over
-    ``full = L**max_switches`` are integers, and that tuple is its key in
-    the memo. Each reached distribution keeps its nonzero ``(numerator,
-    meet row, join row)`` triples and ``(index, numerator)`` pairs over L^k
-    for its leaf count k; at each size level the left operands' numerators
-    are scaled once by L^(max_switches - size), so that every product of a
-    pair lands over ``full``, and a pair's meet and join are filled in one
-    pass (``_meet_join``), checked in integers and looked up with no gcd.
+    Every value lives over one denominator and is packed into one int.
+    With L the lcm of the leaves' denominators (the switch set's and the
+    Dets' 1), a distribution of k leaves has a denominator dividing L^k, so
+    its numerators over ``full = L**max_switches`` are integers; its key
+    holds element e's at bit ``w * e``, ``w = full.bit_length() + 1``, and
+    fields that are nonnegative and sum to ``full < 2**w`` never carry.
+    An entry keeps its nonzero ``(index, numerator)`` pairs over L^k,
+    checked once as it is made (nonnegative, summing to L^k); one of
+    k <= max_switches / 2 leaves, which may be a left operand, also keeps
+    n images over L^k, image j packing its meet with the point j and,
+    above it, its join with j. Lifted once per size level by
+    L^(max_switches - size), so that every product lands over ``full``,
+    they give a pair's meet and join in one multiply-add per nonzero
+    ``(j, q)`` of the right operand (``_meet_join``), each result checked
+    to sum to ``full`` and looked up with no gcd.
     Only a new distribution below the budget becomes an operand, built by
     the public rule :func:`compose_lattice`. One first reached at
     ``max_switches`` is recorded by its key alone, and its witness text is
-    formatted only if it is the target. A target whose denominator does
-    not divide ``full`` is not realizable within the budget.
+    formatted only if it is the target. The target must live on the
+    search's lattice; one whose denominator does not divide ``full`` is
+    not realizable within the budget.
     """
-    lattice = spec.lattice
-    up, meets, joins = lattice._up, lattice._meet, lattice._join
+    lattice, target = spec.lattice, spec.target
+    if target.lattice is not lattice and target.lattice != lattice:
+        raise LatticeMismatchError("target on a different lattice")
+    up = lattice._up
     n, last = len(lattice.elements), spec.max_switches
 
     base: list[tuple[LatticeDistribution, str]] = []
@@ -373,38 +381,50 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
             base.append((LatticeDistribution.point(lattice, e), f"det({e})"))
     unit = lcm(*[dist._den for dist, _ in base])
     full = unit ** last
-
-    def over(dist: LatticeDistribution, den: int) -> list:
-        # dist's numerators over den, a multiple of its denominator
-        scale = den // dist._den
-        return [x * scale for x in dist._num]
+    w = full.bit_length() + 1
+    mod, split = (1 << w) - 1, w * n
+    # points[i][j]: the packed meet of the points i and j, their join above
+    points = [[(1 << w * m) + (1 << split + w * j) for m, j in zip(*rows)]
+              for rows in zip(lattice._meet, lattice._join)]
 
     def entry(dist: LatticeDistribution, expr: str, size: int) -> tuple:
         # (distribution, witness, support, complement of the elements above
-        #  the whole support, nonzero (numerator, meet row, join row) triples
-        #  and nonzero (index, numerator) pairs, numerators over L^size)
-        support, above, rows, pairs = 0, -1, [], []
-        for i, x in enumerate(over(dist, unit ** size)):
+        #  the whole support, nonzero (index, numerator) pairs over L^size,
+        #  and, if it can be a left operand, its images over L^size)
+        den = unit ** size
+        scale = den // dist._den
+        nums = [x * scale for x in dist._num]
+        if min(nums) < 0 or sum(nums) != den:
+            raise _not_a_distribution(full)
+        support, above, pairs = 0, -1, []
+        for i, x in enumerate(nums):
             if x:
                 support |= 1 << i
                 above &= up[i]
-                rows.append((x, meets[i], joins[i]))
                 pairs.append((i, x))
-        return dist, expr, support, ~above, tuple(rows), tuple(pairs)
+        images = ([sum([x * points[i][j] for i, x in pairs]) for j in range(n)]
+                  if 2 * size <= last else None)
+        return dist, expr, support, ~above, tuple(pairs), images
 
-    # seen maps a distribution's numerators over full to (leaves, witness),
-    # the witness of a distribution first reached at the budget kept as its
+    # seen maps a distribution's packed key to (leaves, witness), the
+    # witness of a distribution first reached at the budget kept as its
     # (left, symbol, right) parts; by_size[k] lists the entries of the
     # operands first reached with exactly k < max_switches leaves
-    seen: dict[tuple, tuple[int, Union[str, tuple]]] = {}
+    seen: dict[int, tuple[int, Union[str, tuple]]] = {}
     by_size: dict[int, list[tuple]] = {k: [] for k in range(1, last + 1)}
+    def packed(dist: LatticeDistribution) -> int:
+        # dist's key: its numerators over full, a multiple of its denominator
+        scale = full // dist._den
+        return sum([x * scale << w * e for e, x in enumerate(dist._num)])
+
     for dist, name in base:
-        key = tuple(over(dist, full))
+        leaf = entry(dist, name, 1)   # checks dist before it is packed
+        key = packed(dist)
         if key not in seen:
             seen[key] = (1, name)
-            by_size[1].append(entry(dist, name, 1))
+            by_size[1].append(leaf)
 
-    def record(key: tuple, size: int, pe: tuple, op: str, qe: tuple) -> None:
+    def record(key: int, size: int, pe: tuple, op: str, qe: tuple) -> None:
         # a new distribution: at the budget it is kept by its key and witness
         # parts alone; below it, it is built as an operand
         if len(seen) >= spec.max_explored:
@@ -429,20 +449,19 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
             rsize = size - lsize
             for i, pe in enumerate(by_size[lsize]):
                 psup, pnot = pe[2], pe[3]
-                # p's numerators over L^lsize, lifted so that its products
-                # with q's over L^rsize land over full
-                rows = tuple([(x * lift, m, j) for x, m, j in pe[4]]) if lift > 1 else pe[4]
+                # p's images over L^lsize, lifted so that their products
+                # with q's numerators over L^rsize land over full
+                images = [x * lift for x in pe[5]] if lift > 1 else pe[5]
                 for qe in by_size[rsize][i if lsize == rsize else 0:]:
                     # skip when p is surely below q or q surely below p
                     if qe[2] & pnot and psup & qe[3]:
-                        meet, join = _meet_join(rows, qe[5], n, full)
+                        meet, join = _meet_join(images, qe[4], split, mod, full)
                         if meet not in seen:
                             record(meet, size, pe, "meet", qe)
                         if join not in seen:
                             record(join, size, pe, "join", qe)
 
-    target = spec.target
-    hit = seen.get(tuple(over(target, full))) if full % target._den == 0 else None
+    hit = seen.get(packed(target)) if full % target._den == 0 else None
     if hit is None:
         return SearchResult(False, None, None, len(seen), last)
     size, expr = hit

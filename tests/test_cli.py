@@ -337,6 +337,19 @@ def test_lattice_search_output_pinned(capsys, tmp_path, target, expected):
     assert code == 0 and doc == expected
 
 
+def test_runs_in_one_process_share_no_parsed_state(capsys, diamond_files):
+    """``run`` reuses one parser, and a flag given to one call does not
+    reach the next: without the Dets the search reaches fewer distributions."""
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["lattice-search", *diamond_files, "--max-switches", "2"]
+    outcomes = [run_json(capsys, argv + flags) for flags in
+                (["--no-deterministic"], [], ["--no-deterministic"], [])]
+    assert [code for code, _ in outcomes] == [0] * 4
+    without, with_dets = outcomes[0][1], outcomes[1][1]
+    assert outcomes[2][1] == without and outcomes[3][1] == with_dets
+    assert without["explored_distributions"] < with_dets["explored_distributions"]
+
+
 def test_lattice_search_caps(capsys, tmp_path):
     lat = tmp_path / "diamond.json"
     lat.write_text(json.dumps({

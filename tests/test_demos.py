@@ -15,7 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     # the demos import relaycircuits from src/, as the tests do
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(script)],
+    # -W error: a demo that warns fails, as pytest's own filterwarnings makes tests fail
+    result = subprocess.run([sys.executable, "-W", "error", str(script)],
                             capture_output=True, text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr

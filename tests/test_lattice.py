@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,11 +73,23 @@ def reference_search(lattice, switch_set, target, max_switches, max_explored=200
     return True, hit[1], hit[0], len(seen)
 
 
-def kernel_operands(lattice, rows, pairs):
+def fields(key, n, split):
+    """The n numerators packed in the low ``split`` bits of a search key,
+    ``split // n`` bits each."""
+    w = split // n
+    return [key >> w * e & ((1 << w) - 1) for e in range(n)]
+
+
+def left_numerators(lattice, images, split):
+    """The left operand's numerators in one ``_meet_join`` call: the meet
+    half of its image for the top element, as p meet top is p."""
+    return fields(images[lattice._index[lattice.top()]], len(lattice.elements), split)
+
+
+def kernel_operands(lattice, images, pairs, split):
     """The two distributions one ``_meet_join`` call composes, rebuilt from
-    the left operand's ``(numerator, meet row, join row)`` triples and the
-    right operand's ``(index, numerator)`` pairs, with the sum of each
-    side's numerators as its denominator."""
+    the left operand's images and the right one's ``(index, numerator)``
+    pairs, with the sum of each side's numerators as its denominator."""
 
     def dist(items):
         num = [0] * len(lattice.elements)
@@ -84,7 +97,7 @@ def kernel_operands(lattice, rows, pairs):
             num[i] = x
         return LatticeDistribution._from_ints(lattice, num, sum(num))
 
-    return dist((lattice._meet.index(m), x) for x, m, _ in rows), dist(pairs)
+    return dist(enumerate(left_numerators(lattice, images, split))), dist(pairs)
 
 
 def uniform(lattice):
@@ -388,6 +401,19 @@ class TestSearch:
         assert not res.realizable
         assert res.explored_distributions > 5000
 
+    def test_target_on_another_lattice_is_refused(self):
+        """The target is checked like a switch-set member: a chain(4)
+        uniform target has the numerators of the diamond's uniform switch,
+        but lives on another lattice."""
+        dia = Lattice.diamond()
+        for target in (uniform(Lattice.chain(4)), uniform(M3)):
+            with pytest.raises(LatticeMismatchError, match="^target on a different lattice$"):
+                search_expressible(SearchSpec(dia, (uniform(dia),), target, max_switches=2))
+        # an equal lattice built apart is the same lattice
+        res = search_expressible(SearchSpec(dia, (uniform(dia),), uniform(Lattice.diamond()),
+                                            max_switches=2))
+        assert (res.realizable, res.expression) == (True, "s0")
+
     def test_capacity_error_names_cap_and_knob(self):
         dia = Lattice.diamond()
         target = LatticeDistribution(dia, {"01": F(1, 2), "10": F(1, 2)})
@@ -551,6 +577,58 @@ class TestSearchMatchesReference:
                 assert (res.realizable, res.expression, res.switches_used,
                         res.explored_distributions) == ref
 
+    # Switch sets whose common denominator L is 2^k - 1, so that at budget 1
+    # the search's full = L fills all k bits of a field: L = 1 (points only,
+    # where full = 1 at every budget), 3, 15 and 255 = 3 * 5 * 17.
+    ALL_ONES = [
+        (Lattice.diamond(), [[0, 1, 0, 0]]),
+        (Lattice.chain(4), [[F(1, 3), 0, F(2, 3), 0]]),
+        (Lattice.diamond(), [[F(1, 3), 0, F(2, 3), 0], [0, F(1, 5), 0, F(4, 5)]]),
+        (M3, [[0, F(1, 3), F(2, 3), 0, 0], [0, 0, F(1, 5), F(4, 5), 0],
+              [F(1, 17), 0, 0, 0, F(16, 17)]]),
+    ]
+
+    @pytest.mark.parametrize("include_deterministic", [True, False])
+    @pytest.mark.parametrize("lattice, members", ALL_ONES, ids=["L1", "L3", "L15", "L255"])
+    def test_fields_of_all_ones_match(self, lattice, members, include_deterministic):
+        switches = tuple(LatticeDistribution(lattice, m) for m in members)
+        unit = lcm(*(dist._den for dist in switches))
+        assert unit & (unit + 1) == 0
+        a, b = switches[0], switches[-1]
+        targets = [a, b, compose_lattice(a, b, "meet"),
+                   compose_lattice(compose_lattice(a, b, "join"), a, "meet"),
+                   LatticeDistribution.point(lattice, lattice.top())]
+        for budget in (1, 2, 3):
+            for target in targets:
+                res = search_expressible(SearchSpec(
+                    lattice, switches, target, max_switches=budget,
+                    include_deterministic=include_deterministic))
+                assert (res.realizable, res.expression, res.switches_used,
+                        res.explored_distributions) == reference_search(
+                    lattice, switches, target, budget,
+                    include_deterministic=include_deterministic)
+
+    @pytest.mark.parametrize("a, c", [(F(1, 3), F(1, 3)), (F(1, 3), F(1, 5)),
+                                      (F(1, 3), F(1, 85)), (F(1, 997), F(1, 1009))],
+                             ids=["L3", "L15", "L255", "L997x1009"])
+    def test_a_point_target_fills_one_field(self, a, c):
+        """On M3, a switch on {a, b} meets one on {0, c} in the point 0, so
+        that point's key holds all of ``full`` in its one field."""
+        switches = (LatticeDistribution(M3, [0, a, 1 - a, 0, 0]),
+                    LatticeDistribution(M3, [1 - c, 0, 0, c, 0]))
+        target = LatticeDistribution.point(M3, "0")
+        for budget in (2, 3):
+            for include_deterministic in (True, False):
+                res = search_expressible(SearchSpec(
+                    M3, switches, target, max_switches=budget,
+                    include_deterministic=include_deterministic))
+                ref = reference_search(M3, switches, target, budget,
+                                       include_deterministic=include_deterministic)
+                assert (res.realizable, res.expression, res.switches_used,
+                        res.explored_distributions) == ref
+                assert ref[:3] == ((True, "det(0)", 1) if include_deterministic
+                                   else (True, "(s0 * s1)", 2))
+
     def test_the_kernel_check_refuses_a_corrupted_operand(self):
         """Each meet and join is checked in integers: a switch whose stored
         numerators miss its denominator, or hold a negative entry, makes a
@@ -565,6 +643,20 @@ class TestSearchMatchesReference:
                 search_expressible(SearchSpec(dia, (bad,), uniform(dia), max_switches=2,
                                               include_deterministic=False))
 
+    def test_the_kernel_checks_each_result(self, monkeypatch):
+        """``_meet_join`` checks every meet and join it returns: handed the
+        images of a left operand with one stray unit in every image, its
+        results no longer sum to ``full``, and it raises ``LatticeError``."""
+        kernel = lattice_module._meet_join
+
+        def corrupting(images, pairs, split, mod, full):
+            return kernel([x + 1 for x in images], pairs, split, mod, full)
+
+        monkeypatch.setattr(lattice_module, "_meet_join", corrupting)
+        dia = Lattice.diamond()
+        with pytest.raises(LatticeError, match="^numerators over 16 are not a distribution$"):
+            search_expressible(SearchSpec(dia, (uniform(dia),), uniform(dia), max_switches=2))
+
     def test_surely_comparable_pairs_are_not_composed(self, monkeypatch):
         """A pair in which one side lies surely below the other never reaches
         the pair kernel ``_meet_join``: its meet and join are the two
@@ -575,9 +667,9 @@ class TestSearchMatchesReference:
         calls, composed_calls = [], []
         kernel = lattice_module._meet_join
 
-        def counting(rows, pairs, n, full):
-            calls.append(kernel_operands(dia, rows, pairs))
-            return kernel(rows, pairs, n, full)
+        def counting(images, pairs, split, mod, full):
+            calls.append(kernel_operands(dia, images, pairs, split))
+            return kernel(images, pairs, split, mod, full)
 
         def counting_compose(p, q, op):
             composed_calls.append(op)
@@ -707,15 +799,17 @@ class TestSearchProperty:
         ``full``, and the operands' own denominators multiply to ``full``."""
         kernel, pairs = lattice_module._meet_join, []
 
-        def checking(rows, right, n, full):
-            meet, join = kernel(rows, right, n, full)
-            p, q = kernel_operands(lattice, rows, right)
-            assert sum(x for x, _, _ in rows) * sum(x for _, x in right) == full
+        def checking(images, right, split, mod, full):
+            meet, join = kernel(images, right, split, mod, full)
+            p, q = kernel_operands(lattice, images, right, split)
+            assert sum(left_numerators(lattice, images, split)) * sum(
+                x for _, x in right) == full
             for op, got in (("meet", meet), ("join", join)):
                 out = compose_lattice(p, q, op)
                 assert full % out._den == 0, op
-                assert got == tuple(x * (full // out._den) for x in out._num), op
-            pairs.append(rows)
+                assert got >> split == 0 and fields(got, len(out._num), split) == [
+                    x * (full // out._den) for x in out._num], op
+            pairs.append(right)
             return meet, join
 
         monkeypatch.setattr(lattice_module, "_meet_join", checking)
