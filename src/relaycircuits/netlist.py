@@ -13,6 +13,11 @@ Top level is ``{"states": N, "circuit": node}``. A node is one of::
 Rationals serialize as lowest-term ``"a/b"`` strings, integers as ``"a"``.
 Serialization is canonical: parse -> serialize -> parse is the identity and
 identical circuits produce byte-identical documents.
+
+A netlist repeats few distributions over many leaves, so each distinct
+distribution is formatted once per document, from its integer tail, and
+each distinct ``dist`` text is parsed once per document; loaded leaves
+with equal text share one immutable ``Distribution``.
 """
 
 from __future__ import annotations
@@ -20,35 +25,45 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from typing import Union
+from typing import Optional, Union
 
 from .circuits import (
     Circuit, Det, Distribution, Edge, Element, Graph, Input, Leaf, Node,
-    Parallel, Pswitch, Series, ValidationError, _fold,
+    Parallel, Pswitch, Series, ValidationError, _fold, _tail_numerators,
 )
-from .rational import format_rational, parse_rational
+from .rational import (
+    digit_limit_error, format_numerators, longest_digit_run, parse_rational,
+)
 
 
 def distribution_to_json(dist: Distribution) -> list[str]:
-    return [format_rational(p) for p in dist]
+    """``dist``'s entries as rational strings, formatted from its integer
+    tail, so no ``Fraction`` is built."""
+    return format_numerators(dist._den, _tail_numerators(dist._den, dist._tail))
 
 
 def distribution_from_json(data: list) -> Distribution:
     return Distribution(parse_rational(str(p)) for p in data)
 
 
-def _element_to_json(el: Element) -> dict:
-    if isinstance(el, Pswitch):
-        return {"op": "pswitch", "dist": distribution_to_json(el.dist), "id": el.id}
-    if isinstance(el, Det):
-        return {"op": "det", "state": operator.index(el.state)}
-    return {"op": "input", "name": el.name, "complemented": el.complemented}
-
-
 def node_to_json(node: Node) -> dict:
     """``node`` as a netlist document, built in one fold over its plan, so
-    any depth works."""
-    return _fold(node, _element_to_json,
+    any depth works. Each distinct distribution is formatted once, keyed by
+    its integer tail; every pswitch gets its own list."""
+    texts: dict[tuple, list[str]] = {}
+
+    def element(el: Element) -> dict:
+        if isinstance(el, Pswitch):
+            key = (el.dist._den, el.dist._tail)
+            entries = texts.get(key)
+            if entries is None:
+                entries = texts[key] = distribution_to_json(el.dist)
+            return {"op": "pswitch", "dist": list(entries), "id": el.id}
+        if isinstance(el, Det):
+            return {"op": "det", "state": operator.index(el.state)}
+        return {"op": "input", "name": el.name, "complemented": el.complemented}
+
+    return _fold(node, element,
                  lambda kids: {"op": "series", "children": kids},
                  lambda kids: {"op": "parallel", "children": kids},
                  lambda s, t, ends, labels: {
@@ -83,20 +98,29 @@ def _typed(value, name: str, kind, op=None):
 
 
 def node_from_json(data: dict) -> Node:
+    return _node_from_json(data, {})
+
+
+def _node_from_json(data: dict, dists: dict[tuple, Distribution]) -> Node:
+    """``data`` as a node; ``dists`` maps each ``dist`` field's texts
+    already parsed in this document to its ``Distribution``."""
     if not isinstance(data, dict) or "op" not in data:
         raise ValidationError(f"malformed netlist node: {data!r}")
     op = data["op"]
     try:
         if op == "pswitch":
-            return Leaf(Pswitch(distribution_from_json(_field(data, "dist", list, op)),
-                                _field(data, "id", _TEXT, op)))
+            texts = tuple(str(p) for p in _field(data, "dist", list, op))
+            dist = dists.get(texts)
+            if dist is None:   # only a parsed one is kept, so a bad one fails every time
+                dist = dists[texts] = distribution_from_json(texts)
+            return Leaf(Pswitch(dist, _field(data, "id", _TEXT, op)))
         if op == "det":
             return Leaf(Det(_field(data, "state", int, op)))
         if op == "input":
             return Leaf(Input(_field(data, "name", _TEXT, op),
                               _field(data, "complemented", bool, op, default=False)))
         if op in ("series", "parallel"):
-            kids = tuple(node_from_json(c) for c in _field(data, "children", list, op))
+            kids = tuple(_node_from_json(c, dists) for c in _field(data, "children", list, op))
             return (Series if op == "series" else Parallel)(kids)
         if op == "graph":
             terminals = _field(data, "terminals", list, op)
@@ -109,7 +133,7 @@ def node_from_json(data: dict) -> Node:
                     raise ValidationError(f"netlist graph node: edge {i} must be an object, "
                                           f"got {type(e).__name__}")
                 edges.append(Edge(_field(e, "from", _TEXT, op), _field(e, "to", _TEXT, op),
-                                  node_from_json(e["element"])))
+                                  _node_from_json(e["element"], dists)))
             s, t = (_typed(v, f"terminals[{i}]", _TEXT, op) for i, v in enumerate(terminals))
             return Graph(s, t, tuple(edges))
     except KeyError as exc:
@@ -127,13 +151,32 @@ def circuit_from_json(data: dict) -> Circuit:
     return Circuit(_field(data, "states", int), node_from_json(data["circuit"]))
 
 
-def dumps(circuit: Circuit) -> str:
-    return json.dumps(circuit_to_json(circuit), indent=2)
+def dumps(circuit: Circuit, indent: Optional[int] = 2) -> str:
+    """The netlist text; ``indent`` is ``json.dumps``'s, ``None`` for the
+    compact one-line form."""
+    return json.dumps(circuit_to_json(circuit), indent=indent)
+
+
+def _decode(text: Union[str, bytes]):
+    """``json.loads(text)``, with an integer past Python's int-to-string
+    digit limit, which the decoder reports as a plain ``ValueError``, a
+    ``CapacityError`` as on write."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        if isinstance(text, bytes):
+            text = text.decode(json.detect_encoding(text), "replace")
+        digits = longest_digit_run(text)
+        if digits > sys.get_int_max_str_digits() > 0:
+            raise digit_limit_error(digits) from None
+        raise
 
 
 def loads(text: Union[str, bytes]) -> Circuit:
     try:
-        return circuit_from_json(json.loads(text))
+        return circuit_from_json(_decode(text))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -142,9 +185,9 @@ def loads(text: Union[str, bytes]) -> Circuit:
             f"recursion limit {sys.getrecursionlimit()}") from exc
 
 
-def save(circuit: Circuit, path) -> None:
+def save(circuit: Circuit, path, indent: Optional[int] = 2) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(circuit))
+        fh.write(dumps(circuit, indent))
         fh.write("\n")
 
 

@@ -9,10 +9,13 @@ for integers.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
 from .circuits import CapacityError
+
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")   # one integer as Fraction and json read it
 
 
 class RationalParseError(ValueError):
@@ -20,11 +23,40 @@ class RationalParseError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"5/8"`` or ``"3"`` into an exact ``Fraction``."""
+    """Parse ``"5/8"`` or ``"3"`` into an exact ``Fraction``.
+
+    Raises ``CapacityError`` for a well-formed rational with more digits
+    than Python converts from a string (``sys.get_int_max_str_digits()``).
+    """
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        digits = longest_digit_run(text)
+        if digits > sys.get_int_max_str_digits() > 0:
+            # well formed if it reads with each digit run cut to one digit
+            # that is zero exactly when the run is
+            try:
+                Fraction(_DIGIT_RUN.sub(lambda m: "1" if m[0].strip("0_") else "0",
+                                        text.strip()))
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                raise digit_limit_error(digits) from None
         raise RationalParseError(f"not a rational: {text!r}") from exc
+
+
+def longest_digit_run(text: str) -> int:
+    """The digit count of the longest integer written in ``text``."""
+    return max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(text)), default=0)
+
+
+def digit_limit_error(digits: int) -> CapacityError:
+    """The error for a number of about ``digits`` digits, past Python's
+    int-to-string limit, naming the setting that raises the limit."""
+    return CapacityError(
+        f"a rational with about {digits} digits exceeds "
+        f"Python's int-to-string limit of {sys.get_int_max_str_digits()} digits; "
+        "raise it with the environment variable PYTHONINTMAXSTRDIGITS")
 
 
 def format_rational(value: Fraction) -> str:
@@ -35,16 +67,26 @@ def format_rational(value: Fraction) -> str:
     """
     if type(value) is not Fraction:
         value = Fraction(value)
+    return format_numerators(value.denominator, (value.numerator,))[0]
+
+
+def format_numerators(den: int, nums) -> list[str]:
+    """Integer numerators ``nums`` over a positive ``den``, each formatted as
+    :func:`format_rational` formats ``Fraction(n, den)``: reduced by one gcd,
+    ``"0"``, ``"a"`` or ``"a/b"``. No ``Fraction`` is built.
+
+    Raises ``CapacityError`` as :func:`format_rational` does, for the first
+    entry past the digit limit.
+    """
+    out = []
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        for n in nums:
+            g = math.gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
     except ValueError:
-        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
-        raise CapacityError(
-            f"a rational with about {math.ceil(bits * math.log10(2))} digits exceeds "
-            f"Python's int-to-string limit of {sys.get_int_max_str_digits()} digits; "
-            "raise it with the environment variable PYTHONINTMAXSTRDIGITS") from None
+        bits = max(abs(n // g).bit_length(), (den // g).bit_length())
+        raise digit_limit_error(math.ceil(bits * math.log10(2))) from None
+    return out
 
 
 def parse_rational_list(text: str) -> list[Fraction]:

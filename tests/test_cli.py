@@ -472,6 +472,22 @@ def test_robustness_epsilon_past_the_digit_limit(capsys, chain_path):
                    "outside [0, 1]\n")
 
 
+@pytest.mark.parametrize("node", [
+    '{"op": "det", "state": 1%s}' % ("0" * 5000),
+    '{"op": "pswitch", "dist": ["1/1%s", "0"], "id": "p"}' % ("0" * 5000),
+])
+def test_netlist_numbers_past_the_digit_limit_exit_3(capsys, tmp_path, node):
+    """A netlist number past Python's int-to-string digit limit is the
+    capacity error that writing one is: exit 3, naming the setting."""
+    path = tmp_path / "wide.json"
+    path.write_text('{"states": 2, "circuit": %s}' % node)
+    assert run(["eval", "--netlist", str(path)]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a rational with about 5001 digits")
+    assert "PYTHONINTMAXSTRDIGITS" in captured.err and "Traceback" not in captured.err
+
+
 def test_eval_deep_netlist_is_a_validation_error(capsys, tmp_path):
     text = '{"op": "det", "state": 1}'
     for _ in range(600):

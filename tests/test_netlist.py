@@ -1,16 +1,22 @@
 """Netlist JSON round trips and validation."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaycircuits import (
-    CapacityError, Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det,
-    dumps, evaluate, format_rational, inp, loads, parallel, pswitch, series,
+    CapacityError, Circuit, DimensionError, Distribution, Edge, Graph, IdGen,
+    RationalParseError, ValidationError, det, dumps, evaluate, format_rational, inp,
+    loads, parallel, parse_rational, pswitch, series,
 )
-from relaycircuits.netlist import circuit_from_json, circuit_to_json
-from conftest import deep_binary_circuit, random_sp_circuit
+from relaycircuits.netlist import circuit_from_json, circuit_to_json, distribution_to_json
+from conftest import (
+    deep_binary_circuit, map_pswitches, mixed_distributions, random_graph_node,
+    random_sp_circuit,
+)
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 
@@ -199,3 +205,139 @@ def test_an_edge_start_is_a_string_or_an_integer():
 def test_an_edge_end_is_a_string_or_an_integer():
     c = _text_field(_graph('"s", "7"', '"from": "s", "to": @'), "to", "graph")
     assert c == Circuit(2, Graph("s", "7", (Edge("s", "7", det(1)),)))
+
+
+def test_round_trip_identity_200_rounds_compact():
+    circuit = deep_binary_circuit()
+    text = dumps(circuit, indent=None)
+    assert "\n" not in text
+    assert loads(text) == circuit
+
+
+def _leaves(*dists) -> str:
+    """A document whose root is a series of pswitches ``p0, p1, ...``, one
+    per JSON ``dist`` list in ``dists``."""
+    kids = ", ".join('{"op": "pswitch", "dist": %s, "id": "p%d"}' % (d, i)
+                     for i, d in enumerate(dists))
+    return '{"states": 2, "circuit": {"op": "series", "children": [%s]}}' % kids
+
+
+def test_leaves_with_equal_dist_text_share_one_distribution():
+    c = loads(_leaves('["1/2", "1/2"]', '["1/3", "2/3"]', '["1/2", "1/2"]', '["1/3", "2/3"]'))
+    a, b, a2, b2 = (p.dist for p in c.pswitches())
+    assert a is a2 and b is b2 and a is not b
+    assert (a, b) == (HALF2, Distribution([F(1, 3), F(2, 3)]))
+
+
+def test_shared_reads_keep_json_types_apart():
+    """The key is each entry's text, so JSON ``true`` is not ``1``."""
+    with pytest.raises(RationalParseError) as info:
+        loads(_leaves("[1, 0]", "[true, false]"))
+    assert str(info.value) == "not a rational: 'True'"
+    c = loads(_leaves('["1", "0"]', "[1, 0]"))
+    assert [p.dist for p in c.pswitches()] == [(1, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("dists, error, message", [
+    (('["1/2", "1/2"]', '["1/2", "1/3"]', '["x", "1"]'), ValidationError,
+     "probabilities sum to 5/6, not 1"),
+    (('["1/2", "1/2"]', '["x", "1"]', '["1/2", "1/3"]'), RationalParseError,
+     "not a rational: 'x'"),
+    (('["2", "-1"]', '["2", "-1"]', '["x", "1"]'), ValidationError,
+     "probabilities outside [0, 1]: state 0 is 2"),
+    (('["1/2", "1/2"]', '["1/2", "1/2", "0"]'), DimensionError,
+     "pswitch 'p1' has 3 states, circuit has 2"),
+    (('["1/2", "1/2"]', "[[1], 0]", "[[1], 0]"), RationalParseError, "not a rational: '[1]'"),
+])
+def test_the_first_malformed_leaf_in_document_order_is_named(dists, error, message):
+    with pytest.raises(error) as info:
+        loads(_leaves(*dists))
+    assert str(info.value) == message
+
+
+@st.composite
+def pooled_circuits(draw):
+    """An sp or graph circuit of the test generators whose pswitches draw
+    their distributions from a pool of one to three."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    states = draw(st.integers(2, 4))
+    pool = draw(st.lists(mixed_distributions(states), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        root = random_sp_circuit(rng, states, 8).root
+    else:
+        root = random_graph_node(rng, states, IdGen(), depth=1)
+    return Circuit(states, map_pswitches(root, lambda _: rng.choice(pool)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_circuits())
+def test_pooled_circuits_round_trip(circuit):
+    text = dumps(circuit)
+    assert loads(text) == circuit
+    assert dumps(loads(text)) == text
+
+
+@st.composite
+def wide_distributions(draw):
+    """Distributions whose denominators reach 4,000 digits."""
+    states = draw(st.integers(2, 4))
+    den = draw(st.sampled_from([1, 6, 2 ** 64, 10 ** 4000 - 3, 3 ** 8380]))
+    cuts = sorted(draw(st.lists(st.one_of(st.integers(0, den), st.sampled_from([0, den])),
+                                min_size=states - 1, max_size=states - 1)))
+    return Distribution._from_ints(den, [b - a for a, b in zip([0, *cuts], [*cuts, den])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_distributions())
+def test_the_integer_writer_matches_format_rational(dist):
+    text = distribution_to_json(dist)
+    assert dist._probs is None
+    assert text == [format_rational(p) for p in dist.probs]
+
+
+def test_the_integer_writer_past_the_digit_limit_is_the_same_capacity_error():
+    huge = 10 ** 5000
+    with pytest.raises(CapacityError) as wrote:
+        distribution_to_json(Distribution._from_ints(2 * huge, [1, huge, huge - 1]))
+    with pytest.raises(CapacityError) as formatted:
+        format_rational(F(1, 2 * huge))
+    assert str(wrote.value) == str(formatted.value)
+    assert "about 5001 digits" in str(wrote.value)
+
+
+def test_a_distribution_built_from_integers_stays_unread():
+    dist = Distribution._from_ints(8, [1, 4, 3])
+    assert distribution_to_json(dist) == ["1/8", "1/2", "3/8"]
+    assert dist._probs is None
+    node = circuit_to_json(Circuit(3, series(pswitch(dist, "a"), pswitch(dist, "b"))))
+    assert dist._probs is None
+    first, second = (kid["dist"] for kid in node["circuit"]["children"])
+    assert first == second and first is not second   # each pswitch owns its list
+
+
+ZEROS = "0" * 5000
+
+
+@pytest.mark.parametrize("doc", [
+    '{"states": 2, "circuit": {"op": "det", "state": 1%s}}' % ZEROS,
+    '{"states": 2, "circuit": {"op": "pswitch", "dist": ["1/1%s", "0"], "id": "p"}}' % ZEROS,
+])
+def test_numbers_past_the_digit_limit_are_a_capacity_error_on_read(doc):
+    for text in (doc, doc.encode()):
+        with pytest.raises(CapacityError, match="PYTHONINTMAXSTRDIGITS") as info:
+            loads(text)
+        assert "about 5001 digits" in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["1/0" + ZEROS, "x1" + ZEROS, "1/1" + ZEROS + "x",
+                                  "1__0" + ZEROS])
+def test_malformed_rationals_past_the_digit_limit_stay_parse_errors(text):
+    with pytest.raises(RationalParseError, match="^not a rational"):
+        parse_rational(text)
+
+
+def test_well_formed_rationals_past_the_digit_limit_are_a_capacity_error():
+    for text in ("1" + ZEROS, "-1/1" + ZEROS, " 1_0" + ZEROS + " ", "0." + ZEROS + "1",
+                 "1e1" + ZEROS):
+        with pytest.raises(CapacityError, match="PYTHONINTMAXSTRDIGITS"):
+            parse_rational(text)
