@@ -14,9 +14,9 @@ Rationals serialize as lowest-term ``"a/b"`` strings, integers as ``"a"``.
 Serialization is canonical: parse -> serialize -> parse is the identity and
 identical circuits produce byte-identical documents.
 
-A netlist repeats few distributions over many leaves, so each distinct
-distribution is formatted once per document, from its integer tail, and
-each distinct ``dist`` text is parsed once per document; loaded leaves
+Each distribution is formatted from its integer tail, with no
+``Fraction`` built. A netlist repeats few distributions over many leaves,
+so each distinct ``dist`` text is parsed once per document; loaded leaves
 with equal text share one immutable ``Distribution``.
 """
 
@@ -25,15 +25,13 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from typing import Optional, Union
+from typing import Union
 
 from .circuits import (
     Circuit, Det, Distribution, Edge, Element, Graph, Input, Leaf, Node,
     Parallel, Pswitch, Series, ValidationError, _fold, _tail_numerators,
 )
-from .rational import (
-    digit_limit_error, format_numerators, longest_digit_run, parse_rational,
-)
+from .rational import digit_limit_error, format_numerators, parse_rational
 
 
 def distribution_to_json(dist: Distribution) -> list[str]:
@@ -46,24 +44,18 @@ def distribution_from_json(data: list) -> Distribution:
     return Distribution(parse_rational(str(p)) for p in data)
 
 
+def _element_to_json(el: Element) -> dict:
+    if isinstance(el, Pswitch):
+        return {"op": "pswitch", "dist": distribution_to_json(el.dist), "id": el.id}
+    if isinstance(el, Det):
+        return {"op": "det", "state": operator.index(el.state)}
+    return {"op": "input", "name": el.name, "complemented": el.complemented}
+
+
 def node_to_json(node: Node) -> dict:
     """``node`` as a netlist document, built in one fold over its plan, so
-    any depth works. Each distinct distribution is formatted once, keyed by
-    its integer tail; every pswitch gets its own list."""
-    texts: dict[tuple, list[str]] = {}
-
-    def element(el: Element) -> dict:
-        if isinstance(el, Pswitch):
-            key = (el.dist._den, el.dist._tail)
-            entries = texts.get(key)
-            if entries is None:
-                entries = texts[key] = distribution_to_json(el.dist)
-            return {"op": "pswitch", "dist": list(entries), "id": el.id}
-        if isinstance(el, Det):
-            return {"op": "det", "state": operator.index(el.state)}
-        return {"op": "input", "name": el.name, "complemented": el.complemented}
-
-    return _fold(node, element,
+    any depth works."""
+    return _fold(node, _element_to_json,
                  lambda kids: {"op": "series", "children": kids},
                  lambda kids: {"op": "parallel", "children": kids},
                  lambda s, t, ends, labels: {
@@ -109,7 +101,7 @@ def _node_from_json(data: dict, dists: dict[tuple, Distribution]) -> Node:
     op = data["op"]
     try:
         if op == "pswitch":
-            texts = tuple(str(p) for p in _field(data, "dist", list, op))
+            texts = tuple(map(str, _field(data, "dist", list, op)))
             dist = dists.get(texts)
             if dist is None:   # only a parsed one is kept, so a bad one fails every time
                 dist = dists[texts] = distribution_from_json(texts)
@@ -151,32 +143,22 @@ def circuit_from_json(data: dict) -> Circuit:
     return Circuit(_field(data, "states", int), node_from_json(data["circuit"]))
 
 
-def dumps(circuit: Circuit, indent: Optional[int] = 2) -> str:
-    """The netlist text; ``indent`` is ``json.dumps``'s, ``None`` for the
-    compact one-line form."""
-    return json.dumps(circuit_to_json(circuit), indent=indent)
+def dumps(circuit: Circuit) -> str:
+    return json.dumps(circuit_to_json(circuit), indent=2)
 
 
-def _decode(text: Union[str, bytes]):
-    """``json.loads(text)``, with an integer past Python's int-to-string
-    digit limit, which the decoder reports as a plain ``ValueError``, a
-    ``CapacityError`` as on write."""
+def _json_int(text: str) -> int:
+    """``int(text)`` for the decoder, with an integer past Python's
+    int-to-string digit limit the ``CapacityError`` it is on write."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
+        return int(text)
     except ValueError:
-        if isinstance(text, bytes):
-            text = text.decode(json.detect_encoding(text), "replace")
-        digits = longest_digit_run(text)
-        if digits > sys.get_int_max_str_digits() > 0:
-            raise digit_limit_error(digits) from None
-        raise
+        raise digit_limit_error(len(text.lstrip("-"))) from None
 
 
 def loads(text: Union[str, bytes]) -> Circuit:
     try:
-        return circuit_from_json(_decode(text))
+        return circuit_from_json(json.loads(text, parse_int=_json_int))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -185,9 +167,9 @@ def loads(text: Union[str, bytes]) -> Circuit:
             f"recursion limit {sys.getrecursionlimit()}") from exc
 
 
-def save(circuit: Circuit, path, indent: Optional[int] = 2) -> None:
+def save(circuit: Circuit, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(circuit, indent))
+        fh.write(dumps(circuit))
         fh.write("\n")
 
 

@@ -25,14 +25,17 @@ class RationalParseError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse ``"5/8"`` or ``"3"`` into an exact ``Fraction``.
 
-    Raises ``CapacityError`` for a well-formed rational with more digits
-    than Python converts from a string (``sys.get_int_max_str_digits()``).
+    Raises ``CapacityError`` for a well-formed rational whose numerator,
+    denominator or decimal digits outnumber what Python converts from a
+    string (``sys.get_int_max_str_digits()``). An exponent that long stays
+    a parse error: no limit makes its power of ten computable.
     """
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        digits = longest_digit_run(text)
-        if digits > sys.get_int_max_str_digits() > 0:
+        mantissa, _, exponent = text.lower().partition("e")
+        digits, limit = _longest_digit_run(mantissa), sys.get_int_max_str_digits()
+        if digits > limit > 0 and _longest_digit_run(exponent) <= limit:
             # well formed if it reads with each digit run cut to one digit
             # that is zero exactly when the run is
             try:
@@ -45,7 +48,7 @@ def parse_rational(text: str) -> Fraction:
         raise RationalParseError(f"not a rational: {text!r}") from exc
 
 
-def longest_digit_run(text: str) -> int:
+def _longest_digit_run(text: str) -> int:
     """The digit count of the longest integer written in ``text``."""
     return max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(text)), default=0)
 
@@ -67,7 +70,13 @@ def format_rational(value: Fraction) -> str:
     """
     if type(value) is not Fraction:
         value = Fraction(value)
-    return format_numerators(value.denominator, (value.numerator,))[0]
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        raise digit_limit_error(math.ceil(bits * math.log10(2))) from None
 
 
 def format_numerators(den: int, nums) -> list[str]:

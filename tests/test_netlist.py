@@ -209,7 +209,7 @@ def test_an_edge_end_is_a_string_or_an_integer():
 
 def test_round_trip_identity_200_rounds_compact():
     circuit = deep_binary_circuit()
-    text = dumps(circuit, indent=None)
+    text = json.dumps(circuit_to_json(circuit))
     assert "\n" not in text
     assert loads(text) == circuit
 
@@ -320,6 +320,7 @@ ZEROS = "0" * 5000
 
 @pytest.mark.parametrize("doc", [
     '{"states": 2, "circuit": {"op": "det", "state": 1%s}}' % ZEROS,
+    '{"states": 2, "circuit": {"op": "det", "state": -1%s}}' % ZEROS,
     '{"states": 2, "circuit": {"op": "pswitch", "dist": ["1/1%s", "0"], "id": "p"}}' % ZEROS,
 ])
 def test_numbers_past_the_digit_limit_are_a_capacity_error_on_read(doc):
@@ -329,8 +330,17 @@ def test_numbers_past_the_digit_limit_are_a_capacity_error_on_read(doc):
         assert "about 5001 digits" in str(info.value)
 
 
+def test_only_the_integer_past_the_digit_limit_is_a_capacity_error_on_read():
+    """Digits in a JSON string are not a number, and text that does not
+    decode stays the decoder's error."""
+    doc = '{"states": 2, "circuit": {"op": "input", "name": "1%s"}}' % ZEROS
+    assert loads(doc).root.element.name == "1" + ZEROS
+    with pytest.raises(UnicodeDecodeError):
+        loads(doc.encode().replace(b'"}}', b'\xff"}}'))
+
+
 @pytest.mark.parametrize("text", ["1/0" + ZEROS, "x1" + ZEROS, "1/1" + ZEROS + "x",
-                                  "1__0" + ZEROS])
+                                  "1__0" + ZEROS, "1e1" + ZEROS, "1" + ZEROS + "e1" + ZEROS])
 def test_malformed_rationals_past_the_digit_limit_stay_parse_errors(text):
     with pytest.raises(RationalParseError, match="^not a rational"):
         parse_rational(text)
@@ -338,6 +348,6 @@ def test_malformed_rationals_past_the_digit_limit_stay_parse_errors(text):
 
 def test_well_formed_rationals_past_the_digit_limit_are_a_capacity_error():
     for text in ("1" + ZEROS, "-1/1" + ZEROS, " 1_0" + ZEROS + " ", "0." + ZEROS + "1",
-                 "1e1" + ZEROS):
+                 "1" + ZEROS + "e-5"):
         with pytest.raises(CapacityError, match="PYTHONINTMAXSTRDIGITS"):
             parse_rational(text)
