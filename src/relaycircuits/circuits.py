@@ -69,7 +69,7 @@ class Distribution:
     Invariants: length >= 2, every entry in [0, 1], entries sum to exactly 1.
     Immutable and hashable; equality is exact componentwise equality.
     It keeps its canonical integer tail ``(D, T)`` (see ``_to_tail``), and
-    two distributions compare by it. ``_from_ints`` builds one from integers,
+    two distributions compare by it. ``_from_tail`` builds one from a tail,
     skipping ``__init__``'s work; ``probs`` is then built from the tail on
     first read, so results nobody reads hold no ``Fraction``s.
     """
@@ -86,20 +86,6 @@ class Distribution:
         _SET_PROBS(self, ps)
         _SET_DEN(self, den)
         _SET_TAIL(self, tuple(itertools.accumulate(nums[:0:-1]))[::-1])
-
-    @classmethod
-    def _from_ints(cls, den: int, nums) -> "Distribution":
-        """The distribution of integer numerators ``nums`` over ``den``, checked
-        as ``_simplex`` checks and reduced to the canonical form by one gcd."""
-        _check_simplex(den, nums, "state {}".format, ValidationError)
-        g = math.gcd(den, *nums)
-        if g > 1:
-            den, nums = den // g, [n // g for n in nums]
-        out = object.__new__(cls)
-        _SET_PROBS(out, None)
-        _SET_DEN(out, den)
-        _SET_TAIL(out, tuple(itertools.accumulate(nums[:0:-1]))[::-1])
-        return out
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
@@ -148,7 +134,7 @@ class Distribution:
 
     def reversed(self) -> "Distribution":
         """The dual distribution: state i swapped with N-1-i."""
-        return Distribution(self.probs[::-1])
+        return _from_tail(self._den, tuple([self._den - t for t in reversed(self._tail)]))
 
     def __len__(self) -> int:
         return len(self._tail) + 1
@@ -433,10 +419,10 @@ def validate_node(node: Node, states: int) -> None:
     for el in elements(node):
         if isinstance(el, Pswitch):
             if el.dist.states != states:
-                raise DimensionError(
-                    f"pswitch {el.id!r} has {el.dist.states} states, circuit has {states}")
+                raise DimensionError(f"pswitch {reprlib.repr(el.id)} has {el.dist.states} "
+                                     f"states, circuit has {states}")
             if el.id in ids:
-                raise ValidationError(f"duplicate pswitch id {el.id!r}")
+                raise ValidationError(f"duplicate pswitch id {reprlib.repr(el.id)}")
             ids.add(el.id)
         elif isinstance(el, Det):
             if not 0 <= el.state < states:
@@ -805,7 +791,7 @@ def _leaf_dist(el: Element, states: int, assignment: Assignment) -> Distribution
 
 def _input_value(el: Input, states: int, assignment: Assignment) -> int:
     if el.name not in assignment:
-        raise MissingAssignmentError(f"input {el.name!r} is unbound")
+        raise MissingAssignmentError(f"input {reprlib.repr(el.name)} is unbound")
     s = assignment[el.name]
     if not 0 <= s < states:
         raise ValidationError(f"assignment {el.name}={s} out of range for N={states}")
@@ -830,8 +816,20 @@ def _to_tail(dist: Distribution, den: int = 0) -> tuple[int, tuple[int, ...]]:
 
 
 def _from_tail(den: int, tail: tuple[int, ...]) -> Distribution:
-    """The ``Distribution`` of the integer tail ``(den, tail)``."""
-    return Distribution._from_ints(den, _tail_numerators(den, tail))
+    """The ``Distribution`` of the integer tail ``(den, tail)``, reduced by one
+    gcd: the one checked integer constructor. A tail failing ``den >= T_1 >=
+    ... >= 0 < den`` raises ``_check_simplex``'s error for its numerators."""
+    levels = (den, *tail, 0)
+    if den <= 0 or not all(map(operator.ge, levels, levels[1:])):
+        _check_simplex(den, _tail_numerators(den, tail), "state {}".format, ValidationError)
+    g = math.gcd(den, *tail)
+    if g > 1:
+        den, tail = den // g, tuple([t // g for t in tail])
+    out = object.__new__(Distribution)
+    _SET_PROBS(out, None)
+    _SET_DEN(out, den)
+    _SET_TAIL(out, tail)
+    return out
 
 
 def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:

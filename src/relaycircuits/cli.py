@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import sys
 
 from . import netlist
@@ -23,7 +24,7 @@ from .lattice import (
     DEFAULT_LATTICE_CAP, LatticeDistribution, SearchSpec, lattice_from_json,
     search_expressible, switch_set_from_json,
 )
-from .rational import RationalParseError, format_rational, parse_rational, parse_rational_list
+from .rational import RationalParseError, parse_rational, parse_rational_list
 from .render import ascii_render, dot_render
 from .robustness import DEFAULT_CORNER_CAP, check_bounds, worst_case_error
 from .synthesis import (
@@ -49,14 +50,12 @@ def _emit(payload) -> None:
 
 def _parse_assignment(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    if not text:
-        return out
     for item in text.split(","):
         if not item.strip():
             continue
         name, _, value = item.partition("=")
         if not _:
-            raise RationalParseError(f"assignment item {item!r} is not name=state")
+            raise RationalParseError(f"assignment item {reprlib.repr(item)} is not name=state")
         out[name.strip()] = int(value)
     return out
 
@@ -83,7 +82,7 @@ def _cmd_eval(args) -> int:
         dist = evaluate_oracle(circuit, assignment, max_outcomes=args.max_outcomes)
     else:
         dist = evaluate(circuit, assignment, graph_cap=args.graph_cap)
-    _emit([format_rational(p) for p in dist])
+    _emit(netlist.distribution_to_json(dist))
     return EXIT_OK
 
 
@@ -122,11 +121,8 @@ def _cmd_upg(args) -> int:
     check_cap("graph_cap", args.graph_cap)   # refused on every path, not only where evaluated
     spec = UpgSpec(args.states, args.bits, args.construction)
     if args.truth_table:
-        rows = []
-        for row, out in upg_truth_table(spec, graph_cap=args.graph_cap):
-            rows.append({"inputs": row.display(),
-                         "output": [format_rational(p) for p in out]})
-        _emit(rows)
+        _emit([{"inputs": row.display(), "output": netlist.distribution_to_json(out)}
+               for row, out in upg_truth_table(spec, graph_cap=args.graph_cap)])
         return EXIT_OK
     circuit = build_upg(spec)
     payload = {"netlist": netlist.circuit_to_json(circuit)}
@@ -136,9 +132,8 @@ def _cmd_upg(args) -> int:
         target = Distribution(parse_rational_list(args.target))
         row = encode_input(target, args.bits)
         payload["inputs"] = row.display()
-        payload["output"] = [
-            format_rational(p)
-            for p in evaluate(circuit, row.assignment(), graph_cap=args.graph_cap)]
+        payload["output"] = netlist.distribution_to_json(
+            evaluate(circuit, row.assignment(), graph_cap=args.graph_cap))
     _emit(payload)
     return EXIT_OK
 
@@ -266,8 +261,7 @@ def run(argv=None) -> int:
               f"{sys.getrecursionlimit()} frames allows; ask for a smaller circuit "
               "(upg: fewer --bits)", file=sys.stderr)
         return EXIT_CAPACITY
-    except (RelayError, RationalParseError, OSError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (RelayError, OSError, ValueError) as exc:   # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

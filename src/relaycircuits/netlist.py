@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import operator
+import reprlib
 import sys
 from typing import Union
 
@@ -97,7 +98,7 @@ def _node_from_json(data: dict, dists: dict[tuple, Distribution]) -> Node:
     """``data`` as a node; ``dists`` maps each ``dist`` field's texts
     already parsed in this document to its ``Distribution``."""
     if not isinstance(data, dict) or "op" not in data:
-        raise ValidationError(f"malformed netlist node: {data!r}")
+        raise ValidationError(f"malformed netlist node: {reprlib.repr(data)}")
     op = data["op"]
     try:
         if op == "pswitch":
@@ -129,8 +130,8 @@ def _node_from_json(data: dict, dists: dict[tuple, Distribution]) -> Node:
             s, t = (_typed(v, f"terminals[{i}]", _TEXT, op) for i, v in enumerate(terminals))
             return Graph(s, t, tuple(edges))
     except KeyError as exc:
-        raise ValidationError(f"netlist node missing field {exc} in {data!r}") from exc
-    raise ValidationError(f"unknown netlist op {op!r}")
+        raise ValidationError(f"netlist node missing field {exc} in {reprlib.repr(data)}") from exc
+    raise ValidationError(f"unknown netlist op {reprlib.repr(op)}")
 
 
 def circuit_to_json(circuit: Circuit) -> dict:

@@ -8,8 +8,10 @@ for integers.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -25,32 +27,32 @@ class RationalParseError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse ``"5/8"`` or ``"3"`` into an exact ``Fraction``.
 
-    Raises ``CapacityError`` for a well-formed rational whose numerator,
-    denominator or decimal digits outnumber what Python converts from a
-    string (``sys.get_int_max_str_digits()``). An exponent that long stays
-    a parse error: no limit makes its power of ten computable.
+    Raises ``CapacityError`` for a well-formed rational past Python's
+    int-to-string limit (``sys.get_int_max_str_digits()``), counted before
+    ``Fraction`` computes any power of ten. An exponent whose own digits
+    pass the limit stays a parse error: no limit makes that power computable.
     """
+    if "e" in text or "E" in text:
+        _refuse_past_digit_limit(text)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        mantissa, _, exponent = text.lower().partition("e")
-        digits, limit = _longest_digit_run(mantissa), sys.get_int_max_str_digits()
-        if digits > limit > 0 and _longest_digit_run(exponent) <= limit:
+        _refuse_past_digit_limit(text)
+        raise RationalParseError(f"not a rational: {reprlib.repr(text)}") from exc
+
+
+def _refuse_past_digit_limit(text: str) -> None:
+    """``digit_limit_error`` if ``text`` is well formed and its longest digit
+    run before any exponent, plus ``|exponent|``, passes the limit."""
+    mantissa, _, exponent = text.lower().partition("e")
+    with contextlib.suppress(ValueError, ZeroDivisionError):   # malformed: not refused here
+        digits = abs(int(exponent or 0))   # int() also refuses one of too many digits
+        digits += max(map(len, re.findall(r"\d+", mantissa.replace("_", ""))), default=0)
+        if digits > sys.get_int_max_str_digits() > 0:
             # well formed if it reads with each digit run cut to one digit
             # that is zero exactly when the run is
-            try:
-                Fraction(_DIGIT_RUN.sub(lambda m: "1" if m[0].strip("0_") else "0",
-                                        text.strip()))
-            except (ValueError, ZeroDivisionError):
-                pass
-            else:
-                raise digit_limit_error(digits) from None
-        raise RationalParseError(f"not a rational: {text!r}") from exc
-
-
-def _longest_digit_run(text: str) -> int:
-    """The digit count of the longest integer written in ``text``."""
-    return max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(text)), default=0)
+            Fraction(_DIGIT_RUN.sub(lambda m: "1" if m[0].strip("0_") else "0", text.strip()))
+            raise digit_limit_error(digits) from None
 
 
 def digit_limit_error(digits: int) -> CapacityError:
@@ -102,5 +104,5 @@ def parse_rational_list(text: str) -> list[Fraction]:
     """Parse a comma-separated list such as ``"5/8,1/4,1/8"``."""
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
-        raise RationalParseError(f"empty rational list: {text!r}")
+        raise RationalParseError(f"empty rational list: {reprlib.repr(text)}")
     return [parse_rational(p) for p in parts]

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Union
 from .bounds import ceil_log2, complexity_bound, rational_bound
 from .circuits import (
     CapacityError, Circuit, Distribution, IdGen, Leaf, Node, ONE, RelayError,
-    ZERO, _tail_numerators, _to_tail, clamp_node, det, opt_parallel, opt_series, pswitch,
+    ZERO, _from_tail, _to_tail, clamp_node, det, opt_parallel, opt_series, pswitch,
 )
 from .netlist import circuit_to_json, distribution_to_json
 from .rational import format_rational
@@ -247,15 +247,15 @@ def _cut_index(p: Distribution, q: Fraction, strict: bool) -> int:
 
 def _cut_pieces(p: Distribution, q: Fraction,
                 k: int) -> tuple[Distribution, Distribution, int]:
-    """Both pieces in integers: for ``q = a/b`` and ``p``'s numerators over D,
-    the left piece lies over ``a * D`` and the right one over ``(b - a) * D``."""
+    """Both pieces as integer tails: for ``q = a/b`` and ``p``'s tail T over D,
+    the left one over ``a * D`` is ``b * T_j - rest`` for j <= k, then 0; the
+    right one over ``rest = (b - a) * D`` is ``rest`` k times, then ``b * T_j``."""
     den, tail = _to_tail(p)
-    nums, levels = _tail_numerators(den, tail), (den, *tail, 0)
     a, b = q.numerator, q.denominator
     rest = (b - a) * den   # b * D * (1 - q)
-    left = [b * n for n in nums[:k]] + [b * levels[k] - rest] + [0] * (len(tail) - k)
-    right = [0] * k + [rest - b * levels[k + 1]] + [b * n for n in nums[k + 1:]]
-    return Distribution._from_ints(a * den, left), Distribution._from_ints(rest, right), k
+    left = tuple([b * t - rest for t in tail[:k]]) + (0,) * (len(tail) - k)
+    right = (rest,) * k + tuple([b * t for t in tail[k:]])
+    return _from_tail(a * den, left), _from_tail(rest, right), k
 
 
 def cut_switch(q: Fraction, states: int, pid: str) -> Leaf:

@@ -31,6 +31,7 @@ produce exactly the distribution its encoding decodes to.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -147,7 +148,7 @@ class UpgInput:
             text = strings[name]
             if len(text) != bits + 1:
                 raise InvalidUpgInputError(
-                    f"vector {name!r} needs {bits + 1} digits, got {text!r}")
+                    f"vector {name!r} needs {bits + 1} digits, got {reprlib.repr(text)}")
             digits = tuple(int(ch) for ch in text)
             vectors.append(digits[:1] + digits[:0:-1])
         return cls(states, bits, tuple(vectors))

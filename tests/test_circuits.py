@@ -24,7 +24,7 @@ from relaycircuits import (
 )
 from relaycircuits import circuits as circuits_module
 from relaycircuits.circuits import (
-    Det, Input, Leaf, Parallel, Pswitch, Series, _from_tail,
+    Det, Input, Leaf, Parallel, Pswitch, Series, _check_simplex, _from_tail,
     _tail_complement, _tail_numerators, _tail_series, _to_tail,
 )
 from relaycircuits.netlist import circuit_from_json, dumps, loads
@@ -281,6 +281,18 @@ def assert_canonical(d, unread=False):
     assert hash(d) == hash(Distribution(d.probs)) == hash(d.probs) == hash(twin)
 
 
+@st.composite
+def integer_tails(draw):
+    """``(den, tail)`` pairs, valid in about half of the draws; the others
+    may hold a tail that rises, an entry above ``den`` or below 0, or a
+    ``den`` of 0 or below."""
+    states, den = draw(st.integers(2, 5)), draw(st.integers(-4, 48))
+    tail = draw(st.lists(st.integers(-4, 52), min_size=states - 1, max_size=states - 1))
+    if draw(st.booleans()):
+        tail = sorted((min(max(t, 0), den) for t in tail), reverse=True)
+    return den, tuple(tail)
+
+
 class TestCanonicalTail:
     """Every path that makes a ``Distribution`` leaves it in the canonical
     integer form ``(D, T)``, whether or not it ran ``__init__``."""
@@ -295,7 +307,10 @@ class TestCanonicalTail:
         p, q = data.draw(mixed_distributions(states)), data.draw(mixed_distributions(states))
         assert_canonical(compose_series(p, q), unread=True)
         assert_canonical(compose_parallel(p, q), unread=True)
-        assert_canonical(p.reversed())
+        flipped = p.reversed()
+        assert flipped._probs is None and flipped == Distribution(p.probs[::-1])
+        assert_canonical(flipped, unread=True)
+        assert flipped.reversed() == p
 
     @given(data=st.data(), states=st.integers(2, 3))
     def test_equality_is_equality_of_the_integer_form(self, data, states):
@@ -307,9 +322,9 @@ class TestCanonicalTail:
         assert all(d._probs is None for d in unread)
         assert same == [a.probs == b.probs for a, b in pairs]
         # one tail T = (1,) over two denominators: (1/2, 1/2) and (2/3, 1/3)
-        half, third = Distribution._from_ints(2, [1, 1]), Distribution._from_ints(3, [2, 1])
+        half, third = _from_tail(2, (1,)), _from_tail(3, (1,))
         assert _to_tail(half)[1] == _to_tail(third)[1] and half != third
-        assert half != Distribution._from_ints(4, [2, 0, 2])
+        assert half != _from_tail(4, (2, 2))
 
     def test_evaluate_oracle_and_leaf_constructors(self, rng):
         for _ in range(40):
@@ -343,19 +358,40 @@ class TestCanonicalTail:
             assert_canonical(sw.dist)
 
     def test_integer_constructor_checks_and_reduces(self):
-        d = Distribution._from_ints(12, [3, 0, 9])
+        d = _from_tail(12, (9, 9))
         assert _to_tail(d) == (4, (3, 3))
         assert_canonical(d, unread=True)
         assert d == (F(1, 4), 0, F(3, 4))
         with pytest.raises(ValidationError) as exc:
-            Distribution._from_ints(4, [3, -1, 2])
+            _from_tail(4, (1, 2))   # numerators 3, -1, 2
         assert str(exc.value) == "probabilities outside [0, 1]: state 1 is -1/4"
-        with pytest.raises(ValidationError) as exc:
-            Distribution._from_ints(4, [1, 1, 1])
+        with pytest.raises(ValidationError) as exc:   # a tail's numerators always sum to D
+            Distribution([F(1, 4)] * 3)
         assert str(exc.value) == "probabilities sum to 3/4, not 1"
         for den in (0, -4):
             with pytest.raises(ValidationError, match=f"positive denominator, got {den}$"):
-                Distribution._from_ints(den, [0, 0] if den == 0 else [-2, -2])
+                _from_tail(den, (0,) if den == 0 else (-2,))
+
+    @given(integer_tails())
+    def test_integer_constructor_against_fractions(self, pair):
+        """A valid tail builds the distribution of its ``Fraction``s, unread
+        and reduced; any other raises ``_check_simplex``'s error for its
+        numerators."""
+        den, tail = pair
+        nums = _tail_numerators(den, tail)
+        if den > 0 and min(nums) >= 0:
+            d = _from_tail(den, tail)
+            assert d == Distribution([F(n, den) for n in nums])
+            assert d.reversed() == Distribution([F(n, den) for n in nums[::-1]])
+            assert_canonical(d, unread=True)
+            g = math.gcd(den, *tail)
+            assert canonical_tail_reference(d) == (den // g, tuple(t // g for t in tail))
+        else:
+            with pytest.raises(ValidationError) as got:
+                _from_tail(den, tail)
+            with pytest.raises(ValidationError) as want:
+                _check_simplex(den, nums, "state {}".format, ValidationError)
+            assert str(got.value) == str(want.value)
 
     def test_copies_and_pickles_keep_the_form(self, rng):
         round_trips = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))

@@ -425,9 +425,9 @@ def test_synth_huge_denominator_is_a_validation_error(capsys):
 
 
 def test_synth_huge_entry_names_the_state(capsys):
-    assert run(["synth", "--target", "1e5000,0", "--method", "binary"]) == 2
+    assert run(["synth", "--target", "1e100,0", "--method", "binary"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: probabilities outside [0, 1]: state 0 is about 10^5000\n"
+    assert err == "error: probabilities outside [0, 1]: state 0 is about 10^100\n"
 
 
 def test_synth_denom_base_over_cap_is_refused_fast(capsys):
@@ -466,10 +466,14 @@ def test_robustness_epsilon_past_the_digit_limit(capsys, chain_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "PYTHONINTMAXSTRDIGITS" in err
     assert "about 5001 digits" in err
-    assert run(args + ["1e5000"]) == 2
+    assert run(args + ["1e100"]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: error -about 10^5000 drives Distribution(1/2, 1/2) "
+    assert err == ("error: error -about 10^100 drives Distribution(1/2, 1/2) "
                    "outside [0, 1]\n")
+    # counted before its power of ten is computed, as 1 and 5,000 zeros is
+    for epsilon in ("1e5000", "1" + "0" * 5000, "1e-100000000"):
+        assert run(args + [epsilon]) == EXIT_CAPACITY
+        assert "PYTHONINTMAXSTRDIGITS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node", [
@@ -486,6 +490,35 @@ def test_netlist_numbers_past_the_digit_limit_exit_3(capsys, tmp_path, node):
     assert captured.out == ""
     assert captured.err.startswith("error: a rational with about 5001 digits")
     assert "PYTHONINTMAXSTRDIGITS" in captured.err and "Traceback" not in captured.err
+
+
+LONG_ID_SWITCH = '{"op": "pswitch", "dist": ["1", "0"], "id": "%s"}' % ("x" * 5000)
+
+
+@pytest.mark.parametrize("node", [
+    '{"op": "pswitch", "dist": ["1/0%s", "0"], "id": "p"}' % ("0" * 5000),
+    '{"op": "pswitch", "dist": ["1", "0"], "note": "%s"}' % ("x" * 5000),
+    '{"op": "series", "children": ["%s"]}' % ("x" * 5000),
+    '{"op": "%s"}' % ("x" * 5000),
+    '{"op": "series", "children": [%s, %s]}' % ((LONG_ID_SWITCH,) * 2),
+    '{"op": "pswitch", "dist": ["1", "0", "0"], "id": "%s"}' % ("x" * 5000),
+    '{"op": "input", "name": "%s"}' % ("x" * 5000),
+])
+def test_netlist_errors_quote_long_input_briefly(capsys, tmp_path, node):
+    path = tmp_path / "long.json"
+    path.write_text('{"states": 2, "circuit": %s}' % node)
+    assert run(["eval", "--netlist", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert len(captured.err) < 300
+
+
+def test_long_assignment_and_target_quoted_briefly(capsys, chain_path):
+    for argv in (["eval", "--netlist", chain_path, "--assign", "x" * 5000],
+                 ["synth", "--target", "," * 5000], ["synth", "--target", "y" * 5000]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 300
 
 
 def test_eval_deep_netlist_is_a_validation_error(capsys, tmp_path):

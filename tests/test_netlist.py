@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from relaycircuits import (
     RationalParseError, ValidationError, det, dumps, evaluate, format_rational, inp,
     loads, parallel, parse_rational, pswitch, series,
 )
+from relaycircuits.circuits import _from_tail
 from relaycircuits.netlist import circuit_from_json, circuit_to_json, distribution_to_json
 from conftest import (
     deep_binary_circuit, map_pswitches, mixed_distributions, random_graph_node,
@@ -284,7 +286,7 @@ def wide_distributions(draw):
     den = draw(st.sampled_from([1, 6, 2 ** 64, 10 ** 4000 - 3, 3 ** 8380]))
     cuts = sorted(draw(st.lists(st.one_of(st.integers(0, den), st.sampled_from([0, den])),
                                 min_size=states - 1, max_size=states - 1)))
-    return Distribution._from_ints(den, [b - a for a, b in zip([0, *cuts], [*cuts, den])])
+    return _from_tail(den, tuple(den - c for c in cuts))
 
 
 @settings(max_examples=100, deadline=None)
@@ -298,7 +300,7 @@ def test_the_integer_writer_matches_format_rational(dist):
 def test_the_integer_writer_past_the_digit_limit_is_the_same_capacity_error():
     huge = 10 ** 5000
     with pytest.raises(CapacityError) as wrote:
-        distribution_to_json(Distribution._from_ints(2 * huge, [1, huge, huge - 1]))
+        distribution_to_json(_from_tail(2 * huge, (2 * huge - 1, huge - 1)))
     with pytest.raises(CapacityError) as formatted:
         format_rational(F(1, 2 * huge))
     assert str(wrote.value) == str(formatted.value)
@@ -306,7 +308,7 @@ def test_the_integer_writer_past_the_digit_limit_is_the_same_capacity_error():
 
 
 def test_a_distribution_built_from_integers_stays_unread():
-    dist = Distribution._from_ints(8, [1, 4, 3])
+    dist = _from_tail(8, (7, 3))
     assert distribution_to_json(dist) == ["1/8", "1/2", "3/8"]
     assert dist._probs is None
     node = circuit_to_json(Circuit(3, series(pswitch(dist, "a"), pswitch(dist, "b"))))
@@ -344,6 +346,19 @@ def test_only_the_integer_past_the_digit_limit_is_a_capacity_error_on_read():
 def test_malformed_rationals_past_the_digit_limit_stay_parse_errors(text):
     with pytest.raises(RationalParseError, match="^not a rational"):
         parse_rational(text)
+
+
+def test_a_long_exponent_is_refused_before_its_power_of_ten():
+    for text in ("1e-100000000", "1E100000000", " -2.5e-999999999 "):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="PYTHONINTMAXSTRDIGITS"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(CapacityError, match="about 5001 digits"):
+        parse_rational("1e-5000")
+    with pytest.raises(RationalParseError, match="^not a rational"):
+        parse_rational("1/2e999999999")   # malformed: no exponent after a denominator
+    assert parse_rational("25e-2") == F(1, 4) and parse_rational("1e50") == 10 ** 50
 
 
 def test_well_formed_rationals_past_the_digit_limit_are_a_capacity_error():

@@ -52,6 +52,11 @@ class TestEncoding:
         with pytest.raises(InvalidUpgInputError):
             UpgInput(3, 1, ((0, 1), (0, 0)))
 
+    def test_a_long_vector_is_quoted_briefly(self):
+        with pytest.raises(InvalidUpgInputError, match="^vector 'r' needs 4 digits") as info:
+            UpgInput.from_strings(2, 3, {"r": "01" * 2500})
+        assert len(str(info.value)) < 300
+
 
 class TestSpec:
     def test_validation(self):
