@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
+from . import frontier
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -685,20 +687,21 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
     and t are joined by edges whose label is >= k. So each level's
     P(X >= k) is a two-terminal reliability: labels without a pswitch
     resolve to one state, and their slots are skipped, the others are
-    folded like any subtree, and each level enumerates the up/down subsets
-    of the edges that are neither certain nor impossible at that level.
+    folded like any subtree, and each level is a frontier DP over the
+    graph's edges (see :func:`_graph_dist`), in which only the edges that
+    are neither certain nor impossible at that level branch.
     ``graph_cap`` bounds, per graph, the number of edges whose label holds
-    a pswitch (each level enumerates up to 2^that subsets); if the widest
-    graph has more, ``CapacityError`` is raised before any work. A negative
-    ``graph_cap`` is a ``ValidationError``.
+    a pswitch, so that no edge of the DP holds more than 2^that states; if
+    the widest graph has more, ``CapacityError`` is raised before any work.
+    A negative ``graph_cap`` is a ``ValidationError``.
     """
     check_cap("graph_cap", graph_cap)
     states, assignment = circuit.states, assignment or {}
     plan, labels = circuit.root._compiled
     if plan.widest > graph_cap:
         raise CapacityError(
-            f"graph has {plan.widest} edges holding pswitches (2^{plan.widest} subsets "
-            f"per level), cap is {graph_cap}; raise graph_cap (CLI --graph-cap)")
+            f"graph has {plan.widest} edges holding pswitches (up to 2^{plan.widest} "
+            f"frontier states per edge), cap is {graph_cap}; raise graph_cap (CLI --graph-cap)")
     vals: list = [None] * len(plan.steps)
     walk = enumerate(plan.steps)
     for slot, step in walk:
@@ -861,31 +864,18 @@ def _graph_dist(s: str, t: str, ends, states: int, dens, tails) -> tuple[int, ..
     ``tails[e]`` over ``dens[e]``, in edge order.
 
     P(X >= k) is the probability that s and t are joined by edges whose
-    label is >= k. Its numerator over ``prod(dens)`` sums, over the up/down
-    subsets of the edges that are neither certain nor impossible at level
-    k, the product of ``T_e`` (up) or ``D_e - T_e`` (down) for the subsets
-    that join s to t, times ``D_e`` for each edge that is certain or
-    impossible.
+    label is >= k, a two-terminal reliability. Its numerator over
+    ``prod(dens)`` is found by a frontier DP over the graph's cached
+    :class:`frontier.Frontier` diagram: a dict of frontier state -> integer weight
+    is pushed through the edges in order, an edge with ``n = T_e[k]``
+    sending ``w * n`` to its up child and ``w * (D_e - n)`` to its down
+    child, and equal states merging by adding their weights. A state whose
+    s and t are joined adds its weight times the product of the remaining
+    edges' ``D``. An edge with ``n = 0`` or ``n = D_e`` is certain and does
+    not branch, so no layer holds more than 2^(edges so far holding a
+    pswitch) states, at most 2^``graph_cap`` in :func:`evaluate`.
     """
-    levels = []
-    for k in range(states - 1):
-        up, unsure, scale = [], [], 1
-        for (u, v), d, tail in zip(ends, dens, tails):
-            n = tail[k]
-            if 0 < n < d:
-                unsure.append((u, v, n, d - n))
-            else:
-                scale *= d
-                if n:
-                    up.append((u, v))
-        level = 0
-        for picks in itertools.product((True, False), repeat=len(unsure)):
-            chosen = [(u, v) for pick, (u, v, _, _) in zip(picks, unsure) if pick]
-            if _connected(up + chosen, s, t):
-                level += math.prod(n if pick else f
-                                   for pick, (_, _, n, f) in zip(picks, unsure))
-        levels.append(level * scale)
-    return tuple(levels)
+    return frontier.diagram(s, t, ends).levels(states, dens, tails)
 
 
 def resolve(node: Node, states: int, assignment: Assignment,

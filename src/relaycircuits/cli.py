@@ -41,7 +41,7 @@ EXIT_CAPACITY = 3
 # (0.2 s at n = 10, N = 1,000 on a 2-core Xeon VM), up to this n * N^2
 BOUND_CHECK_CAP = 10 ** 7
 GRAPH_CAP_HELP = ("cap on the edges of one graph whose label holds a pswitch; "
-                  "each level enumerates 2^that edge subsets")
+                  "each level's frontier DP holds at most 2^that states per edge")
 
 
 def _emit(payload) -> None:

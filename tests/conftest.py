@@ -9,8 +9,10 @@ synthesis cuts and the integer tail every ``Distribution`` keeps, and
 ``lattice_reference`` checks the bitmask cones a ``Lattice`` keeps its
 order in against a boolean matrix and per-pair bound scans.
 ``corner_table_reference`` checks the column-wise corner search against a
-table with one tail per corner, and ``perturb_dist_reference`` the integer
-``perturb_dist`` against arithmetic on ``Fraction`` entries.
+table with one tail per corner, ``perturb_dist_reference`` the integer
+``perturb_dist`` against arithmetic on ``Fraction`` entries, and
+``graph_reference`` the frontier DP of graph levels against the sum over
+every up/down subset of the uncertain edges.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from relaycircuits import (
     pswitch, series, synth_binary_nstate,
 )
 from relaycircuits.circuits import (
-    _connected, _fold, _graph_dist, _input_value, _leaf_dist, _show,
+    _connected, _fold, _input_value, _leaf_dist, _show,
     _tail_complement, _tail_numerators, _tail_series, _to_tail,
 )
 
@@ -172,6 +174,32 @@ def perturb_dist_reference(dist: Distribution, error: Fraction) -> Distribution:
     return Distribution(probs)
 
 
+def graph_reference(s, t, ends, states: int, dens, tails) -> tuple:
+    """``_graph_dist`` by subset enumeration: per level k, the sum over the
+    up/down subsets of the edges with ``0 < T_e[k] < D_e`` of the product
+    of ``T_e[k]`` (up) or ``D_e - T_e[k]`` (down) for the subsets that join
+    s to t, one BFS each, times ``D_e`` for every other edge."""
+    levels = []
+    for k in range(states - 1):
+        up, unsure, scale = [], [], 1
+        for (u, v), d, tail in zip(ends, dens, tails):
+            n = tail[k]
+            if 0 < n < d:
+                unsure.append((u, v, n, d - n))
+            else:
+                scale *= d
+                if n:
+                    up.append((u, v))
+        level = 0
+        for picks in itertools.product((True, False), repeat=len(unsure)):
+            chosen = [(u, v) for pick, (u, v, _, _) in zip(picks, unsure) if pick]
+            if _connected(up + chosen, s, t):
+                level += math.prod(n if pick else f
+                                   for pick, (_, _, n, f) in zip(picks, unsure))
+        levels.append(level * scale)
+    return tuple(levels)
+
+
 def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
     """Corner search on a row-major table: ``(per-state max error, first
     worst assignment)``, as ``worst_case_error`` reports them.
@@ -180,7 +208,7 @@ def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
     pswitches below it, first pswitch slowest, over the product of the
     leaves' denominators. Series and parallel nodes multiply one tail of
     each child (or of their complements) for every combination, a graph
-    calls ``_graph_dist`` for every combination, and the worst corner is
+    calls ``graph_reference`` for every combination, and the worst corner is
     picked by a loop over the corners' per-state errors.
     """
     epsilon = Fraction(epsilon)
@@ -215,7 +243,7 @@ def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
     def graph_table(s, t, ends, kids):
         dens = tuple(d for d, _ in kids)
         return math.prod(dens), tuple(
-            _graph_dist(s, t, ends, states, dens, tails)
+            graph_reference(s, t, ends, states, dens, tails)
             for tails in itertools.product(*(tails for _, tails in kids)))
 
     den, tails = _fold(circuit.root, leaf, series_table, parallel_table, graph_table)
@@ -321,6 +349,32 @@ def distributions(draw, states=None, max_denom: int = 12):
     cuts = sorted(draw(st.lists(st.integers(0, denom), min_size=n - 1, max_size=n - 1)))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
     return Distribution(Fraction(x, denom) for x in parts)
+
+
+@st.composite
+def multigraph_levels(draw, max_edges: int = 10):
+    """``(s, t, ends, states, dens, tails)`` for ``_graph_dist``: N from 2
+    to 4, up to ``max_edges`` edges over 2 to 6 vertices, some never used,
+    with self-loops, parallel edges and direct s-t edges as they fall, and
+    each edge certain up (``T = D``), certain down (``T = 0``) or a random
+    non-increasing tail."""
+    states = draw(st.integers(2, 4))
+    vertices = list(range(draw(st.integers(2, 6))))
+    s, t = draw(st.permutations(vertices))[:2]
+    vertex = st.sampled_from(vertices)
+    ends = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges)))
+    dens, tails = [], []
+    for _ in ends:
+        den = draw(st.integers(1, 6))
+        kind = draw(st.sampled_from(("up", "down", "random")))
+        if kind == "random":
+            tail = sorted(draw(st.lists(st.integers(0, den), min_size=states - 1,
+                                        max_size=states - 1)), reverse=True)
+        else:
+            tail = [den if kind == "up" else 0] * (states - 1)
+        dens.append(den)
+        tails.append(tuple(tail))
+    return s, t, ends, states, tuple(dens), tuple(tails)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import re
+import time
 import weakref
 from fractions import Fraction as F
 
@@ -23,16 +24,18 @@ from relaycircuits import (
     block_interval_cut, perturb_dist, reassemble_cut, state_reduction, valid_inputs,
 )
 from relaycircuits import circuits as circuits_module
+from relaycircuits import frontier as frontier_module
 from relaycircuits.circuits import (
     Det, Input, Leaf, Parallel, Pswitch, Series, _check_simplex, _from_tail,
-    _tail_complement, _tail_numerators, _tail_series, _to_tail,
+    _graph_dist, _tail_complement, _tail_numerators, _tail_series, _to_tail,
 )
 from relaycircuits.netlist import circuit_from_json, dumps, loads
 from relaycircuits.synthesis import _cut_index, _cut_pieces
 from conftest import (
-    canonical_tail_reference, deep_binary_circuit, distributions, map_pswitches,
-    mixed_distributions, parallel_direct, random_distribution, random_graph_node,
-    random_sp_circuit, resolve_reference, series_direct,
+    canonical_tail_reference, deep_binary_circuit, distributions, graph_reference,
+    map_pswitches, mixed_distributions, multigraph_levels, parallel_direct,
+    random_distribution, random_graph_node, random_sp_circuit, resolve_reference,
+    series_direct,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -623,6 +626,54 @@ class TestGraph:
         monkeypatch.undo()
         assignment = {"x": 1, "y": 1}
         assert evaluate(c, assignment, graph_cap=5) == evaluate_oracle(c, assignment)
+
+    def test_an_over_cap_graph_builds_no_diagram(self):
+        frontier_module.diagram.cache_clear()
+        ids = IdGen()
+        c = Circuit(2, self.bridge([pswitch(HALF2, ids()) for _ in range(5)]))
+        with pytest.raises(CapacityError, match="graph has 5 edges .*cap is 4;"):
+            evaluate(c, graph_cap=4)
+        assert frontier_module.diagram.cache_info().currsize == 0
+        assert evaluate(c, graph_cap=5) == (F(1, 2), F(1, 2))
+        assert frontier_module.diagram.cache_info().currsize == 1
+
+    @given(graph=multigraph_levels(), data=st.data())
+    def test_frontier_dp_equals_subset_enumeration(self, graph, data):
+        """Any edge order gives the same levels: the given one, reversed
+        and shuffled."""
+        s, t, ends, states, dens, tails = graph
+        expected = graph_reference(*graph)
+        shuffled = data.draw(st.permutations(range(len(ends))))
+        for order in (range(len(ends)), range(len(ends))[::-1], shuffled):
+            picked = [tuple(seq[i] for i in order) for seq in (ends, dens, tails)]
+            assert _graph_dist(s, t, picked[0], states, *picked[1:]) == expected
+
+    @staticmethod
+    def grid(width, height, label):
+        """The width x height grid from corner to corner, every edge labelled
+        by a fresh ``label()``."""
+        ends = [((x, y), (x + dx, y + dy)) for y in range(height) for x in range(width)
+                for dx, dy in ((1, 0), (0, 1)) if x + dx < width and y + dy < height]
+        return Graph("0,0", f"{width - 1},{height - 1}", tuple(
+            Edge(f"{x},{y}", f"{u},{v}", label()) for (x, y), (u, v) in ends))
+
+    def test_a_wide_grid_is_exact_and_fast(self):
+        ids, third = IdGen(), Distribution([F(1, 3)] * 3)
+        g = self.grid(6, 6, lambda: pswitch(third, ids()))
+        assert len(g.edges) == 60
+        start = time.perf_counter()
+        out = evaluate(Circuit(3, g), graph_cap=60)
+        assert time.perf_counter() - start < 2
+        twin = Graph(g.s, g.t, g.edges[::-1])
+        assert evaluate(Circuit(3, twin), graph_cap=60) == out
+        with pytest.raises(CapacityError, match="graph has 60 edges .*cap is 59;"):
+            evaluate(Circuit(3, g), graph_cap=59)
+
+    def test_a_grid_of_two_point_pswitches_matches_the_oracle(self, rng):
+        ids = IdGen()
+        c = Circuit(3, self.grid(3, 3, lambda: pswitch(support_sized(rng, 3, 2), ids())))
+        assert len(c.pswitches()) == 12
+        assert evaluate(c) == evaluate_oracle(c)
 
     def test_a_negative_graph_cap_is_refused(self):
         fixed = Graph("s", "t", (Edge("s", "t", det(1)),))
