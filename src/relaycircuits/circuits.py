@@ -688,8 +688,9 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
     P(X >= k) is a two-terminal reliability: labels without a pswitch
     resolve to one state, and their slots are skipped, the others are
     folded like any subtree, and each level is a frontier DP over the
-    graph's edges (see :func:`_graph_dist`), in which only the edges that
-    are neither certain nor impossible at that level branch.
+    graph's edges (see :func:`_graph_dist`), in which the edges that are
+    certain or impossible at that level are contracted or dropped and only
+    the others branch.
     ``graph_cap`` bounds, per graph, the number of edges whose label holds
     a pswitch, so that no edge of the DP holds more than 2^that states; if
     the widest graph has more, ``CapacityError`` is raised before any work.
@@ -865,17 +866,18 @@ def _graph_dist(s: str, t: str, ends, states: int, dens, tails) -> tuple[int, ..
 
     P(X >= k) is the probability that s and t are joined by edges whose
     label is >= k, a two-terminal reliability. Its numerator over
-    ``prod(dens)`` is found by a frontier DP over the graph's cached
-    :class:`frontier.Frontier` diagram: a dict of frontier state -> integer weight
-    is pushed through the edges in order, an edge with ``n = T_e[k]``
+    ``prod(dens)`` is found by a frontier DP (see :func:`frontier.levels`):
+    the edges with ``n = 0`` or ``n = D_e`` at that level are certain and
+    are contracted or dropped, and a dict of frontier state -> integer
+    weight is pushed through the others in BFS order from s, an edge
     sending ``w * n`` to its up child and ``w * (D_e - n)`` to its down
     child, and equal states merging by adding their weights. A state whose
     s and t are joined adds its weight times the product of the remaining
-    edges' ``D``. An edge with ``n = 0`` or ``n = D_e`` is certain and does
-    not branch, so no layer holds more than 2^(edges so far holding a
-    pswitch) states, at most 2^``graph_cap`` in :func:`evaluate`.
+    edges' ``D``. No layer holds more than 2^(edges holding a pswitch)
+    states, at most 2^``graph_cap`` in :func:`evaluate`; no state is kept
+    between calls, only each level's edge order and frontier layout.
     """
-    return frontier.diagram(s, t, ends).levels(states, dens, tails)
+    return frontier.levels(s, t, ends, states, dens, tails)
 
 
 def resolve(node: Node, states: int, assignment: Assignment,

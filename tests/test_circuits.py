@@ -6,7 +6,7 @@ import json
 import math
 import pickle
 import re
-import time
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 
@@ -627,15 +627,15 @@ class TestGraph:
         assignment = {"x": 1, "y": 1}
         assert evaluate(c, assignment, graph_cap=5) == evaluate_oracle(c, assignment)
 
-    def test_an_over_cap_graph_builds_no_diagram(self):
-        frontier_module.diagram.cache_clear()
+    def test_an_over_cap_graph_builds_no_layout(self):
+        frontier_module._layout.cache_clear()
         ids = IdGen()
         c = Circuit(2, self.bridge([pswitch(HALF2, ids()) for _ in range(5)]))
         with pytest.raises(CapacityError, match="graph has 5 edges .*cap is 4;"):
             evaluate(c, graph_cap=4)
-        assert frontier_module.diagram.cache_info().currsize == 0
+        assert frontier_module._layout.cache_info().currsize == 0
         assert evaluate(c, graph_cap=5) == (F(1, 2), F(1, 2))
-        assert frontier_module.diagram.cache_info().currsize == 1
+        assert frontier_module._layout.cache_info().currsize == 1
 
     @given(graph=multigraph_levels(), data=st.data())
     def test_frontier_dp_equals_subset_enumeration(self, graph, data):
@@ -657,17 +657,47 @@ class TestGraph:
         return Graph("0,0", f"{width - 1},{height - 1}", tuple(
             Edge(f"{x},{y}", f"{u},{v}", label()) for (x, y), (u, v) in ends))
 
-    def test_a_wide_grid_is_exact_and_fast(self):
+    def test_a_wide_grid_is_exact(self, monkeypatch):
+        """60 pswitch edges, where the subset sum would take 2^60 terms: the
+        DP computes about 14.5k transitions, and the reversed edge order
+        gives the same result."""
         ids, third = IdGen(), Distribution([F(1, 3)] * 3)
         g = self.grid(6, 6, lambda: pswitch(third, ids()))
         assert len(g.edges) == 60
-        start = time.perf_counter()
+        made, children = [], frontier_module._children
+        monkeypatch.setattr(frontier_module, "_children",
+                            lambda *args: made.append(1) or children(*args))
+        frontier_module._layout.cache_clear()
         out = evaluate(Circuit(3, g), graph_cap=60)
-        assert time.perf_counter() - start < 2
+        assert len(made) < 16_000
         twin = Graph(g.s, g.t, g.edges[::-1])
         assert evaluate(Circuit(3, twin), graph_cap=60) == out
         with pytest.raises(CapacityError, match="graph has 60 edges .*cap is 59;"):
             evaluate(Circuit(3, g), graph_cap=59)
+
+    def test_edges_listed_far_apart_stay_small(self):
+        """Chains s - a_i - b_i - t with their middle edges listed first: in
+        the given order a layer would hold 2^(chains) states as wide as the
+        graph. Certain edges are contracted and the rest taken in BFS order,
+        so the DP stays within a few hundred kB of traced memory."""
+        def chains(k, outer):
+            return Graph("s", "t", tuple(
+                [Edge(f"a{i}", f"b{i}", pswitch(HALF2, f"m{i}")) for i in range(k)]
+                + [Edge("s", f"a{i}", outer(f"s{i}")) for i in range(k)]
+                + [Edge(f"b{i}", "t", outer(f"t{i}")) for i in range(k)]))
+
+        for k, outer, want in ((20, lambda name: det(1), 1 - F(1, 2**20)),
+                               (6, lambda name: pswitch(HALF2, name), 1 - F(7, 8)**6)):
+            c = Circuit(2, chains(k, outer))
+            frontier_module._layout.cache_clear()
+            tracemalloc.start()
+            try:
+                out = evaluate(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out == (1 - want, want)
+            assert peak < 1 << 20
 
     def test_a_grid_of_two_point_pswitches_matches_the_oracle(self, rng):
         ids = IdGen()
