@@ -690,7 +690,8 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
     folded like any subtree, and each level is a frontier DP over the
     graph's edges (see :func:`_graph_dist`), in which the edges that are
     certain or impossible at that level are contracted or dropped and only
-    the others branch.
+    the others branch; its transitions are memoized across levels, graphs
+    and calls.
     ``graph_cap`` bounds, per graph, the number of edges whose label holds
     a pswitch, so that no edge of the DP holds more than 2^that states; if
     the widest graph has more, ``CapacityError`` is raised before any work.
@@ -854,9 +855,9 @@ def _tail_complement(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
 
 def _fixed_tail(label: Node, states: int,
                 assignment: Assignment) -> tuple[int, tuple[int, ...]]:
-    """Integer tail ``(1, T)`` of a label without a pswitch."""
-    state = resolve(label, states, assignment, {})
-    return 1, tuple(int(state >= k) for k in range(1, states))
+    """Integer tail ``(1, T)`` of a label without a pswitch: the cached
+    point distribution's."""
+    return _to_tail(Distribution.point(resolve(label, states, assignment, {}), states))
 
 
 def _graph_dist(s: str, t: str, ends, states: int, dens, tails) -> tuple[int, ...]:
@@ -874,8 +875,11 @@ def _graph_dist(s: str, t: str, ends, states: int, dens, tails) -> tuple[int, ..
     child, and equal states merging by adding their weights. A state whose
     s and t are joined adds its weight times the product of the remaining
     edges' ``D``. No layer holds more than 2^(edges holding a pswitch)
-    states, at most 2^``graph_cap`` in :func:`evaluate`; no state is kept
-    between calls, only each level's edge order and frontier layout.
+    states, at most 2^``graph_cap`` in :func:`evaluate`. No weight is kept
+    between calls; each level's edge order and frontier layout are, and a
+    bounded memo of transitions (state and edge shape to children), so
+    truth-table rows and robustness corners that call this again compute
+    only the transitions not met before.
     """
     return frontier.levels(s, t, ends, states, dens, tails)
 

@@ -200,6 +200,15 @@ def graph_reference(s, t, ends, states: int, dens, tails) -> tuple:
     return tuple(levels)
 
 
+def grid_graph(width: int, height: int, label) -> Graph:
+    """The width x height grid from corner to corner, every edge labelled
+    by a fresh ``label()``."""
+    ends = [((x, y), (x + dx, y + dy)) for y in range(height) for x in range(width)
+            for dx, dy in ((1, 0), (0, 1)) if x + dx < width and y + dy < height]
+    return Graph("0,0", f"{width - 1},{height - 1}", tuple(
+        Edge(f"{x},{y}", f"{u},{v}", label()) for (x, y), (u, v) in ends))
+
+
 def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
     """Corner search on a row-major table: ``(per-state max error, first
     worst assignment)``, as ``worst_case_error`` reports them.

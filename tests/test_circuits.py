@@ -33,9 +33,9 @@ from relaycircuits.netlist import circuit_from_json, dumps, loads
 from relaycircuits.synthesis import _cut_index, _cut_pieces
 from conftest import (
     canonical_tail_reference, deep_binary_circuit, distributions, graph_reference,
-    map_pswitches, mixed_distributions, multigraph_levels, parallel_direct,
-    random_distribution, random_graph_node, random_sp_circuit, resolve_reference,
-    series_direct,
+    grid_graph, map_pswitches, mixed_distributions, multigraph_levels,
+    parallel_direct, random_distribution, random_graph_node, random_sp_circuit,
+    resolve_reference, series_direct,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -640,40 +640,53 @@ class TestGraph:
     @given(graph=multigraph_levels(), data=st.data())
     def test_frontier_dp_equals_subset_enumeration(self, graph, data):
         """Any edge order gives the same levels: the given one, reversed
-        and shuffled."""
+        and shuffled, with the transition memo warm from earlier draws. So
+        does the given order from a cleared memo, and again warm from this
+        graph alone, when it computes no transition."""
         s, t, ends, states, dens, tails = graph
-        expected = graph_reference(*graph)
+        expected, info = graph_reference(*graph), frontier_module._children.cache_info
         shuffled = data.draw(st.permutations(range(len(ends))))
         for order in (range(len(ends)), range(len(ends))[::-1], shuffled):
             picked = [tuple(seq[i] for i in order) for seq in (ends, dens, tails)]
             assert _graph_dist(s, t, picked[0], states, *picked[1:]) == expected
-
-    @staticmethod
-    def grid(width, height, label):
-        """The width x height grid from corner to corner, every edge labelled
-        by a fresh ``label()``."""
-        ends = [((x, y), (x + dx, y + dy)) for y in range(height) for x in range(width)
-                for dx, dy in ((1, 0), (0, 1)) if x + dx < width and y + dy < height]
-        return Graph("0,0", f"{width - 1},{height - 1}", tuple(
-            Edge(f"{x},{y}", f"{u},{v}", label()) for (x, y), (u, v) in ends))
+        frontier_module._children.cache_clear()
+        assert _graph_dist(*graph) == expected
+        cold = info().misses
+        assert _graph_dist(*graph) == expected
+        assert info().misses == cold
 
     def test_a_wide_grid_is_exact(self, monkeypatch):
         """60 pswitch edges, where the subset sum would take 2^60 terms: the
-        DP computes about 14.5k transitions, and the reversed edge order
-        gives the same result."""
+        DP asks for about 14.5k transitions and, from a cleared memo,
+        computes 1,827 of them, and the reversed edge order gives the same
+        result."""
         ids, third = IdGen(), Distribution([F(1, 3)] * 3)
-        g = self.grid(6, 6, lambda: pswitch(third, ids()))
+        g = grid_graph(6, 6, lambda: pswitch(third, ids()))
         assert len(g.edges) == 60
         made, children = [], frontier_module._children
         monkeypatch.setattr(frontier_module, "_children",
                             lambda *args: made.append(1) or children(*args))
         frontier_module._layout.cache_clear()
+        children.cache_clear()
         out = evaluate(Circuit(3, g), graph_cap=60)
         assert len(made) < 16_000
+        assert children.cache_info().misses < 2_000
         twin = Graph(g.s, g.t, g.edges[::-1])
         assert evaluate(Circuit(3, twin), graph_cap=60) == out
         with pytest.raises(CapacityError, match="graph has 60 edges .*cap is 59;"):
             evaluate(Circuit(3, g), graph_cap=59)
+
+    def test_the_transition_memo_is_bounded(self):
+        """A 7x7 grid meets more transitions than the memo keeps: it stays
+        at its bound, and the evicted transitions, computed again, give the
+        reversed edge order's levels."""
+        ids, third = IdGen(), Distribution([F(1, 3)] * 3)
+        g = grid_graph(7, 7, lambda: pswitch(third, ids()))
+        frontier_module._children.cache_clear()
+        out = evaluate(Circuit(3, g), graph_cap=84)
+        info = frontier_module._children.cache_info()
+        assert info.misses > frontier_module.MEMO_SIZE >= info.currsize
+        assert evaluate(Circuit(3, Graph(g.s, g.t, g.edges[::-1])), graph_cap=84) == out
 
     def test_edges_listed_far_apart_stay_small(self):
         """Chains s - a_i - b_i - t with their middle edges listed first: in
@@ -701,7 +714,7 @@ class TestGraph:
 
     def test_a_grid_of_two_point_pswitches_matches_the_oracle(self, rng):
         ids = IdGen()
-        c = Circuit(3, self.grid(3, 3, lambda: pswitch(support_sized(rng, 3, 2), ids())))
+        c = Circuit(3, grid_graph(3, 3, lambda: pswitch(support_sized(rng, 3, 2), ids())))
         assert len(c.pswitches()) == 12
         assert evaluate(c) == evaluate_oracle(c)
 

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from relaycircuits import frontier as frontier_module
 from relaycircuits import robustness as robustness_module
 from relaycircuits import (
     CapacityError, Circuit, Distribution, Edge, Graph, IdGen, Input,
@@ -18,8 +19,8 @@ from relaycircuits import (
     worst_case_error,
 )
 from conftest import (
-    corner_table_reference, map_pswitches, perturb_dist_reference, random_graph_node,
-    random_sp_circuit,
+    corner_table_reference, grid_graph, map_pswitches, perturb_dist_reference,
+    random_graph_node, random_sp_circuit,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -286,6 +287,20 @@ class TestCornerWalk:
         circuits = random_corner_circuits(40)
         assert sum(isinstance(c.root, Graph) and len(c.pswitches()) > 1
                    for c in circuits) >= 8
+
+    def test_a_grid_search_shares_its_transitions(self):
+        """A 3x3 grid of 12 two-point pswitches: 4,096 corners, one
+        frontier DP per corner, whose 290,887 transition lookups compute
+        only 53 transitions from a cleared memo, and the report of
+        evaluating every perturbed grid."""
+        ids = IdGen()
+        grid = grid_graph(3, 3, lambda: pswitch([F(1, 3)] * 3, ids()))
+        c = Circuit(3, two_point(grid, random.Random(3), 3))
+        frontier_module._children.cache_clear()
+        report = worst_case_error(c, F(1, 16))
+        assert frontier_module._children.cache_info().misses <= 100
+        assert ((report.nominal, report.per_state_max_error, report.worst_assignment.assignments)
+                == corner_reference(c, F(1, 16)))
 
     def test_invalid_corner_still_raises(self):
         # +1/4 drives the first switch's low state to 9/8
