@@ -328,13 +328,6 @@ class Graph(_Planned):
         if not _connected(((e.u, e.v) for e in self.edges), self.s, self.t):
             raise ValidationError("graph terminals are not connected")
 
-    def vertices(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {self.s: None, self.t: None}
-        for e in self.edges:
-            seen.setdefault(e.u, None)
-            seen.setdefault(e.v, None)
-        return tuple(seen)
-
 
 Node = Union[Leaf, Series, Parallel, Graph]
 
@@ -646,20 +639,22 @@ def compose_series(p: Distribution, q: Distribution) -> Distribution:
     is algebraically equal to the direct convolution over min(i, j) = k:
     the integer tails multiply elementwise.
     """
-    if len(p) != len(q):
+    tp, tq = p._tail, q._tail
+    if len(tp) != len(tq):
         raise DimensionError(f"state counts differ: {len(p)} vs {len(q)}")
-    (dp, tp), (dq, tq) = _to_tail(p), _to_tail(q)
-    return _from_tail(dp * dq, _tail_series(tp, tq))
+    return _from_tail(p._den * q._den, tuple(map(operator.mul, tp, tq)))
 
 
 def compose_parallel(p: Distribution, q: Distribution) -> Distribution:
-    """Distribution of ``max(X, Y)``: P(max <= k) = P(X <= k) * P(Y <= k)."""
-    if len(p) != len(q):
+    """Distribution of ``max(X, Y)``: P(max <= k) = P(X <= k) * P(Y <= k),
+    so the complements ``D - T`` of the integer tails multiply, in one pass
+    that complements the product back."""
+    tp, tq = p._tail, q._tail
+    if len(tp) != len(tq):
         raise DimensionError(f"state counts differ: {len(p)} vs {len(q)}")
-    (dp, tp), (dq, tq) = _to_tail(p), _to_tail(q)
+    dp, dq = p._den, q._den
     den = dp * dq
-    return _from_tail(den, _tail_complement(
-        den, _tail_series(_tail_complement(dp, tp), _tail_complement(dq, tq))))
+    return _from_tail(den, tuple([den - (dp - a) * (dq - b) for a, b in zip(tp, tq)]))
 
 
 # --------------------------------------------------------------------------
@@ -807,10 +802,11 @@ def _input_value(el: Input, states: int, assignment: Assignment) -> int:
 # ``T[k-1] = D * P(X >= k)`` for k = 1..N-1, over a positive D; each
 # ``Distribution`` keeps its canonical one, D the lcm of its denominators,
 # compares by it, and builds its ``Fraction``s from it only when read.
-# Series multiplies tails elementwise over ``D1 * D2`` (``_tail_series``);
-# parallel does so on the complements ``D - T``, ``D * P(X < k)``
-# (``_tail_complement``), and complements the product. No gcd is taken
-# until ``_from_tail``, so a subtree's D is the product of its leaves' Ds.
+# Series multiplies tails elementwise over ``D1 * D2``; parallel does so on
+# the complements ``D - T``, ``D * P(X < k)``, and complements the product
+# (``compose_series``/``compose_parallel``, each one pass over the kept
+# tails). Only ``_from_tail`` takes a gcd, so in a fold on raw tails, as
+# corner search makes, a subtree's D is the product of its leaves' Ds.
 
 def _to_tail(dist: Distribution, den: int = 0) -> tuple[int, tuple[int, ...]]:
     """``dist`` as an integer tail over ``den``, by default its canonical
@@ -841,16 +837,6 @@ def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
     """Per-state numerators over ``den``: ``D * P(X = k)`` for k = 0..N-1."""
     levels = (den, *tail, 0)
     return tuple(map(operator.sub, levels, levels[1:]))
-
-
-def _tail_series(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Tail of the series of two tails, over the product of their Ds."""
-    return tuple(map(operator.mul, a, b))
-
-
-def _tail_complement(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
-    """``den - T``: ``D * P(X < k)`` for k = 1..N-1; its own inverse."""
-    return tuple(den - t for t in tail)
 
 
 def _fixed_tail(label: Node, states: int,

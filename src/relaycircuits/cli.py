@@ -40,6 +40,7 @@ EXIT_CAPACITY = 3
 # ``bound`` checks the closed form against the recursion, of time n * N^2 / 4
 # (0.2 s at n = 10, N = 1,000 on a 2-core Xeon VM), up to this n * N^2
 BOUND_CHECK_CAP = 10 ** 7
+ASSIGN_HELP = 'input bindings, e.g. "r0=1,r1=0"'
 GRAPH_CAP_HELP = ("cap on the edges of one graph whose label holds a pswitch; "
                   "each level's frontier DP holds at most 2^that states per edge")
 
@@ -107,7 +108,8 @@ def _cmd_robustness(args) -> int:
     circuit = netlist.load(args.netlist)
     epsilon = parse_rational(args.epsilon)
     report = worst_case_error(circuit, epsilon, mode=args.mode, trials=args.trials,
-                              corner_cap=args.corner_cap, seed=args.seed)
+                              corner_cap=args.corner_cap, seed=args.seed,
+                              assignment=_parse_assignment(args.assign))
     payload = report.to_json()
     if args.family:
         family, _, q = args.family.partition(":")
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("eval", "oracle-eval"):
         p = sub.add_parser(name, help=f"{name} a netlist")
         p.add_argument("--netlist", required=True)
-        p.add_argument("--assign", default="", help='input bindings, e.g. "r0=1,r1=0"')
+        p.add_argument("--assign", default="", help=ASSIGN_HELP)
         if name == "eval":
             p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP,
                            help=GRAPH_CAP_HELP)
@@ -216,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corner-cap", type=int, default=DEFAULT_CORNER_CAP,
                    help="corners mode: cap on the pswitch count m; it tries 2^m corners")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--assign", default="", help=ASSIGN_HELP)
     p.add_argument("--family", default=None,
                    help='check bounds for "binary" or "denom:q"')
 

@@ -22,10 +22,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .circuits import (
-    CapacityError, Circuit, Distribution, Element, Node, Pswitch, RelayError,
+    Assignment, CapacityError, Circuit, Distribution, Element, Node, Pswitch, RelayError,
     ValidationError, _fold, _from_tail, _graph_dist, _leaf_dist, _rebuild, _show,
     _tail_numerators, _to_tail, check_cap, evaluate,
 )
@@ -146,8 +146,13 @@ def _perturbed_tail(dist: Distribution, error: Fraction, den: int) -> tuple[int,
 def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
                      mode: str = "corners", trials: int = 200,
                      corner_cap: int = DEFAULT_CORNER_CAP,
-                     seed: int = 0) -> ErrorReport:
+                     seed: int = 0,
+                     assignment: Optional[Assignment] = None) -> ErrorReport:
     """Largest per-state deviation over the error box, exactly or sampled.
+
+    ``assignment`` binds the circuit's inputs, as in ``evaluate``; an input
+    carries no error, so in both modes it is the point of its bound state,
+    as a Det is.
 
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
     exact by multilinearity but capped at ``corner_cap`` switches. It folds
@@ -177,14 +182,14 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     if mode == "sampled" and trials < 1:
         raise ValidationError(f"sampled mode needs trials >= 1, got {trials}")
     ids = [sw.id for sw in circuit.pswitches()]
-    nominal = evaluate(circuit)
+    nominal = evaluate(circuit, assignment)
     if mode == "corners":
         if len(ids) > corner_cap:
             raise CapacityError(
                 f"{len(ids)} pswitches need 2^{len(ids)} sign corners, corner cap is "
                 f"{corner_cap} pswitches; raise corner_cap (CLI --corner-cap) or "
                 f"use sampled mode (CLI --mode sampled)")
-        den, levels = _corner_outputs(circuit, epsilon)
+        den, levels = _corner_outputs(circuit, epsilon, assignment or {})
         best, corner = _worst_corner(den, levels, _tail_numerators(*_to_tail(nominal, den)))
         last = len(ids) - 1
         worst = {pid: epsilon if corner >> (last - j) & 1 else -epsilon
@@ -193,7 +198,7 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     elif mode == "sampled":
         den = 1
         candidates = list(_sampled_assignments(ids, epsilon, trials, seed))
-        outputs = (evaluate(perturb(circuit, PerturbationModel(epsilon, a)))
+        outputs = (evaluate(perturb(circuit, PerturbationModel(epsilon, a)), assignment)
                    for a in candidates)
         errors = ([abs(a - b) for a, b in zip(out, nominal)] for out in outputs)
         best, worst = _select(circuit.states, candidates, errors)
@@ -256,10 +261,11 @@ def _first_index(column: Callable[[], Iterator[int]], value: int) -> int:
     return next(itertools.compress(itertools.count(), map(value.__eq__, column())))
 
 
-def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, list[list[int]]]:
+def _corner_outputs(circuit: Circuit, epsilon: Fraction,
+                    assignment: Assignment) -> tuple[int, list[list[int]]]:
     """The circuit's integer tail at every sign corner, over one denominator,
     as one column per level in ``itertools.product`` order over the
-    pswitch ids (see ``_corner_table``)."""
+    pswitch ids, its inputs bound by ``assignment`` (see ``_corner_table``)."""
     switches = circuit.pswitches()
     # The nominal's denominators, not the perturbed ones: at eps = 1/2 a
     # perturbed switch can collapse to 0/1 and lose them.
@@ -271,24 +277,26 @@ def _corner_outputs(circuit: Circuit, epsilon: Fraction) -> tuple[int, list[list
     plus = {sw.id: _perturbed_tail(sw.dist, epsilon, dens[sw.id]) if epsilon
             else sw.dist._tail for sw in reversed(switches)}
     leaves = {pid: (den, minus[pid], plus[pid]) for pid, den in dens.items()}
-    return _corner_table(circuit.root, circuit.states, leaves)
+    return _corner_table(circuit.root, circuit.states, leaves, assignment)
 
 
-def _corner_table(node: Node, states: int,
-                  leaves: dict[str, tuple[int, tuple, tuple]]) -> tuple[int, list[list[int]]]:
+def _corner_table(node: Node, states: int, leaves: dict[str, tuple[int, tuple, tuple]],
+                  assignment: Assignment) -> tuple[int, list[list[int]]]:
     """``(D, levels)``: ``levels[k][c]`` is ``node``'s integer tail
     T_(k+1) over ``D`` at sign corner c of its pswitches, corners in
     ``itertools.product`` order, first pswitch (in tree order) slowest.
 
     ``leaves`` maps a pswitch id to its ``(D_j, minus, plus)`` tails, which
-    become two-corner columns. D is the product of the leaves' D_j, so
-    every corner shares it, and a subtree without a pswitch has one-corner
-    columns over D = 1. A series node takes, level by level, the outer
-    product of its children's columns, the last step as
+    become two-corner columns; a Det, or an input bound by ``assignment``,
+    is the one-corner column of its point tail. D is the product of the
+    leaves' D_j, so every corner shares it, and a subtree without a pswitch
+    has one-corner columns over D = 1. A series node takes, level by level,
+    the outer product of its children's columns, the last step as
     ``[a * b for a in A for b in B]`` over two halves (see ``_halves``); a
     parallel node does the same on the complements ``D_i - x`` and
-    complements the last product as it is built, ``D - a * b`` (see
-    ``circuits._tail_series``). A graph node rebuilds each child's
+    complements the last product as it is built, ``D - a * b``, the rules
+    ``compose_series`` and ``compose_parallel`` apply to one tail each,
+    here with no gcd between steps. A graph node rebuilds each child's
     per-corner tails, calls ``_graph_dist`` once per combination, and
     transposes the results back into columns. A child's column is dropped
     once its parent's column at that level is built. One fold over the
@@ -298,7 +306,7 @@ def _corner_table(node: Node, states: int,
         if isinstance(el, Pswitch):
             den, minus, plus = leaves[el.id]
             return den, [[a, b] for a, b in zip(minus, plus)]
-        den, tail = _to_tail(_leaf_dist(el, states, {}))
+        den, tail = _to_tail(_leaf_dist(el, states, assignment))
         return den, [[t] for t in tail]
 
     def series(kids: list) -> tuple[int, list]:

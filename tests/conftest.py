@@ -12,13 +12,17 @@ order in against a boolean matrix and per-pair bound scans.
 table with one tail per corner, ``perturb_dist_reference`` the integer
 ``perturb_dist`` against arithmetic on ``Fraction`` entries, and
 ``graph_reference`` the frontier DP of graph levels against the sum over
-every up/down subset of the uncertain edges.
+every up/down subset of the uncertain edges. ``tail_series`` and
+``tail_complement`` are the integer-tail rules, one step each, that the
+corner reference composes with and that check the one-pass ``compose_*``
+kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -32,8 +36,7 @@ from relaycircuits import (
     pswitch, series, synth_binary_nstate,
 )
 from relaycircuits.circuits import (
-    _connected, _fold, _input_value, _leaf_dist, _show,
-    _tail_complement, _tail_numerators, _tail_series, _to_tail,
+    _connected, _fold, _input_value, _leaf_dist, _show, _tail_numerators, _to_tail,
 )
 
 
@@ -100,6 +103,16 @@ def cut_reference(p: Distribution, q: Fraction, strict: bool) -> tuple:
     for i in range(k + 1, n):
         right[i] = p[i] / (1 - q)
     return Distribution(left), Distribution(right), k
+
+
+def tail_series(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Tail of the series of two integer tails, over the product of their Ds."""
+    return tuple(map(operator.mul, a, b))
+
+
+def tail_complement(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    """``den - T``: ``D * P(X < k)`` for k = 1..N-1; its own inverse."""
+    return tuple(den - t for t in tail)
 
 
 def canonical_tail_reference(d: Distribution) -> tuple:
@@ -233,7 +246,7 @@ def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
                                _to_tail(plus[sw.id], den)[1]))
 
     def products(tables):
-        return (reduce(_tail_series, tails) for tails in itertools.product(*tables))
+        return (reduce(tail_series, tails) for tails in itertools.product(*tables))
 
     def leaf(el):
         if isinstance(el, Pswitch):
@@ -246,8 +259,8 @@ def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
 
     def parallel_table(kids):
         den = math.prod(d for d, _ in kids)
-        complements = [tuple(_tail_complement(d, t) for t in tails) for d, tails in kids]
-        return den, tuple(_tail_complement(den, t) for t in products(complements))
+        complements = [tuple(tail_complement(d, t) for t in tails) for d, tails in kids]
+        return den, tuple(tail_complement(den, t) for t in products(complements))
 
     def graph_table(s, t, ends, kids):
         dens = tuple(d for d, _ in kids)

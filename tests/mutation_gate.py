@@ -1,0 +1,124 @@
+"""Mutation gate: each row breaks a fast path on purpose, and a test must fail.
+
+    python3 tests/mutation_gate.py
+
+Run it from anywhere; it needs pytest and hypothesis, as the tests do.
+Each row of ``ROWS`` is ``(file, exact old text, new text, pytest
+target)``, the file relative to ``src/``. For each row the script copies
+``src/`` to a temporary directory, replaces the one occurrence of the old
+text, and runs ``pytest -x`` on the target against that copy. The row's
+mutant is killed when pytest reports a failing test (exit status 1).
+
+The gate fails, with exit status 1, when:
+- a row's old text is missing from its file, or found more than once, so
+  that a refactor must update the table rather than skip a row in silence;
+- a mutant survives, or pytest ends it any other way (no tests collected,
+  a usage error, a time-out);
+- a target fails on the unmutated copy, since a failing target would
+  "kill" every mutant.
+
+The name does not start with ``test_``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+CIRCUITS = "relaycircuits/circuits.py"
+COMPOSE_TESTS = "tests/test_circuits.py::TestCompose"
+TAIL_TESTS = "tests/test_circuits.py::TestIntegerTails"
+
+ROWS = (
+    # series: the tails add instead of multiplying
+    (CIRCUITS,
+     "tuple(map(operator.mul, tp, tq))",
+     "tuple(map(operator.add, tp, tq))",
+     COMPOSE_TESTS),
+    # series: no length check, so zip drops the longer tail's last levels
+    (CIRCUITS,
+     '''        raise DimensionError(f"state counts differ: {len(p)} vs {len(q)}")
+    return _from_tail(p._den * q._den''',
+     '''        pass
+    return _from_tail(p._den * q._den''',
+     COMPOSE_TESTS),
+    # parallel: the second complement reads the first operand's tail
+    (CIRCUITS,
+     "den - (dp - a) * (dq - b)",
+     "den - (dp - a) * (dq - a)",
+     COMPOSE_TESTS),
+    # parallel: the product of the complements is not complemented back
+    (CIRCUITS,
+     "tuple([den - (dp - a) * (dq - b) for",
+     "tuple([(dp - a) * (dq - b) for",
+     COMPOSE_TESTS),
+    # parallel: no length check
+    (CIRCUITS,
+     '''        raise DimensionError(f"state counts differ: {len(p)} vs {len(q)}")
+    dp, dq = p._den, q._den''',
+     '''        pass
+    dp, dq = p._den, q._den''',
+     COMPOSE_TESTS),
+    # parallel: the result's denominator is one operand's alone
+    (CIRCUITS,
+     "    den = dp * dq\n    return _from_tail(den, tuple([",
+     "    den = dp * dp\n    return _from_tail(den, tuple([",
+     TAIL_TESTS),
+)
+
+
+def run_pytest(src: Path, target: str) -> int:
+    """pytest's exit status for ``target``, importing the library from ``src``."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "-o", f"pythonpath={src}", target]
+    try:
+        return subprocess.run(command, cwd=ROOT, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return -1
+
+
+def copy_src(tmp: str, name: str) -> Path:
+    return Path(shutil.copytree(ROOT / "src", Path(tmp, name),
+                                ignore=shutil.ignore_patterns("__pycache__")))
+
+
+def main() -> int:
+    start, failures = time.perf_counter(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = copy_src(tmp, "clean")
+        for target in dict.fromkeys(row[3] for row in ROWS):
+            code = run_pytest(clean, target)
+            print(f"unmutated  {target}: pytest exit {code}")
+            if code != 0:
+                failures.append(f"{target} fails on the unmutated source (exit {code})")
+        for i, (file, old, new, target) in enumerate(ROWS, 1):
+            mutant = copy_src(tmp, f"mutant{i}")
+            path = mutant / file
+            text = path.read_text(encoding="utf-8")
+            found = text.count(old)
+            if found != 1:
+                print(f"row {i}: old text found {found} times in {file}")
+                failures.append(f"row {i}: old text found {found} times in {file}")
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            code = run_pytest(mutant, target)
+            verdict = "killed" if code == 1 else f"NOT killed (pytest exit {code})"
+            print(f"row {i}: {verdict}  {file}: {old.splitlines()[-1].strip()!r}")
+            if code != 1:
+                failures.append(f"row {i} not killed by {target} (exit {code})")
+            shutil.rmtree(mutant)
+    print(f"{len(ROWS)} rows in {time.perf_counter() - start:.1f} s")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

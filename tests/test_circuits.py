@@ -27,7 +27,7 @@ from relaycircuits import circuits as circuits_module
 from relaycircuits import frontier as frontier_module
 from relaycircuits.circuits import (
     Det, Input, Leaf, Parallel, Pswitch, Series, _check_simplex, _from_tail,
-    _graph_dist, _tail_complement, _tail_numerators, _tail_series, _to_tail,
+    _graph_dist, _tail_numerators, _to_tail,
 )
 from relaycircuits.netlist import circuit_from_json, dumps, loads
 from relaycircuits.synthesis import _cut_index, _cut_pieces
@@ -35,7 +35,7 @@ from conftest import (
     canonical_tail_reference, deep_binary_circuit, distributions, graph_reference,
     grid_graph, map_pswitches, mixed_distributions, multigraph_levels,
     parallel_direct, random_distribution, random_graph_node, random_sp_circuit,
-    resolve_reference, series_direct,
+    resolve_reference, series_direct, tail_complement, tail_series,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -133,10 +133,10 @@ class TestCompose:
 
     def test_dimension_mismatch(self):
         from relaycircuits import DimensionError
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="state counts differ: 2 vs 3"):
             compose_series(HALF2, HALF3)
-        with pytest.raises(DimensionError):
-            compose_parallel(HALF3, HALF2)
+        with pytest.raises(DimensionError, match="state counts differ: 2 vs 3"):
+            compose_parallel(HALF2, HALF3)
 
     @given(p=distributions(states=4), q=distributions(states=4))
     def test_cumulative_equals_direct(self, p, q):
@@ -247,14 +247,19 @@ class TestIntegerTails:
         assert sum(nums) == den
         assert tuple(F(n, den) for n in nums) == p.probs
 
-    @given(p=distributions(states=3), q=distributions(states=3))
-    def test_series_and_parallel_are_integer_products(self, p, q):
+    @given(data=st.data(), states=st.integers(2, 5))
+    def test_series_and_parallel_are_integer_products(self, data, states):
+        """Also on point operands at 0 and N-1, whose tail entries are all 0
+        or all D."""
+        points = [Distribution.point(0, states), Distribution.point(states - 1, states)]
+        operand = st.one_of(distributions(states=states), st.sampled_from(points))
+        p, q = data.draw(operand), data.draw(operand)
         (d1, t1), (d2, t2) = _to_tail(p), _to_tail(q)
         den = d1 * d2
-        assert _from_tail(den, _tail_series(t1, t2)) == compose_series(p, q)
-        assert _tail_complement(d1, _tail_complement(d1, t1)) == t1
-        parallel_tail = _tail_complement(
-            den, _tail_series(_tail_complement(d1, t1), _tail_complement(d2, t2)))
+        assert _from_tail(den, tail_series(t1, t2)) == compose_series(p, q)
+        assert tail_complement(d1, tail_complement(d1, t1)) == t1
+        parallel_tail = tail_complement(
+            den, tail_series(tail_complement(d1, t1), tail_complement(d2, t2)))
         assert _from_tail(den, parallel_tail) == compose_parallel(p, q)
 
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaycircuits import (
-    Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, parallel,
-    pswitch, series,
+    Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, encode_input,
+    parallel, pswitch, series,
 )
 from relaycircuits import cli, netlist
 from relaycircuits.cli import EXIT_CAPACITY, run
@@ -279,6 +279,31 @@ def test_robustness_corner_cap(capsys, tmp_path):
     code, doc = run_json(capsys, args + ["--corner-cap", "17"])
     assert code == 0 and doc["exhaustive"] is True
     assert len(doc["worst_assignment"]) == 17
+
+
+def test_robustness_of_a_upg_row(capsys, tmp_path):
+    """``robustness --assign`` binds a UPG's inputs as ``eval --assign`` does:
+    the same nominal, and corners mode bounds sampled mode."""
+    code, doc = run_json(capsys, ["upg", "--states", "3", "--bits", "2",
+                                  "--construction", "reduced_sp"])
+    path = tmp_path / "upg.json"
+    path.write_text(json.dumps(doc["netlist"]))
+    netlist_args = ["--netlist", str(path)]
+    robustness = ["robustness", *netlist_args, "--epsilon", "1/100"]
+    assert run(robustness) == 2
+    assert capsys.readouterr().err == "error: input 'r0' is unbound\n"
+    for target in ("1/4,1/2,1/4", "3/4,0,1/4"):
+        row = encode_input(Distribution(target.split(",")), 2)
+        assign = ["--assign", ",".join(f"{k}={v}" for k, v in row.assignment().items())]
+        code, nominal = run_json(capsys, ["eval", *netlist_args, *assign])
+        assert code == 0 and nominal == target.split(",")
+        code, corners = run_json(capsys, robustness + assign)
+        assert code == 0 and corners["nominal"] == nominal and corners["exhaustive"]
+        code, sampled = run_json(capsys, robustness + assign + ["--mode", "sampled",
+                                                                "--trials", "40"])
+        assert code == 0 and sampled["nominal"] == nominal
+        assert all(F(s) <= F(c) for s, c in zip(sampled["per_state_max_error"],
+                                                corners["per_state_max_error"]))
 
 
 def test_upg_target(capsys):

@@ -12,12 +12,13 @@ from hypothesis import given, strategies as st
 from relaycircuits import frontier as frontier_module
 from relaycircuits import robustness as robustness_module
 from relaycircuits import (
-    CapacityError, Circuit, Distribution, Edge, Graph, IdGen, Input,
-    InvalidPerturbationError, Leaf, Parallel, PerturbationModel, Pswitch,
-    ValidationError, check_bounds, det, evaluate, parallel, perturb,
-    perturb_dist, pswitch, series, synth_binary_nstate, denominator_reduction,
-    worst_case_error,
+    CapacityError, Circuit, Det, Distribution, Edge, Graph, IdGen, Input,
+    InvalidPerturbationError, Leaf, MissingAssignmentError, Parallel,
+    PerturbationModel, Pswitch, UpgSpec, ValidationError, build_upg, check_bounds,
+    det, encode_input, evaluate, parallel, perturb, perturb_dist, pswitch, series,
+    synth_binary_nstate, denominator_reduction, worst_case_error,
 )
+from relaycircuits.circuits import _input_value, _rebuild
 from conftest import (
     corner_table_reference, grid_graph, map_pswitches, perturb_dist_reference,
     random_graph_node, random_sp_circuit,
@@ -44,9 +45,9 @@ def corner_reference(circuit, epsilon):
     return nominal, tuple(best), worst
 
 
-def two_point(node, rng, states):
+def two_point(node, rng, states, keep_inputs=False):
     """``node`` with every pswitch given two active states at random and
-    every input replaced by a Det."""
+    every input replaced by a Det, unless ``keep_inputs``."""
     if isinstance(node, Leaf):
         el = node.element
         if isinstance(el, Pswitch):
@@ -55,13 +56,20 @@ def two_point(node, rng, states):
             probs[high] = F(rng.randint(1, 7), 8)
             probs[low] = 1 - probs[high]
             return pswitch(probs, el.id)
-        if isinstance(el, Input):
+        if isinstance(el, Input) and not keep_inputs:
             return det(rng.randrange(states))
         return node
     if isinstance(node, Graph):
-        return Graph(node.s, node.t, tuple(Edge(e.u, e.v, two_point(e.label, rng, states))
-                                           for e in node.edges))
-    return type(node)(tuple(two_point(c, rng, states) for c in node.children))
+        return Graph(node.s, node.t, tuple(
+            Edge(e.u, e.v, two_point(e.label, rng, states, keep_inputs)) for e in node.edges))
+    return type(node)(tuple(two_point(c, rng, states, keep_inputs) for c in node.children))
+
+
+def bound_inputs(circuit, assignment):
+    """``circuit`` with every input replaced by the Det of its bound state."""
+    def fn(el):
+        return Det(_input_value(el, circuit.states, assignment)) if isinstance(el, Input) else el
+    return Circuit(circuit.states, _rebuild(circuit.root, fn))
 
 
 def random_corner_circuits(count):
@@ -336,6 +344,53 @@ class TestCornerWalk:
         # two-point switches at 1/4: (7/8, 1/8) fails only at +eps, (1/8, 7/8) at -eps
         two_point = random_corner_circuits(40)
         assert sum(self.assert_same_outcome(c, F(1, 4)) for c in two_point) > 10
+
+
+class TestInputs:
+    """``assignment`` binds a circuit's inputs in both modes, and an input
+    is the point of its bound state, as a Det is."""
+
+    def test_a_upg_row(self):
+        target = Distribution([F(1, 4), F(1, 2), F(1, 4)])
+        circuit = build_upg(UpgSpec(3, 2, "reduced_sp"))
+        assignment = encode_input(target, 2).assignment()
+        corners = worst_case_error(circuit, EPS, assignment=assignment)
+        sampled = worst_case_error(circuit, EPS, mode="sampled", trials=60,
+                                   assignment=assignment)
+        assert corners.nominal == sampled.nominal == evaluate(circuit, assignment) == target
+        assert all(s <= c for s, c in zip(sampled.per_state_max_error,
+                                          corners.per_state_max_error))
+        assert ((corners.nominal, corners.per_state_max_error,
+                 corners.worst_assignment.assignments)
+                == corner_reference(bound_inputs(circuit, assignment), EPS))
+
+    def test_inputs_in_trees_and_graphs(self):
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 20:
+            states = rng.randint(2, 4)
+            root = random_graph_node(rng, states, IdGen())
+            circuit = Circuit(states, two_point(root, rng, states, keep_inputs=True))
+            if len(circuit.pswitches()) > 8 or not circuit.input_names():
+                continue
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            fixed = bound_inputs(circuit, assignment)
+            report = worst_case_error(circuit, EPS, assignment=assignment)
+            assert ((report.nominal, report.per_state_max_error,
+                     report.worst_assignment.assignments) == corner_reference(fixed, EPS))
+            assert ((report.per_state_max_error, report.worst_assignment.assignments)
+                    == corner_table_reference(fixed, EPS))
+            sampled = worst_case_error(circuit, EPS, mode="sampled", trials=10,
+                                       assignment=assignment)
+            assert sampled.per_state_max_error == worst_case_error(
+                fixed, EPS, mode="sampled", trials=10).per_state_max_error
+            checked += 1
+
+    @pytest.mark.parametrize("mode", ["corners", "sampled"])
+    def test_an_unbound_input_is_refused(self, mode):
+        circuit = build_upg(UpgSpec(3, 2, "reduced_sp"))
+        with pytest.raises(MissingAssignmentError, match="^input 'r0' is unbound$"):
+            worst_case_error(circuit, EPS, mode=mode)
 
 
 def reweighted(circuit, highs, rng):
