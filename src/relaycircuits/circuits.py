@@ -252,7 +252,7 @@ class _Planned:
     dataclass methods, so comparing it never compiles a plan."""
 
     @cached_property
-    def _compiled(self) -> tuple["Plan", dict]:
+    def _compiled(self) -> tuple["Plan", tuple[tuple, tuple]]:
         return _compile(self)
 
     def __getstate__(self) -> dict:   # copies and pickles rebuild the plan on first use
@@ -443,6 +443,7 @@ def _connected(edges: Iterable[tuple[str, str]], s: str, t: str) -> bool:
 
 
 _LEAF, _SERIES, _PARALLEL, _GRAPH = "leaf", "series", "parallel", "graph"
+_PSWITCH, _DET, _INPUT, _LABEL = "pswitch", "det", "input", "label"   # kinds of fills
 
 
 class Plan:
@@ -524,25 +525,44 @@ def _resolver_factory(source: str) -> Callable:
     return namespace["make"]
 
 
-def _compile(root: Node) -> tuple[Plan, dict[int, tuple[int, Node]]]:
-    """``root``'s plan, built with an explicit stack, and the graph labels
-    without a pswitch, which :func:`evaluate` resolves instead of walking:
-    ``(last slot, label)`` keyed by the first slot of the label's subtree,
-    a leaf, as the plan is post-order. A label inside another such label
-    shares its first slot or lies in its span, so only the outer one is met."""
-    steps, holds, labels = [], [], {}
-    first: list[int] = []   # the first slot of each slot's subtree
-    widest = -1
+def _compile(root: Node) -> tuple[Plan, tuple[tuple, tuple]]:
+    """``root``'s plan, built with an explicit stack, and in the same walk
+    the bind list ``(fills, composites)`` that :func:`evaluate` runs.
+
+    ``fills`` is three parallel tuples ``(slots, kinds, values)`` in slot
+    order: ``(slot, _PSWITCH, distribution)``, ``(slot, _DET, state)`` or
+    ``(slot, _INPUT, element)`` for each leaf outside a graph label without
+    a pswitch, and ``(end, _LABEL, label)`` for each such label, ``end``
+    its last slot. ``composites`` holds the slots of the series, parallel
+    and graph steps outside those labels, in slot order. A subtree's fills
+    and composites are consecutive from ``marks[slot]``, and a graph's
+    labels are the last subtrees met, so each label without a pswitch
+    replaces the tails of the lists it filled; one inside another such
+    label is replaced again with the outer one. Parallel lists, not a tuple
+    per entry, keep the walk's garbage to a few lists."""
+    steps, holds, widest = [], [], -1
+    slots, kinds, values, composites = [], [], [], []
+    marks: list[int] = []   # per slot: where its subtree begins in the fills
+    cmarks: list[int] = []   # and in ``composites``
     done: list[int] = []   # slots of finished subtrees awaiting their parent
     stack: list = [root]   # a node to visit, or (node, children) to finish
     while stack:
         item = stack.pop()
         if type(item) is not tuple:
             if isinstance(item, Leaf):
-                done.append(len(steps))
-                first.append(len(steps))
-                steps.append((_LEAF, item.element))
-                holds.append(isinstance(item.element, Pswitch))
+                slot, el = len(steps), item.element
+                done.append(slot)
+                marks.append(len(slots))
+                cmarks.append(len(composites))
+                steps.append((_LEAF, el))
+                holds.append(isinstance(el, Pswitch))
+                slots.append(slot)
+                if holds[-1]:
+                    kinds.append(_PSWITCH)
+                    values.append(el.dist)
+                else:
+                    kinds.append(_DET if isinstance(el, Det) else _INPUT)
+                    values.append(el.state if isinstance(el, Det) else el)
                 continue
             if isinstance(item, Graph):
                 kids = [e.label for e in item.edges]
@@ -554,18 +574,28 @@ def _compile(root: Node) -> tuple[Plan, dict[int, tuple[int, Node]]]:
             stack.extend(reversed(kids))
             continue
         node, kids = item
-        slots = tuple(done[len(done) - len(kids):])
+        kid_slots = tuple(done[len(done) - len(kids):])
         del done[len(done) - len(kids):]
         if isinstance(node, Graph):
-            steps.append((_GRAPH, node.s, node.t, tuple((e.u, e.v) for e in node.edges), slots))
-            widest = max(widest, sum(map(holds.__getitem__, slots)))
-            labels.update((first[c], (c, label)) for c, label in zip(slots, kids) if not holds[c])
+            steps.append((_GRAPH, node.s, node.t, tuple((e.u, e.v) for e in node.edges),
+                          kid_slots))
+            widest = max(widest, sum(map(holds.__getitem__, kid_slots)))
+            end, cend = len(slots), len(composites)
+            for c, label in zip(reversed(kid_slots), reversed(kids)):
+                if not holds[c]:
+                    for seq, entry in ((slots, c), (kinds, _LABEL), (values, label)):
+                        seq[marks[c]:end] = [entry]
+                    del composites[cmarks[c]:cend]
+                end, cend = marks[c], cmarks[c]
         else:
-            steps.append((_SERIES if isinstance(node, Series) else _PARALLEL, slots))
+            steps.append((_SERIES if isinstance(node, Series) else _PARALLEL, kid_slots))
         done.append(len(holds))
-        first.append(first[slots[0]])
-        holds.append(any(map(holds.__getitem__, slots)))
-    return Plan(tuple(steps), tuple(holds), widest), labels
+        marks.append(marks[kid_slots[0]])
+        cmarks.append(cmarks[kid_slots[0]])
+        composites.append(len(holds))
+        holds.append(any(map(holds.__getitem__, kid_slots)))
+    return Plan(tuple(steps), tuple(holds), widest), (
+        (tuple(slots), tuple(kinds), tuple(values)), tuple(composites))
 
 
 def _steps(node: Node) -> tuple:
@@ -675,18 +705,22 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
              graph_cap: int = DEFAULT_GRAPH_CAP) -> Distribution:
     """Exact output distribution of a circuit.
 
-    The circuit's cached post-order plan is folded in slot order, with no
-    recursion, so any depth works: series/parallel steps compose their
-    children's distributions. Edge labels of a graph are independent
-    (pswitch ids are unique), and the graph's output is >= k exactly when s
-    and t are joined by edges whose label is >= k. So each level's
-    P(X >= k) is a two-terminal reliability: labels without a pswitch
-    resolve to one state, and their slots are skipped, the others are
-    folded like any subtree, and each level is a frontier DP over the
-    graph's edges (see :func:`_graph_dist`), in which the edges that are
-    certain or impossible at that level are contracted or dropped and only
-    the others branch; its transitions are memoized across levels, graphs
-    and calls.
+    The circuit's cached bind list (see :func:`_compile`) is run in two
+    passes, with no recursion, so any depth works. The first fills the
+    slots in slot order: a pswitch with its distribution, a Det or input
+    leaf with the point distribution of its state from one table per N,
+    and a graph label without a pswitch with the integer tail of the one
+    state it resolves to. So inputs are read, and the first unbound one
+    raises, in slot order. The second runs the series, parallel and graph
+    steps outside those labels, in slot order: series/parallel steps
+    compose their children's distributions. Edge labels of a graph are
+    independent (pswitch ids are unique), and the graph's output is >= k
+    exactly when s and t are joined by edges whose label is >= k. So each
+    level's P(X >= k) is a two-terminal reliability, found by a frontier DP
+    over the graph's edges (see :func:`frontier.levels`), in which the
+    edges that are certain or impossible at that level are contracted or
+    dropped and only the others branch; its transitions are memoized
+    across levels, graphs and calls.
     ``graph_cap`` bounds, per graph, the number of edges whose label holds
     a pswitch, so that no edge of the DP holds more than 2^that states; if
     the widest graph has more, ``CapacityError`` is raised before any work.
@@ -694,31 +728,38 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
     """
     check_cap("graph_cap", graph_cap)
     states, assignment = circuit.states, assignment or {}
-    plan, labels = circuit.root._compiled
+    plan, (fills, composites) = circuit.root._compiled
     if plan.widest > graph_cap:
         raise CapacityError(
             f"graph has {plan.widest} edges holding pswitches (up to 2^{plan.widest} "
             f"frontier states per edge), cap is {graph_cap}; raise graph_cap (CLI --graph-cap)")
-    vals: list = [None] * len(plan.steps)
-    walk = enumerate(plan.steps)
-    for slot, step in walk:
+    points, vals = _points(states), [None] * len(plan.steps)
+    for slot, kind, value in zip(*fills):
+        if kind is _INPUT:
+            value = points[_input_value(value, states, assignment)]
+        elif kind is _DET:
+            value = points[value]
+        elif kind is _LABEL:
+            value = _fixed_tail(value, states, assignment)
+        vals[slot] = value
+    for slot in composites:
+        step = plan.steps[slot]
         kind = step[0]
-        if kind is _LEAF:
-            if slot in labels:   # a graph label without a pswitch: its tail, then past it
-                end, label = labels[slot]
-                vals[end] = _fixed_tail(label, states, assignment)
-                if end > slot:
-                    next(itertools.islice(walk, end - slot - 1, None))
-            else:
-                vals[slot] = _leaf_dist(step[1], states, assignment)
-        elif kind is _GRAPH:
+        if kind is _GRAPH:
             _, s, t, ends, kids = step
             dens, tails = zip(*(_to_tail(vals[c]) if plan.holds[c] else vals[c] for c in kids))
-            vals[slot] = _from_tail(math.prod(dens), _graph_dist(s, t, ends, states, dens, tails))
+            vals[slot] = _from_tail(math.prod(dens),
+                                    frontier.levels(s, t, ends, states, dens, tails))
         else:
             compose = compose_series if kind is _SERIES else compose_parallel
             vals[slot] = reduce(compose, map(vals.__getitem__, step[1]))
     return vals[-1]
+
+
+@lru_cache(maxsize=64)
+def _points(states: int) -> tuple[Distribution, ...]:
+    """The point distributions ``Distribution.point(s, states)``, s = 0..N-1."""
+    return tuple(Distribution.point(s, states) for s in range(states))
 
 
 def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
@@ -844,30 +885,6 @@ def _fixed_tail(label: Node, states: int,
     """Integer tail ``(1, T)`` of a label without a pswitch: the cached
     point distribution's."""
     return _to_tail(Distribution.point(resolve(label, states, assignment, {}), states))
-
-
-def _graph_dist(s: str, t: str, ends, states: int, dens, tails) -> tuple[int, ...]:
-    """Integer tail of the graph with terminals ``s``, ``t`` and edges
-    ``ends`` ``(u, v)`` over ``prod(dens)``, given each edge's tail
-    ``tails[e]`` over ``dens[e]``, in edge order.
-
-    P(X >= k) is the probability that s and t are joined by edges whose
-    label is >= k, a two-terminal reliability. Its numerator over
-    ``prod(dens)`` is found by a frontier DP (see :func:`frontier.levels`):
-    the edges with ``n = 0`` or ``n = D_e`` at that level are certain and
-    are contracted or dropped, and a dict of frontier state -> integer
-    weight is pushed through the others in BFS order from s, an edge
-    sending ``w * n`` to its up child and ``w * (D_e - n)`` to its down
-    child, and equal states merging by adding their weights. A state whose
-    s and t are joined adds its weight times the product of the remaining
-    edges' ``D``. No layer holds more than 2^(edges holding a pswitch)
-    states, at most 2^``graph_cap`` in :func:`evaluate`. No weight is kept
-    between calls; each level's edge order and frontier layout are, and a
-    bounded memo of transitions (state and edge shape to children), so
-    truth-table rows and robustness corners that call this again compute
-    only the transitions not met before.
-    """
-    return frontier.levels(s, t, ends, states, dens, tails)
 
 
 def resolve(node: Node, states: int, assignment: Assignment,

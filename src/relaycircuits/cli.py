@@ -18,13 +18,13 @@ from . import netlist
 from .bounds import complexity_bound, complexity_bound_recursive
 from .circuits import (
     DEFAULT_GRAPH_CAP, DEFAULT_ORACLE_CAP, CapacityError, Distribution,
-    RelayError, check_cap, count_switches, dual, evaluate, evaluate_oracle,
+    RelayError, ValidationError, check_cap, count_switches, dual, evaluate, evaluate_oracle,
 )
 from .lattice import (
     DEFAULT_LATTICE_CAP, LatticeDistribution, SearchSpec, lattice_from_json,
     search_expressible, switch_set_from_json,
 )
-from .rational import RationalParseError, parse_rational, parse_rational_list
+from .rational import parse_rational, parse_rational_list
 from .render import ascii_render, dot_render
 from .robustness import DEFAULT_CORNER_CAP, check_bounds, worst_case_error
 from .synthesis import (
@@ -50,14 +50,25 @@ def _emit(payload) -> None:
 
 
 def _parse_assignment(text: str) -> dict[str, int]:
+    """``--assign`` as ``{name: state}``; ``ValidationError`` naming the
+    flag and the item for an item that is not ``name=state``, a state that
+    is not an integer, or a name bound twice."""
     out: dict[str, int] = {}
     for item in text.split(","):
         if not item.strip():
             continue
-        name, _, value = item.partition("=")
-        if not _:
-            raise RationalParseError(f"assignment item {reprlib.repr(item)} is not name=state")
-        out[name.strip()] = int(value)
+        name, eq, value = item.partition("=")
+        where = f"--assign item {reprlib.repr(item)}"
+        if not eq:
+            raise ValidationError(f"{where} is not name=state")
+        try:
+            state = int(value)
+        except ValueError:
+            raise ValidationError(f"{where}: state is not an integer") from None
+        name = name.strip()
+        if name in out:
+            raise ValidationError(f"{where}: input {reprlib.repr(name)} is bound twice")
+        out[name] = state
     return out
 
 
@@ -109,7 +120,8 @@ def _cmd_robustness(args) -> int:
     epsilon = parse_rational(args.epsilon)
     report = worst_case_error(circuit, epsilon, mode=args.mode, trials=args.trials,
                               corner_cap=args.corner_cap, seed=args.seed,
-                              assignment=_parse_assignment(args.assign))
+                              assignment=_parse_assignment(args.assign),
+                              graph_cap=args.graph_cap)
     payload = report.to_json()
     if args.family:
         family, _, q = args.family.partition(":")
@@ -219,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corners mode: cap on the pswitch count m; it tries 2^m corners")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assign", default="", help=ASSIGN_HELP)
+    p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP, help=GRAPH_CAP_HELP)
     p.add_argument("--family", default=None,
                    help='check bounds for "binary" or "denom:q"')
 

@@ -2,8 +2,8 @@
 
 The connectivity-partition ("frontier") method of Carlier & Lucet (Discrete
 Applied Mathematics 65, 1996), whose states Hardy, Lucet & Limnios compile
-into BDDs (IEEE Trans. Reliability 56(3), 2007). ``circuits._graph_dist``
-runs it for each level of a graph; it knows no circuit type, only
+into BDDs (IEEE Trans. Reliability 56(3), 2007). ``circuits.evaluate`` and
+robustness's corner search run it for each level of a graph; it knows no circuit type, only
 terminals, edge endpoints and each edge's integer tail. Between calls it
 keeps each level's edge order and frontier layout, and the last
 ``MEMO_SIZE`` transitions from a state and an edge's shape to its two

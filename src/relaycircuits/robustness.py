@@ -24,9 +24,10 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+from . import frontier
 from .circuits import (
-    Assignment, CapacityError, Circuit, Distribution, Element, Node, Pswitch, RelayError,
-    ValidationError, _fold, _from_tail, _graph_dist, _leaf_dist, _rebuild, _show,
+    DEFAULT_GRAPH_CAP, Assignment, CapacityError, Circuit, Distribution, Element, Node,
+    Pswitch, RelayError, ValidationError, _fold, _from_tail, _leaf_dist, _rebuild, _show,
     _tail_numerators, _to_tail, check_cap, evaluate,
 )
 from .rational import format_rational
@@ -147,12 +148,14 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
                      mode: str = "corners", trials: int = 200,
                      corner_cap: int = DEFAULT_CORNER_CAP,
                      seed: int = 0,
-                     assignment: Optional[Assignment] = None) -> ErrorReport:
+                     assignment: Optional[Assignment] = None,
+                     graph_cap: int = DEFAULT_GRAPH_CAP) -> ErrorReport:
     """Largest per-state deviation over the error box, exactly or sampled.
 
     ``assignment`` binds the circuit's inputs, as in ``evaluate``; an input
     carries no error, so in both modes it is the point of its bound state,
-    as a Det is.
+    as a Det is. ``graph_cap`` is passed to every ``evaluate`` call, the
+    nominal one and each sampled one.
 
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
     exact by multilinearity but capped at ``corner_cap`` switches. It folds
@@ -182,7 +185,7 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     if mode == "sampled" and trials < 1:
         raise ValidationError(f"sampled mode needs trials >= 1, got {trials}")
     ids = [sw.id for sw in circuit.pswitches()]
-    nominal = evaluate(circuit, assignment)
+    nominal = evaluate(circuit, assignment, graph_cap)
     if mode == "corners":
         if len(ids) > corner_cap:
             raise CapacityError(
@@ -198,8 +201,8 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     elif mode == "sampled":
         den = 1
         candidates = list(_sampled_assignments(ids, epsilon, trials, seed))
-        outputs = (evaluate(perturb(circuit, PerturbationModel(epsilon, a)), assignment)
-                   for a in candidates)
+        outputs = (evaluate(perturb(circuit, PerturbationModel(epsilon, a)), assignment,
+                            graph_cap) for a in candidates)
         errors = ([abs(a - b) for a, b in zip(out, nominal)] for out in outputs)
         best, worst = _select(circuit.states, candidates, errors)
         exhaustive = False
@@ -297,7 +300,7 @@ def _corner_table(node: Node, states: int, leaves: dict[str, tuple[int, tuple, t
     complements the last product as it is built, ``D - a * b``, the rules
     ``compose_series`` and ``compose_parallel`` apply to one tail each,
     here with no gcd between steps. A graph node rebuilds each child's
-    per-corner tails, calls ``_graph_dist`` once per combination, and
+    per-corner tails, calls ``frontier.levels`` once per combination, and
     transposes the results back into columns. A child's column is dropped
     once its parent's column at that level is built. One fold over the
     plan builds every table.
@@ -324,7 +327,7 @@ def _corner_table(node: Node, states: int, leaves: dict[str, tuple[int, tuple, t
         corners = [list(zip(*cols)) for _, cols in kids]
         kids.clear()
         return math.prod(dens), [list(col) for col in zip(*(
-            _graph_dist(s, t, ends, states, dens, tails)
+            frontier.levels(s, t, ends, states, dens, tails)
             for tails in itertools.product(*corners)))]
 
     return _fold(node, leaf, series, parallel, graph)

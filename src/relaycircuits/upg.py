@@ -34,11 +34,12 @@ import itertools
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .circuits import (
-    DEFAULT_GRAPH_CAP, Circuit, Det, Distribution, Edge, Graph, IdGen, Leaf,
-    Node, ONE, RelayError, ValidationError, ZERO, clamp_node, det, evaluate, inp,
+    DEFAULT_GRAPH_CAP, Circuit, Det, DimensionError, Distribution, Edge, Graph, IdGen, Leaf,
+    Node, RelayError, ValidationError, _from_tail, clamp_node, det, evaluate, inp,
     opt_parallel, opt_series, pswitch,
 )
 
@@ -64,20 +65,34 @@ class InvalidUpgInputError(RelayError):
 def _vector(x: int, bits: int, top: int) -> tuple:
     """The bit vector carrying the prefix sum ``x / 2^n`` (0 <= x <= 2^n):
     the binary digits of x, most significant first, are bit 0 then bits n
-    down to 1, and a set bit is the symbol ``top``."""
-    digits = tuple(top if ch == "1" else 0 for ch in f"{x:0{bits + 1}b}")
-    return digits[:1] + digits[:0:-1]
+    down to 1, so bit j > 0 is digit j - 1 of x, and a set bit is the
+    symbol ``top``."""
+    return (top * (x >> bits), *[top * (x >> j & 1) for j in range(bits)])
 
 
 def _value(vec: tuple, bits: int) -> int:
     """The ``x`` of the prefix sum ``x / 2^n`` that ``vec`` carries."""
-    return int("".join("1" if b else "0" for b in vec[:1] + vec[:0:-1]), 2)
+    x = 0
+    for b in vec[:0:-1]:
+        x = x << 1 | bool(b)
+    return x | bool(vec[0]) << bits
 
 
 def vector_names(states: int) -> list[str]:
     if states - 1 > len(_VECTOR_NAMES):
         raise UnsupportedConstructionError(f"too many states for input naming: {states}")
     return list(_VECTOR_NAMES[: states - 1])
+
+
+@lru_cache(maxsize=64)
+def _input_names(states: int, bits: int) -> tuple[str, ...]:
+    """The input names of a row, vector by vector, bit 0 first: r0, r1, ..."""
+    return tuple(f"{name}{j}" for name in vector_names(states) for j in range(bits + 1))
+
+
+def _fractions(xs: list[int], scale: int) -> list[Fraction]:
+    """Prefix values ``x / scale`` as ``Fraction``s, for a message."""
+    return [Fraction(x, scale) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -119,22 +134,23 @@ class UpgInput:
         return Fraction(_value(self.vectors[i], self.bits), 2 ** self.bits)
 
     def decode_target(self) -> Distribution:
-        """The distribution this input demands; rejects invalid encodings."""
-        values = [self.encoding(i) for i in range(self.states - 1)]
-        if any(v > 1 for v in values):
-            raise InvalidUpgInputError(f"prefix encodings exceed 1: {values}")
-        if any(a > b for a, b in zip(values, values[1:])):
-            raise InvalidUpgInputError(f"prefix encodings not monotone: {values}")
-        edges = (ZERO, *values, ONE)
-        return Distribution(b - a for a, b in zip(edges, edges[1:]))
+        """The distribution this input demands; rejects invalid encodings.
+        The checks run on the integer prefix values ``x_i``; the result is
+        the integer tail ``2^n - x_i`` over ``2^n``."""
+        bits, scale = self.bits, 1 << self.bits
+        xs = [_value(vec, bits) for vec in self.vectors]
+        if not xs:
+            raise DimensionError("need at least 2 states, got 1")
+        if max(xs) > scale:
+            raise InvalidUpgInputError(f"prefix encodings exceed 1: {_fractions(xs, scale)}")
+        if any(a > b for a, b in zip(xs, xs[1:])):
+            raise InvalidUpgInputError(
+                f"prefix encodings not monotone: {_fractions(xs, scale)}")
+        return _from_tail(scale, tuple([scale - x for x in xs]))
 
     def assignment(self) -> dict[str, int]:
-        names = vector_names(self.states)
-        out = {}
-        for i, vec in enumerate(self.vectors):
-            for j, b in enumerate(vec):
-                out[f"{names[i]}{j}"] = b
-        return out
+        return dict(zip(_input_names(self.states, self.bits),
+                        itertools.chain.from_iterable(self.vectors)))
 
     def display(self) -> dict[str, str]:
         """Display order: bit 0 first, then bits n down to 1, e.g. ``0101``."""
@@ -155,18 +171,18 @@ class UpgInput:
 
 
 def encode_input(target: Distribution, bits: int) -> UpgInput:
-    """Encode a dyadic target as the N-1 prefix-sum bit vectors."""
-    states = len(target)
+    """Encode a dyadic target as the N-1 prefix-sum bit vectors: prefix i
+    is ``(D - T_(i+1)) / D`` in the target's integer tail, and ``2^n`` times
+    it must be an integer."""
+    den, top = target._den, len(target) - 1
     vectors = []
-    prefix = ZERO
-    for i in range(states - 1):
-        prefix += target[i]
-        scaled = prefix * 2 ** bits
-        if scaled.denominator != 1:
+    for i, t in enumerate(target._tail):
+        x, rest = divmod((den - t) << bits, den)
+        if rest:
             raise InvalidUpgInputError(
                 f"{target[i]} prefix is not a multiple of 1/2^{bits}")
-        vectors.append(_vector(scaled.numerator, bits, states - 1))
-    return UpgInput(states, bits, tuple(vectors))
+        vectors.append(_vector(x, bits, top))
+    return UpgInput(top + 1, bits, tuple(vectors))
 
 
 def valid_inputs(states: int, bits: int) -> Iterator[UpgInput]:

@@ -10,9 +10,11 @@ synthesis cuts and the integer tail every ``Distribution`` keeps, and
 order in against a boolean matrix and per-pair bound scans.
 ``corner_table_reference`` checks the column-wise corner search against a
 table with one tail per corner, ``perturb_dist_reference`` the integer
-``perturb_dist`` against arithmetic on ``Fraction`` entries, and
+``perturb_dist`` against arithmetic on ``Fraction`` entries,
 ``graph_reference`` the frontier DP of graph levels against the sum over
-every up/down subset of the uncertain edges. ``tail_series`` and
+every up/down subset of the uncertain edges, and ``encode_input_reference``,
+``decode_target_reference`` and ``assignment_reference`` the integer UPG row
+codec against ``Fraction`` prefix sums and digit strings. ``tail_series`` and
 ``tail_complement`` are the integer-tail rules, one step each, that the
 corner reference composes with and that check the one-pass ``compose_*``
 kernels.
@@ -32,8 +34,8 @@ from hypothesis import strategies as st
 
 from relaycircuits import (
     Circuit, Det, Distribution, Edge, Graph, IdGen, InvalidPerturbationError,
-    LatticeError, Leaf, Parallel, Pswitch, Series, det, evaluate, inp, parallel,
-    pswitch, series, synth_binary_nstate,
+    InvalidUpgInputError, LatticeError, Leaf, Parallel, Pswitch, Series, UpgInput, det,
+    evaluate, inp, parallel, pswitch, series, synth_binary_nstate, vector_names,
 )
 from relaycircuits.circuits import (
     _connected, _fold, _input_value, _leaf_dist, _show, _tail_numerators, _to_tail,
@@ -188,7 +190,7 @@ def perturb_dist_reference(dist: Distribution, error: Fraction) -> Distribution:
 
 
 def graph_reference(s, t, ends, states: int, dens, tails) -> tuple:
-    """``_graph_dist`` by subset enumeration: per level k, the sum over the
+    """``frontier.levels`` by subset enumeration: per level k, the sum over the
     up/down subsets of the edges with ``0 < T_e[k] < D_e`` of the product
     of ``T_e[k]`` (up) or ``D_e - T_e[k]`` (down) for the subsets that join
     s to t, one BFS each, times ``D_e`` for every other edge."""
@@ -281,6 +283,46 @@ def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
             dict(zip([sw.id for sw in switches], worst)))
 
 
+def _upg_vector_reference(x: int, bits: int, top: int) -> tuple:
+    digits = tuple(top if ch == "1" else 0 for ch in f"{x:0{bits + 1}b}")
+    return digits[:1] + digits[:0:-1]
+
+
+def encode_input_reference(target: Distribution, bits: int) -> UpgInput:
+    """``encode_input`` on ``Fraction`` prefix sums, the digits by string
+    formatting."""
+    states = len(target)
+    vectors = []
+    prefix = Fraction(0)
+    for i in range(states - 1):
+        prefix += target[i]
+        scaled = prefix * 2 ** bits
+        if scaled.denominator != 1:
+            raise InvalidUpgInputError(
+                f"{target[i]} prefix is not a multiple of 1/2^{bits}")
+        vectors.append(_upg_vector_reference(scaled.numerator, bits, states - 1))
+    return UpgInput(states, bits, tuple(vectors))
+
+
+def decode_target_reference(row: UpgInput) -> Distribution:
+    """``UpgInput.decode_target`` on ``Fraction`` prefix values, read by
+    parsing each vector's digits as a binary string."""
+    values = [Fraction(int("".join("1" if b else "0" for b in vec[:1] + vec[:0:-1]), 2),
+                       2 ** row.bits) for vec in row.vectors]
+    if any(v > 1 for v in values):
+        raise InvalidUpgInputError(f"prefix encodings exceed 1: {values}")
+    if any(a > b for a, b in zip(values, values[1:])):
+        raise InvalidUpgInputError(f"prefix encodings not monotone: {values}")
+    edges = (Fraction(0), *values, Fraction(1))
+    return Distribution(b - a for a, b in zip(edges, edges[1:]))
+
+
+def assignment_reference(row: UpgInput) -> dict:
+    """``UpgInput.assignment`` by naming each bit in turn."""
+    names = vector_names(row.states)
+    return {f"{names[i]}{j}": b for i, vec in enumerate(row.vectors) for j, b in enumerate(vec)}
+
+
 def random_distribution(rng: random.Random, states: int, max_denom: int = 8) -> Distribution:
     denom = rng.randint(1, max_denom)
     cuts = sorted(rng.randint(0, denom) for _ in range(states - 1))
@@ -365,6 +407,30 @@ def deep_binary_circuit(rounds: int = 200) -> Circuit:
 
 
 @st.composite
+def upg_targets(draw):
+    """``(target, n)``: N from 2 to 5 and n from 0 to 6, the target's
+    entries over ``2^m * c``, m from 0 to 7 and c one of 1, 3, 5, so many
+    are dyadic but not all fit n bits, and some are not dyadic."""
+    states, bits = draw(st.integers(2, 5)), draw(st.integers(0, 6))
+    den = 2 ** draw(st.integers(0, 7)) * draw(st.sampled_from((1, 1, 1, 3, 5)))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=states - 1,
+                                max_size=states - 1)))
+    edges = (0, *cuts, den)
+    return Distribution(Fraction(b - a, den) for a, b in zip(edges, edges[1:])), bits
+
+
+@st.composite
+def upg_rows(draw):
+    """Any row of N - 1 vectors of n + 1 symbols 0 or N - 1, N from 2 to 5
+    and n from 0 to 6: valid, over 1 or not monotone as they fall."""
+    states, bits = draw(st.integers(2, 5)), draw(st.integers(0, 6))
+    symbol = st.sampled_from((0, states - 1))
+    return UpgInput(states, bits, tuple(
+        tuple(draw(st.lists(symbol, min_size=bits + 1, max_size=bits + 1)))
+        for _ in range(states - 1)))
+
+
+@st.composite
 def distributions(draw, states=None, max_denom: int = 12):
     n = states if states is not None else draw(st.integers(2, 4))
     denom = draw(st.integers(1, max_denom))
@@ -375,7 +441,7 @@ def distributions(draw, states=None, max_denom: int = 12):
 
 @st.composite
 def multigraph_levels(draw, max_edges: int = 10):
-    """``(s, t, ends, states, dens, tails)`` for ``_graph_dist``: N from 2
+    """``(s, t, ends, states, dens, tails)`` for ``frontier.levels``: N from 2
     to 4, up to ``max_edges`` edges over 2 to 6 vertices, some never used,
     with self-loops, parallel edges and direct s-t edges as they fall, and
     each edge certain up (``T = D``), certain down (``T = 0``) or a random

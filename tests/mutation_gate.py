@@ -34,6 +34,10 @@ TIMEOUT_S = 600
 CIRCUITS = "relaycircuits/circuits.py"
 COMPOSE_TESTS = "tests/test_circuits.py::TestCompose"
 TAIL_TESTS = "tests/test_circuits.py::TestIntegerTails"
+GRAPH_TESTS = "tests/test_circuits.py::TestGraph"
+UPG = "relaycircuits/upg.py"
+UPG_TESTS = "tests/test_upg.py::TestTruthTables"
+CODEC_TESTS = "tests/test_upg.py::TestIntegerCodec"
 
 ROWS = (
     # series: the tails add instead of multiplying
@@ -70,6 +74,31 @@ ROWS = (
      "    den = dp * dq\n    return _from_tail(den, tuple([",
      "    den = dp * dp\n    return _from_tail(den, tuple([",
      TAIL_TESTS),
+    # bind list: an input's complement is dropped
+    (CIRCUITS,
+     "values.append(el.state if isinstance(el, Det) else el)",
+     "values.append(el.state if isinstance(el, Det) else Input(el.name))",
+     UPG_TESTS),
+    # bind list: a fixed graph label binds the slot before its last one
+    (CIRCUITS,
+     "((slots, c), (kinds, _LABEL)",
+     "((slots, c - 1), (kinds, _LABEL)",
+     GRAPH_TESTS),
+    # row codec: a prefix that is not a multiple of 1/2^n is let through
+    (UPG,
+     "        if rest:\n",
+     "        if False:\n",
+     CODEC_TESTS),
+    # row codec: the decoded prefix values become the tail uncomplemented
+    (UPG,
+     "tuple([scale - x for x in xs])",
+     "tuple([x for x in xs])",
+     CODEC_TESTS),
+    # row codec: the integer bit is read from the wrong digit
+    (UPG,
+     "(top * (x >> bits), ",
+     "(top * (x >> bits - 1 & 1), ",
+     CODEC_TESTS),
 )
 
 

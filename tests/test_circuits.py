@@ -27,7 +27,7 @@ from relaycircuits import circuits as circuits_module
 from relaycircuits import frontier as frontier_module
 from relaycircuits.circuits import (
     Det, Input, Leaf, Parallel, Pswitch, Series, _check_simplex, _from_tail,
-    _graph_dist, _tail_numerators, _to_tail,
+    _tail_numerators, _to_tail,
 )
 from relaycircuits.netlist import circuit_from_json, dumps, loads
 from relaycircuits.synthesis import _cut_index, _cut_pieces
@@ -197,6 +197,48 @@ class TestEvaluate:
         with pytest.raises(MissingAssignmentError):
             evaluate(Circuit(2, series(inp("r"), pswitch(HALF2, "x"))))
 
+    def test_the_first_unbound_input_in_slot_order_raises(self):
+        """Inputs in sp leaves, in a graph label holding a pswitch and in
+        fixed labels, one of them a graph with a fixed label of its own:
+        with any inputs left unbound, the first of them in slot order is
+        named, and with all bound the result is the oracle's."""
+        inner = Graph("s", "t", (Edge("s", "m", series(inp("d"), inp("e", True))),
+                                 Edge("m", "t", inp("f")), Edge("s", "t", det(0))))
+        g = Graph("s", "t", (Edge("s", "a", parallel(inp("b"), det(1))),
+                             Edge("a", "t", series(pswitch(HALF3, "p"), inp("c"))),
+                             Edge("s", "t", inner), Edge("a", "t", inp("g", True))))
+        c = Circuit(3, parallel(series(inp("a"), g), inp("h")))
+        names = "abcdefgh"
+        assert [el.name for el in circuits_module.elements(c.root)
+                if isinstance(el, Input)] == list(names)
+        full = dict(zip(names, (2, 1, 2, 2, 0, 1, 0, 1)))
+        assert evaluate(c, full) == evaluate_oracle(c, full)
+        for missing in itertools.chain.from_iterable(
+                itertools.combinations(names, k) for k in (1, 2, 3)):
+            assignment = {k: v for k, v in full.items() if k not in missing}
+            with pytest.raises(MissingAssignmentError, match=f"^input '{missing[0]}' is unbound$"):
+                evaluate(c, assignment)
+
+    def test_fixed_labels_are_bound_whole(self, monkeypatch):
+        """The bind list holds a fixed label once, at its last slot, and
+        none of the leaves or steps inside it, even one inside another."""
+        inner = Graph("s", "t", (Edge("s", "t", series(inp("x"), det(1))),
+                                 Edge("s", "t", det(0))))
+        c = Circuit(2, Graph("s", "t", (Edge("s", "t", parallel(inner, det(0))),
+                                        Edge("s", "t", pswitch(HALF2, "p")))))
+        (slots, kinds, values), composites = c.root._compiled[1]
+        label_slot = len(c.root.edges[0].label.plan.steps) - 1
+        assert slots == (label_slot, label_slot + 1) and kinds == ("label", "pswitch")
+        assert values[0] is c.root.edges[0].label and values[1] is HALF2
+        assert composites == (label_slot + 2,)
+        calls = []
+        for name in ("compose_series", "compose_parallel"):
+            monkeypatch.setattr(circuits_module, name,
+                                lambda p, q, name=name: calls.append(name))
+        assert evaluate(c, {"x": 1}) == (0, 1)
+        assert evaluate(c, {"x": 0}) == (F(1, 2), F(1, 2))
+        assert calls == []
+
     def test_oracle_matches_eval_on_examples(self):
         for circuit in (self.half_switch_chain(), self.clamped_three_state()):
             assert evaluate_oracle(circuit) == evaluate(circuit)
@@ -358,7 +400,7 @@ class TestCanonicalTail:
             for d in pieces:
                 assert_canonical(d, unread=True)
         for row in valid_inputs(3, 3):
-            assert_canonical(row.decode_target())
+            assert_canonical(row.decode_target(), unread=True)
         ids = IdGen()
         c = Circuit(3, series(pswitch([F(2, 8), F(3, 8), F(3, 8)], ids()),
                               parallel(pswitch([F(1, 3), 0, F(2, 3)], ids()), det(1))))
@@ -623,7 +665,7 @@ class TestGraph:
                                  Edge("s", "t", pswitch(HALF2, ids()))))
         c = Circuit(2, series(inp("y"), outer))
         assert c.root.plan.widest == 5
-        monkeypatch.setattr(circuits_module, "_graph_dist", refuse)
+        monkeypatch.setattr(frontier_module, "levels", refuse)
         monkeypatch.setattr(circuits_module, "_fixed_tail", refuse)
         for cap in (2, 4):   # the outer graph has 3 such edges, the bridge 5
             with pytest.raises(CapacityError, match=rf"graph has 5 edges .*cap is {cap};"):
@@ -653,11 +695,11 @@ class TestGraph:
         shuffled = data.draw(st.permutations(range(len(ends))))
         for order in (range(len(ends)), range(len(ends))[::-1], shuffled):
             picked = [tuple(seq[i] for i in order) for seq in (ends, dens, tails)]
-            assert _graph_dist(s, t, picked[0], states, *picked[1:]) == expected
+            assert frontier_module.levels(s, t, picked[0], states, *picked[1:]) == expected
         frontier_module._children.cache_clear()
-        assert _graph_dist(*graph) == expected
+        assert frontier_module.levels(*graph) == expected
         cold = info().misses
-        assert _graph_dist(*graph) == expected
+        assert frontier_module.levels(*graph) == expected
         assert info().misses == cold
 
     def test_a_wide_grid_is_exact(self, monkeypatch):

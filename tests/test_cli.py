@@ -140,8 +140,9 @@ UPG = ["upg", "--states", "2", "--bits", "2", "--construction", "reduced_sp"]
     (["lattice-search"], "--max-elements", "max_elements"),
     (UPG, "--graph-cap", "graph_cap"),
     (UPG + ["--target", "1/4,3/4"], "--graph-cap", "graph_cap"),
+    (["robustness", "--epsilon", "1/100"], "--graph-cap", "graph_cap"),
 ], ids=["robustness-corners", "robustness-sampled", "oracle-eval", "lattice-max-explored",
-        "lattice-max-elements", "upg", "upg-target"])
+        "lattice-max-elements", "upg", "upg-target", "robustness-graph-cap"])
 def test_a_negative_cap_exits_2(capsys, three_state_path, diamond_files, command, flag, name):
     if command[0] == "lattice-search":
         command = command + diamond_files
@@ -191,6 +192,21 @@ def test_eval_with_assignment(capsys, tmp_path):
     netlist.save(Circuit(3, inp("r0")), path)
     code, doc = run_json(capsys, ["eval", "--netlist", str(path), "--assign", "r0=2"])
     assert code == 0 and doc == ["0", "0", "1"]
+
+
+@pytest.mark.parametrize("assign, message", [
+    ("r0=abc", "--assign item 'r0=abc': state is not an integer"),
+    ("r0=1/2", "--assign item 'r0=1/2': state is not an integer"),
+    ("r0=1,r1=0, r0 =0", "--assign item ' r0 =0': input 'r0' is bound twice"),
+    ("r0", "--assign item 'r0' is not name=state"),
+], ids=["not-an-integer", "a-fraction", "bound-twice", "no-state"])
+def test_a_malformed_assignment_exits_2(capsys, tmp_path, assign, message):
+    from relaycircuits import inp
+    path = tmp_path / "inp.json"
+    netlist.save(Circuit(2, series(inp("r0"), inp("r1"))), path)
+    for command in (["eval"], ["robustness", "--epsilon", "1/100"]):
+        assert run(command + ["--netlist", str(path), "--assign", assign]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_dual(capsys, three_state_path):
@@ -279,6 +295,22 @@ def test_robustness_corner_cap(capsys, tmp_path):
     code, doc = run_json(capsys, args + ["--corner-cap", "17"])
     assert code == 0 and doc["exhaustive"] is True
     assert len(doc["worst_assignment"]) == 17
+
+
+def test_robustness_graph_cap(capsys, tmp_path):
+    """21 parallel s-t pswitch edges pass the default graph cap of 20 only
+    with a raised --graph-cap, which reaches the sampled evaluations too."""
+    ids = IdGen()
+    edges = tuple(Edge("s", "t", pswitch(HALF2, ids())) for _ in range(21))
+    path = tmp_path / "wide.json"
+    netlist.save(Circuit(2, Graph("s", "t", edges)), path)
+    argv = ["robustness", "--netlist", str(path), "--epsilon", "1/100",
+            "--mode", "sampled", "--trials", "2"]
+    assert run(argv) == EXIT_CAPACITY
+    assert capsys.readouterr().err.endswith("raise graph_cap (CLI --graph-cap)\n")
+    code, doc = run_json(capsys, argv + ["--graph-cap", "30"])
+    assert code == 0 and doc["exhaustive"] is False
+    assert doc["nominal"] == ["1/2097152", "2097151/2097152"]
 
 
 def test_robustness_of_a_upg_row(capsys, tmp_path):

@@ -92,7 +92,7 @@ def wide_corner_circuits():
     """Sp and nested-graph circuits with 10 to 16 two-point pswitches, N from
     2 to 5. A graph circuit joins two random graphs of at most 6 pswitches
     each to an sp tree, as each corner of a graph's own pswitches costs one
-    ``_graph_dist`` call."""
+    ``frontier.levels`` call."""
     rng = random.Random(20261019)
     out = []
     for i, count in enumerate((10, 12, 14, 16, 11, 13, 16)):
@@ -231,6 +231,26 @@ class TestWorstCase:
         with pytest.raises(ValidationError, match="^corner_cap must be >= 0, got -1$"):
             worst_case_error(c, EPS, mode=mode, corner_cap=-1)
         assert worst_case_error(Circuit(2, det(1)), EPS, mode=mode, corner_cap=0)
+
+    def test_graph_cap_reaches_every_evaluation(self, monkeypatch):
+        """Three parallel pswitch edges: ``graph_cap=2`` refuses them in both
+        modes, and ``graph_cap=3`` reaches the nominal and each sampled
+        ``evaluate`` call."""
+        ids = IdGen()
+        c = Circuit(2, Graph("s", "t", tuple(Edge("s", "t", pswitch(HALF2, ids()))
+                                             for _ in range(3))))
+        for mode in ("corners", "sampled"):
+            with pytest.raises(CapacityError, match="graph has 3 edges .*cap is 2;"):
+                worst_case_error(c, EPS, mode=mode, trials=2, graph_cap=2)
+        caps, real = [], robustness_module.evaluate
+
+        def spy(circuit, assignment=None, graph_cap=None):
+            caps.append(graph_cap)
+            return real(circuit, assignment, graph_cap)
+
+        monkeypatch.setattr(robustness_module, "evaluate", spy)
+        report = worst_case_error(c, EPS, mode="sampled", trials=3, graph_cap=3)
+        assert len(caps) > 1 and set(caps) == {3} and not report.exhaustive
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_sampled_needs_a_trial(self, trials):

@@ -3,13 +3,33 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
 
 from relaycircuits import (
-    CONSTRUCTIONS, Distribution, InvalidUpgInputError,
+    CONSTRUCTIONS, DimensionError, Distribution, InvalidUpgInputError,
     UnsupportedConstructionError, UpgInput, UpgSpec, build_upg, count_switches,
     embedded_pair_upg, encode_input, evaluate, remap_states, upg_truth_table,
     valid_inputs, vector_names,
 )
+from conftest import (
+    assignment_reference, decode_target_reference, encode_input_reference, upg_rows,
+    upg_targets,
+)
+
+
+def same_outcome(call, reference):
+    """``call()`` and ``reference()`` return equal values, or raise the same
+    exception type with the same message; the value, or None."""
+    try:
+        want = reference()
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            call()
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return None
+    got = call()
+    assert got == want
+    return got
 
 
 class TestEncoding:
@@ -56,6 +76,51 @@ class TestEncoding:
         with pytest.raises(InvalidUpgInputError, match="^vector 'r' needs 4 digits") as info:
             UpgInput.from_strings(2, 3, {"r": "01" * 2500})
         assert len(str(info.value)) < 300
+
+
+class TestIntegerCodec:
+    """The integer row codec against the ``Fraction`` one kept in conftest."""
+
+    @given(upg_targets())
+    def test_encode_input(self, pair):
+        target, bits = pair
+        same_outcome(lambda: encode_input(target, bits),
+                     lambda: encode_input_reference(target, bits))
+
+    @given(upg_rows())
+    def test_decode_target(self, row):
+        out = same_outcome(row.decode_target, lambda: decode_target_reference(row))
+        if out is not None:
+            assert out.probs == decode_target_reference(row).probs
+            assert encode_input(out, row.bits) == row
+        assert row.assignment() == assignment_reference(row)
+        assert list(row.assignment()) == list(assignment_reference(row))
+        assert [row.encoding(i) for i in range(row.states - 1)] == [
+            F(int("".join("1" if b else "0" for b in vec[:1] + vec[:0:-1]), 2), 2 ** row.bits)
+            for vec in row.vectors]
+
+    def test_every_valid_row(self):
+        for states, bits in ((2, 0), (2, 4), (3, 3), (4, 2), (5, 1)):
+            for row in valid_inputs(states, bits):
+                target = row.decode_target()
+                assert target == decode_target_reference(row)
+                assert encode_input(target, bits) == encode_input_reference(target, bits) == row
+                assert row.assignment() == assignment_reference(row)
+
+    def test_messages(self):
+        with pytest.raises(InvalidUpgInputError) as info:
+            UpgInput(3, 2, ((2, 0, 2), (0, 0, 0))).decode_target()
+        assert str(info.value) == \
+            "prefix encodings exceed 1: [Fraction(3, 2), Fraction(0, 1)]"
+        with pytest.raises(InvalidUpgInputError) as info:
+            UpgInput(3, 2, ((0, 2, 0), (0, 0, 0))).decode_target()
+        assert str(info.value) == \
+            "prefix encodings not monotone: [Fraction(1, 4), Fraction(0, 1)]"
+        with pytest.raises(InvalidUpgInputError) as info:
+            encode_input(Distribution([F(1, 8), F(5, 8), F(1, 4)]), 2)
+        assert str(info.value) == "1/8 prefix is not a multiple of 1/2^2"
+        with pytest.raises(DimensionError, match="^need at least 2 states, got 1$"):
+            UpgInput(1, 2, ()).decode_target()
 
 
 class TestSpec:
