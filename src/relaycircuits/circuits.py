@@ -252,16 +252,12 @@ class _Planned:
     dataclass methods, so comparing it never compiles a plan."""
 
     @cached_property
-    def _compiled(self) -> tuple["Plan", tuple[tuple, tuple]]:
+    def plan(self) -> "Plan":
+        """This node's post-order plan, compiled on first use."""
         return _compile(self)
 
     def __getstate__(self) -> dict:   # copies and pickles rebuild the plan on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
-
-    @property
-    def plan(self) -> "Plan":
-        """This node's post-order plan, compiled on first use."""
-        return self._compiled[0]
+        return {k: v for k, v in self.__dict__.items() if k != "plan"}
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -453,18 +449,20 @@ class Plan:
     ``(_SERIES, kids)``, ``(_PARALLEL, kids)`` or ``(_GRAPH, s, t, ends,
     kids)``, where ``kids`` are the child slots (all lower than ``i``; a
     graph's are its edge labels') and ``ends`` the graph's edge endpoints.
-    The root is the last slot, and ``holds[i]`` tells whether slot i's
-    subtree holds a pswitch. ``widest`` is the most edges holding a pswitch
-    in any one graph step, -1 without a graph, and :attr:`resolve` is
-    generated from the steps on first use. Nothing depends on the state
-    count or the assignment, so one node object may sit in circuits with
-    different N. Two trees are equal exactly when their steps are.
+    The root is the last slot. ``widest`` is the most edges holding a
+    pswitch in any one graph step, -1 without a graph; ``fills`` and
+    ``composites`` are the bind list :func:`evaluate` runs (see
+    :func:`_compile`), and :attr:`resolve` is generated from the steps on
+    first use. Nothing depends on the state count or the assignment, so one
+    node object may sit in circuits with different N. Two trees are equal
+    exactly when their steps are.
     """
 
-    def __init__(self, steps: tuple, holds: tuple, widest: int):
+    def __init__(self, steps: tuple, widest: int, fills: tuple, composites: tuple):
         self.steps = steps
-        self.holds = holds
         self.widest = widest
+        self.fills = fills
+        self.composites = composites
 
     @cached_property
     def resolve(self) -> Callable[[Mapping[str, int], Assignment, int], int]:
@@ -525,9 +523,10 @@ def _resolver_factory(source: str) -> Callable:
     return namespace["make"]
 
 
-def _compile(root: Node) -> tuple[Plan, tuple[tuple, tuple]]:
-    """``root``'s plan, built with an explicit stack, and in the same walk
-    the bind list ``(fills, composites)`` that :func:`evaluate` runs.
+def _compile(root: Node) -> Plan:
+    """``root``'s plan, built with an explicit stack, with the bind list
+    ``fills`` and ``composites`` that :func:`evaluate` runs, from the same
+    walk.
 
     ``fills`` is three parallel tuples ``(slots, kinds, values)`` in slot
     order: ``(slot, _PSWITCH, distribution)``, ``(slot, _DET, state)`` or
@@ -540,7 +539,8 @@ def _compile(root: Node) -> tuple[Plan, tuple[tuple, tuple]]:
     replaces the tails of the lists it filled; one inside another such
     label is replaced again with the outer one. Parallel lists, not a tuple
     per entry, keep the walk's garbage to a few lists."""
-    steps, holds, widest = [], [], -1
+    steps, widest = [], -1
+    holds: list[bool] = []   # per slot: whether its subtree holds a pswitch
     slots, kinds, values, composites = [], [], [], []
     marks: list[int] = []   # per slot: where its subtree begins in the fills
     cmarks: list[int] = []   # and in ``composites``
@@ -594,8 +594,8 @@ def _compile(root: Node) -> tuple[Plan, tuple[tuple, tuple]]:
         cmarks.append(cmarks[kid_slots[0]])
         composites.append(len(holds))
         holds.append(any(map(holds.__getitem__, kid_slots)))
-    return Plan(tuple(steps), tuple(holds), widest), (
-        (tuple(slots), tuple(kinds), tuple(values)), tuple(composites))
+    return Plan(tuple(steps), widest, (tuple(slots), tuple(kinds), tuple(values)),
+                tuple(composites))
 
 
 def _steps(node: Node) -> tuple:
@@ -705,19 +705,20 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
              graph_cap: int = DEFAULT_GRAPH_CAP) -> Distribution:
     """Exact output distribution of a circuit.
 
-    The circuit's cached bind list (see :func:`_compile`) is run in two
-    passes, with no recursion, so any depth works. The first fills the
-    slots in slot order: a pswitch with its distribution, a Det or input
-    leaf with the point distribution of its state from one table per N,
-    and a graph label without a pswitch with the integer tail of the one
-    state it resolves to. So inputs are read, and the first unbound one
-    raises, in slot order. The second runs the series, parallel and graph
-    steps outside those labels, in slot order: series/parallel steps
-    compose their children's distributions. Edge labels of a graph are
-    independent (pswitch ids are unique), and the graph's output is >= k
-    exactly when s and t are joined by edges whose label is >= k. So each
-    level's P(X >= k) is a two-terminal reliability, found by a frontier DP
-    over the graph's edges (see :func:`frontier.levels`), in which the
+    The bind list of the circuit's cached plan (see :func:`_compile`) is
+    run in two passes, with no recursion, so any depth works. The first
+    fills the slots in slot order: a pswitch with its distribution, and a
+    Det, a bound input or a graph label without a pswitch (once
+    :func:`resolve`d) with the point distribution of its state, from
+    ``Distribution.point``'s cache, so only the points reached are built.
+    So inputs are read, and the first unbound one raises, in slot order.
+    The second runs the series, parallel and graph steps outside those
+    labels, in slot order: series/parallel steps compose their children's
+    distributions. Edge labels of a graph are independent (pswitch ids are
+    unique), and the graph's output is >= k exactly when s and t are
+    joined by edges whose label is >= k. So each level's P(X >= k) is a
+    two-terminal reliability, found by a frontier DP over the graph's
+    edges' kept integer tails (see :func:`frontier.levels`), in which the
     edges that are certain or impossible at that level are contracted or
     dropped and only the others branch; its transitions are memoized
     across levels, graphs and calls.
@@ -728,38 +729,32 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
     """
     check_cap("graph_cap", graph_cap)
     states, assignment = circuit.states, assignment or {}
-    plan, (fills, composites) = circuit.root._compiled
+    plan = circuit.root.plan
     if plan.widest > graph_cap:
         raise CapacityError(
             f"graph has {plan.widest} edges holding pswitches (up to 2^{plan.widest} "
             f"frontier states per edge), cap is {graph_cap}; raise graph_cap (CLI --graph-cap)")
-    points, vals = _points(states), [None] * len(plan.steps)
-    for slot, kind, value in zip(*fills):
+    point, vals = Distribution.point, [None] * len(plan.steps)
+    for slot, kind, value in zip(*plan.fills):
         if kind is _INPUT:
-            value = points[_input_value(value, states, assignment)]
+            value = point(_input_value(value, states, assignment), states)
         elif kind is _DET:
-            value = points[value]
+            value = point(value, states)
         elif kind is _LABEL:
-            value = _fixed_tail(value, states, assignment)
+            value = point(resolve(value, states, assignment, {}), states)
         vals[slot] = value
-    for slot in composites:
+    for slot in plan.composites:
         step = plan.steps[slot]
         kind = step[0]
         if kind is _GRAPH:
             _, s, t, ends, kids = step
-            dens, tails = zip(*(_to_tail(vals[c]) if plan.holds[c] else vals[c] for c in kids))
+            dens, tails = zip(*map(_to_tail, map(vals.__getitem__, kids)))
             vals[slot] = _from_tail(math.prod(dens),
                                     frontier.levels(s, t, ends, states, dens, tails))
         else:
             compose = compose_series if kind is _SERIES else compose_parallel
             vals[slot] = reduce(compose, map(vals.__getitem__, step[1]))
     return vals[-1]
-
-
-@lru_cache(maxsize=64)
-def _points(states: int) -> tuple[Distribution, ...]:
-    """The point distributions ``Distribution.point(s, states)``, s = 0..N-1."""
-    return tuple(Distribution.point(s, states) for s in range(states))
 
 
 def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
@@ -771,9 +766,10 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
     Every joint outcome of the pswitches is enumerated and resolved to one
     state by one :func:`resolve` call, which runs the circuit's cached plan
     without recursion, so any depth works. An outcome's weight is an
-    integer numerator over the product of the switches' denominators (each
-    the lcm of one switch's denominators), and one ``Distribution`` is
-    built from the summed numerators at the end.
+    integer numerator over the product of the switches' denominators, each
+    switch's numerators and denominator read from its kept integer tail,
+    and one ``Distribution`` is built from the summed numerators at the
+    end.
 
     The outcomes are walked as an odometer over one outcome dict, last
     switch fastest (the order of ``itertools.product``): advancing a digit
@@ -795,9 +791,9 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
             f"{max_outcomes}; raise max_outcomes (CLI --max-outcomes)")
     digits, den = [], 1   # (id, ((state, integer weight), ...)) per switch
     for sw in switches:
-        d = math.lcm(*(p.denominator for p in sw.dist))
-        digits.append((sw.id, tuple((s, sw.dist[s].numerator * (d // sw.dist[s].denominator))
-                                    for s in sw.dist.support())))
+        d, tail = _to_tail(sw.dist)
+        digits.append((sw.id, tuple((s, w) for s, w in enumerate(_tail_numerators(d, tail))
+                                    if w)))
         den *= d
     if not digits:   # one joint outcome, of weight 1
         return Distribution.point(resolve(root, states, assignment, {}), states)
@@ -820,14 +816,6 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
         if k >= 0:
             picks[k] += 1
     return Distribution(Fraction(c, den) for c in counts)
-
-
-def _leaf_dist(el: Element, states: int, assignment: Assignment) -> Distribution:
-    if isinstance(el, Pswitch):
-        return el.dist
-    if isinstance(el, Det):
-        return Distribution.point(el.state, states)
-    return Distribution.point(_input_value(el, states, assignment), states)
 
 
 def _input_value(el: Input, states: int, assignment: Assignment) -> int:
@@ -880,13 +868,6 @@ def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.sub, levels, levels[1:]))
 
 
-def _fixed_tail(label: Node, states: int,
-                assignment: Assignment) -> tuple[int, tuple[int, ...]]:
-    """Integer tail ``(1, T)`` of a label without a pswitch: the cached
-    point distribution's."""
-    return _to_tail(Distribution.point(resolve(label, states, assignment, {}), states))
-
-
 def resolve(node: Node, states: int, assignment: Assignment,
             outcome: Mapping[str, int]) -> int:
     """Deterministic circuit state once every pswitch outcome is fixed.
@@ -899,7 +880,7 @@ def resolve(node: Node, states: int, assignment: Assignment,
     join s to t. A missing outcome raises ``KeyError`` before any input is
     read, and inputs are read in slot order.
     """
-    return node._compiled[0].resolve(outcome, assignment, states)
+    return node.plan.resolve(outcome, assignment, states)
 
 
 def _graph_state(step: tuple, values: tuple, states: int) -> int:

@@ -139,7 +139,7 @@ def _cmd_upg(args) -> int:
                for row, out in upg_truth_table(spec, graph_cap=args.graph_cap)])
         return EXIT_OK
     circuit = build_upg(spec)
-    payload = {"netlist": netlist.circuit_to_json(circuit)}
+    payload = netlist.circuit_to_json(circuit)   # the loader ignores the fields added below
     psw, dets, inputs = count_switches(circuit)
     payload["counts"] = {"pswitches": psw, "deterministic": dets, "inputs": inputs}
     if args.target:

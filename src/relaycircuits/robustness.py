@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import frontier
 from .circuits import (
-    DEFAULT_GRAPH_CAP, Assignment, CapacityError, Circuit, Distribution, Element, Node,
-    Pswitch, RelayError, ValidationError, _fold, _from_tail, _leaf_dist, _rebuild, _show,
+    DEFAULT_GRAPH_CAP, Assignment, CapacityError, Circuit, Det, Distribution, Element, Node,
+    Pswitch, RelayError, ValidationError, _fold, _from_tail, _input_value, _rebuild, _show,
     _tail_numerators, _to_tail, check_cap, evaluate,
 )
 from .rational import format_rational
@@ -309,7 +309,8 @@ def _corner_table(node: Node, states: int, leaves: dict[str, tuple[int, tuple, t
         if isinstance(el, Pswitch):
             den, minus, plus = leaves[el.id]
             return den, [[a, b] for a, b in zip(minus, plus)]
-        den, tail = _to_tail(_leaf_dist(el, states, assignment))
+        state = el.state if isinstance(el, Det) else _input_value(el, states, assignment)
+        den, tail = _to_tail(Distribution.point(state, states))
         return den, [[t] for t in tail]
 
     def series(kids: list) -> tuple[int, list]:

@@ -26,6 +26,7 @@ applicable worst-case bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -131,7 +132,10 @@ class TargetSpec:
         """Build a spec, inferring (base, exponent) from the lcm denominator.
 
         Without an explicit base the smallest base whose perfect power equals
-        the denominator is used, maximizing the exponent.
+        the denominator is used, maximizing the exponent. With one, the
+        exponent is the least n with ``denom | base^n``: the number of times
+        ``gcd(rest, base)`` divides ``rest`` down to 1, at most
+        ``denom.bit_length()``.
         """
         denom = _to_tail(dist)[0]
         if base is None:
@@ -139,14 +143,14 @@ class TargetSpec:
         else:
             if base < 2:
                 raise InvalidTargetError(f"base must be >= 2, got {base}")
-            exponent = 0
-            power = 1
-            while power % denom != 0:
-                power *= base
-                exponent += 1
-                if exponent > 64:
+            exponent, rest = 0, denom
+            while rest > 1:
+                shared = math.gcd(rest, base)
+                if shared == 1:
                     raise InvalidTargetError(
                         f"denominator {denom} is not a divisor of any {base}^n")
+                rest //= shared
+                exponent += 1
         return cls(dist, base, exponent)
 
 

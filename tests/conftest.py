@@ -38,7 +38,7 @@ from relaycircuits import (
     evaluate, inp, parallel, pswitch, series, synth_binary_nstate, vector_names,
 )
 from relaycircuits.circuits import (
-    _connected, _fold, _input_value, _leaf_dist, _show, _tail_numerators, _to_tail,
+    _connected, _fold, _input_value, _show, _tail_numerators, _to_tail,
 )
 
 
@@ -253,8 +253,8 @@ def corner_table_reference(circuit: Circuit, epsilon: Fraction) -> tuple:
     def leaf(el):
         if isinstance(el, Pswitch):
             return leaves[el.id]
-        den, tail = _to_tail(_leaf_dist(el, states, {}))
-        return den, (tail,)
+        state = el.state if isinstance(el, Det) else _input_value(el, states, {})
+        return 1, (tuple(int(state >= k) for k in range(1, states)),)
 
     def series_table(kids):
         return math.prod(d for d, _ in kids), tuple(products(tails for _, tails in kids))
@@ -506,3 +506,22 @@ def mixed_distributions(draw, states: int):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260809)
+
+
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """The supports of the ``Distribution``s built through ``__init__`` from
+    here on, ``Distribution.point``'s cache emptied first. A ninth build
+    fails at once, so code that builds a table of N points at a large N
+    fails fast, not after N^2 work."""
+    supports, real = [], Distribution.__init__
+
+    def counted(self, probs):
+        real(self, probs)
+        supports.append(self.support())
+        if len(supports) > 8:
+            raise AssertionError(f"more than 8 distributions built: {supports}")
+
+    Distribution.point.cache_clear()
+    monkeypatch.setattr(Distribution, "__init__", counted)
+    return supports

@@ -32,9 +32,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 CIRCUITS = "relaycircuits/circuits.py"
+FRONTIER = "relaycircuits/frontier.py"
+ROBUSTNESS = "relaycircuits/robustness.py"
 COMPOSE_TESTS = "tests/test_circuits.py::TestCompose"
 TAIL_TESTS = "tests/test_circuits.py::TestIntegerTails"
 GRAPH_TESTS = "tests/test_circuits.py::TestGraph"
+ORACLE_TESTS = "tests/test_circuits.py::TestOracleDenominators"
+INPUT_CORNER_TESTS = "tests/test_robustness.py::TestInputs"
 UPG = "relaycircuits/upg.py"
 UPG_TESTS = "tests/test_upg.py::TestTruthTables"
 CODEC_TESTS = "tests/test_upg.py::TestIntegerCodec"
@@ -83,6 +87,41 @@ ROWS = (
     (CIRCUITS,
      "((slots, c), (kinds, _LABEL)",
      "((slots, c - 1), (kinds, _LABEL)",
+     GRAPH_TESTS),
+    # binding: a graph label without a pswitch takes the point of N-1-state
+    (CIRCUITS,
+     "value = point(resolve(value, states, assignment, {}), states)",
+     "value = point(states - 1 - resolve(value, states, assignment, {}), states)",
+     GRAPH_TESTS),
+    # binding: a Det takes the point of N-1-state
+    (CIRCUITS,
+     "value = point(value, states)",
+     "value = point(states - 1 - value, states)",
+     UPG_TESTS),
+    # oracle: the weights' common denominator is left at 1
+    (CIRCUITS,
+     "        den *= d\n",
+     "        den *= 1\n",
+     ORACLE_TESTS),
+    # corner search: an input leaf is read with no assignment
+    (ROBUSTNESS,
+     "else _input_value(el, states, assignment)",
+     "else _input_value(el, states, {})",
+     INPUT_CORNER_TESTS),
+    # frontier DP: a done terminal alone in its block is carried, not dropped
+    (FRONTIER,
+     "(s_done and labels.count(labels[0]) == 1)",
+     "(False and labels.count(labels[0]) == 1)",
+     GRAPH_TESTS),
+    # frontier DP: the joined weight is not scaled by later edges' D
+    (FRONTIER,
+     "total, den, nxt = total * d, den * d, {}",
+     "total, den, nxt = total, den * d, {}",
+     GRAPH_TESTS),
+    # frontier DP: a certain-up edge is dropped instead of contracted
+    (FRONTIER,
+     "        if code == 2 and find(u) != find(v):",
+     "        if False and find(u) != find(v):",
      GRAPH_TESTS),
     # row codec: a prefix that is not a multiple of 1/2^n is let through
     (UPG,

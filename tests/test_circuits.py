@@ -19,6 +19,7 @@ from relaycircuits import (
     UnsupportedStructureError, ValidationError, clamp,
     compose_parallel, compose_series, count_switches, det, dual, evaluate,
     evaluate_oracle, inp, parallel, perturb, pswitch, remap_states, resolve, series,
+    worst_case_error,
 )
 from relaycircuits import (
     block_interval_cut, perturb_dist, reassemble_cut, state_reduction, valid_inputs,
@@ -197,6 +198,31 @@ class TestEvaluate:
         with pytest.raises(MissingAssignmentError):
             evaluate(Circuit(2, series(inp("r"), pswitch(HALF2, "x"))))
 
+    def test_only_the_points_reached_are_built(self, built):
+        """At N = 20,000, each evaluator builds the point distribution of
+        each deterministic state it reaches, once, and no other: evaluate
+        those of the Det, the input and the fixed graph label it resolves
+        (2, not its leaves), with Det(1)'s point kept from before, the
+        oracle none, and corner search only the label's leaf it has not met
+        yet (x = 3)."""
+        states = 20_000
+        assert evaluate(Circuit(states, det(1))) == Distribution.point(1, states)
+        assert built == [(1,)]
+        p = pswitch(Distribution.shorthand(F(1, 3), states), "p")
+        label = series(det(2), inp("x"))
+        c = Circuit(states, series(Graph("s", "t", (Edge("s", "t", label), Edge("s", "t", p))),
+                                   parallel(det(1), inp("y", complemented=True))))
+        assignment = {"x": 3, "y": 5}
+        del built[:]
+        out = evaluate(c, assignment)
+        assert sorted(built) == [(2,), (states - 6,)]
+        del built[:]
+        assert evaluate_oracle(c, assignment) == out
+        assert built == [(2, states - 6)]   # the result, no point
+        del built[:]
+        report = worst_case_error(c, F(1, 100), assignment=assignment)
+        assert report.nominal == out and built == [(3,)]
+
     def test_the_first_unbound_input_in_slot_order_raises(self):
         """Inputs in sp leaves, in a graph label holding a pswitch and in
         fixed labels, one of them a graph with a fixed label of its own:
@@ -226,7 +252,8 @@ class TestEvaluate:
                                  Edge("s", "t", det(0))))
         c = Circuit(2, Graph("s", "t", (Edge("s", "t", parallel(inner, det(0))),
                                         Edge("s", "t", pswitch(HALF2, "p")))))
-        (slots, kinds, values), composites = c.root._compiled[1]
+        plan = c.root.plan
+        (slots, kinds, values), composites = plan.fills, plan.composites
         label_slot = len(c.root.edges[0].label.plan.steps) - 1
         assert slots == (label_slot, label_slot + 1) and kinds == ("label", "pswitch")
         assert values[0] is c.root.edges[0].label and values[1] is HALF2
@@ -666,7 +693,7 @@ class TestGraph:
         c = Circuit(2, series(inp("y"), outer))
         assert c.root.plan.widest == 5
         monkeypatch.setattr(frontier_module, "levels", refuse)
-        monkeypatch.setattr(circuits_module, "_fixed_tail", refuse)
+        monkeypatch.setattr(circuits_module, "resolve", refuse)
         for cap in (2, 4):   # the outer graph has 3 such edges, the bridge 5
             with pytest.raises(CapacityError, match=rf"graph has 5 edges .*cap is {cap};"):
                 evaluate(c, graph_cap=cap)
@@ -793,7 +820,8 @@ class TestGraph:
                 node = todo.pop()
                 if isinstance(node, Graph):
                     for e in node.edges:
-                        if e.label.plan.holds[-1]:
+                        if any(s[0] == "leaf" and isinstance(s[1], Pswitch)
+                               for s in e.label.plan.steps):
                             todo.append(e.label)
                         else:
                             want["resolve"] = want.get("resolve", 0) + 1
@@ -1021,11 +1049,14 @@ class TestPlan:
             c = Circuit(states, random_graph_node(rng, states, IdGen()))
             text = dumps(c)
             fresh = circuit_from_json(json.loads(text))
-            assert "plan" not in fresh.root.__dict__
+            plan = fresh.root.__dict__["plan"]   # compiled by the circuit's validation
+            copied = pickle.loads(pickle.dumps(fresh.root))
+            assert "plan" not in copied.__dict__   # a copy compiles its own on first use
             assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
             evaluate(c, assignment)
             resolve(c.root, states, assignment, self.random_outcome(rng, c))
             assert c.root.plan is c.root.plan  # compiled once, kept on the node
+            assert copied == fresh.root and fresh.root.plan is plan
             assert c.root == fresh.root and hash(c.root) == hash(fresh.root)
             assert c == fresh and hash(c) == hash(fresh)
             assert dumps(c) == text == dumps(fresh)

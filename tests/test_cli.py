@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from relaycircuits import (
     Circuit, Distribution, Edge, Graph, IdGen, ValidationError, det, encode_input,
-    parallel, pswitch, series,
+    evaluate, parallel, pswitch, series,
 )
 from relaycircuits import cli, netlist
 from relaycircuits.cli import EXIT_CAPACITY, run
@@ -160,6 +160,15 @@ def test_eval_of_an_input_named_null_exits_2(capsys, tmp_path):
     assert run(["eval", "--netlist", str(path), "--assign", "None=1"]) == 2
     assert capsys.readouterr().err == ("error: netlist input node: field 'name' must be "
                                        "a string or an integer, got NoneType\n")
+
+
+def test_eval_of_a_tiny_netlist_at_a_large_state_count(capsys, tmp_path, built):
+    """A 55-byte netlist at N = 20,000 builds the one point it reaches."""
+    path = tmp_path / "point.json"
+    path.write_text('{"states": 20000, "circuit": {"op": "det", "state": 1}}')
+    code, doc = run_json(capsys, ["eval", "--netlist", str(path)])
+    assert code == 0 and len(doc) == 20_000 and doc[:3] == ["0", "1", "0"]
+    assert built == [(1,)]
 
 
 def test_oracle_eval_max_outcomes_exit_code(capsys, tmp_path):
@@ -316,10 +325,9 @@ def test_robustness_graph_cap(capsys, tmp_path):
 def test_robustness_of_a_upg_row(capsys, tmp_path):
     """``robustness --assign`` binds a UPG's inputs as ``eval --assign`` does:
     the same nominal, and corners mode bounds sampled mode."""
-    code, doc = run_json(capsys, ["upg", "--states", "3", "--bits", "2",
-                                  "--construction", "reduced_sp"])
+    assert run(["upg", "--states", "3", "--bits", "2", "--construction", "reduced_sp"]) == 0
     path = tmp_path / "upg.json"
-    path.write_text(json.dumps(doc["netlist"]))
+    path.write_text(capsys.readouterr().out)
     netlist_args = ["--netlist", str(path)]
     robustness = ["robustness", *netlist_args, "--epsilon", "1/100"]
     assert run(robustness) == 2
@@ -346,6 +354,29 @@ def test_upg_target(capsys):
     assert doc["inputs"] == {"r": "0101"}
     assert doc["output"] == ["5/8", "3/8"]
     assert doc["counts"] == {"pswitches": 6, "deterministic": 7, "inputs": 7}
+
+
+def test_upg_output_is_a_netlist(capsys, tmp_path):
+    """``upg`` prints a netlist that ``eval --assign`` and ``render`` read as
+    printed: the loader ignores the ``counts``, ``inputs`` and ``output``
+    fields beside ``states`` and ``circuit``."""
+    assert run(UPG + ["--target", "1/4,3/4"]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert set(doc) == {"states", "circuit", "counts", "inputs", "output"}
+    bare = {"states": doc["states"], "circuit": doc["circuit"]}
+    assert netlist.circuit_from_json(doc) == netlist.circuit_from_json(bare)
+    row = encode_input(Distribution(["1/4", "3/4"]), 2)
+    assign = ",".join(f"{k}={v}" for k, v in row.assignment().items())
+    rendered = []
+    for name, content in (("upg.json", text), ("bare.json", json.dumps(bare))):
+        path = tmp_path / name
+        path.write_text(content)
+        code, out = run_json(capsys, ["eval", "--netlist", str(path), "--assign", assign])
+        assert code == 0 and out == doc["output"] == ["1/4", "3/4"]
+        assert run(["render", "--netlist", str(path)]) == 0
+        rendered.append(capsys.readouterr().out)
+    assert rendered[0] == rendered[1] and "r0" in rendered[0]
 
 
 def test_upg_truth_table(capsys):
@@ -493,6 +524,18 @@ def test_synth_denom_base_over_cap_is_refused_fast(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "base 2000003 exceeds the cap" in capsys.readouterr().err
+
+
+def test_synth_denom_with_an_explicit_base_past_2_to_the_64(capsys):
+    scale = 2 ** 70
+    target = f"1/{scale},1/8,{scale * 7 // 8 - 1}/{scale}"
+    code, doc = run_json(capsys, ["synth", "--target", target, "--method", "denom",
+                                  "--base", "2"])
+    assert code == 0 and (doc["base"], doc["exponent"]) == (2, 70)
+    circuit = netlist.circuit_from_json(doc["netlist"])
+    assert netlist.distribution_to_json(evaluate(circuit)) == target.split(",")
+    assert run(["synth", "--target", "1/6,5/6", "--method", "denom", "--base", "2"]) == 2
+    assert capsys.readouterr().err == "error: denominator 6 is not a divisor of any 2^n\n"
 
 
 def test_synth_past_the_round_cap_is_a_capacity_error(capsys):

@@ -435,6 +435,24 @@ class TestTargetSpec:
         assert (spec.base, spec.exponent) == (2, 2)
         with pytest.raises(InvalidTargetError):
             TargetSpec.from_dist(Distribution([F(1, 3), F(2, 3)]), base=2)
+        with pytest.raises(InvalidTargetError,
+                           match=r"^denominator 6 is not a divisor of any 2\^n$"):
+            TargetSpec.from_dist(Distribution([F(1, 6), F(5, 6)]), base=2)
+
+    def test_explicit_base_takes_the_least_exponent(self):
+        """The least n with denom | base^n, however large: 2^70 needs 70
+        rounds of base 2, 35 of base 4 and 70 of base 6; 12 needs 2 of 6."""
+        target = Distribution([F(1, 2 ** 70), F(1, 8), 1 - F(1, 2 ** 70) - F(1, 8)])
+        for base, exponent in ((2, 70), (4, 35), (6, 70), (2 ** 70, 1), (2 ** 71, 1)):
+            spec = TargetSpec.from_dist(target, base)
+            assert (spec.base, spec.exponent) == (base, exponent)
+        spec = TargetSpec.from_dist(Distribution([F(1, 12), F(11, 12)]), base=6)
+        assert (spec.base, spec.exponent) == (6, 2)
+        for synth in (denominator_reduction, composite_synthesis):
+            report = synth(target, base=2)
+            assert (report.base, report.exponent) == (2, 70)
+            assert evaluate(report.circuit) == target
+            assert report.pswitch_count == synth_binary_nstate(target).pswitch_count
 
     def test_mismatched_form_rejected(self):
         with pytest.raises(InvalidTargetError):
