@@ -82,8 +82,7 @@ class Distribution:
         ps = tuple(probs)
         if set(map(type, ps)) != {Fraction}:   # plain Fractions are kept as they are
             ps = tuple(_rational(p, f"state {i}", ValidationError) for i, p in enumerate(ps))
-        if len(ps) < 2:
-            raise DimensionError(f"need at least 2 states, got {len(ps)}")
+        _check_states(len(ps))
         den, nums = _simplex(ps, "state {}".format, ValidationError)
         _SET_PROBS(self, ps)
         _SET_DEN(self, den)
@@ -110,21 +109,23 @@ class Distribution:
     @lru_cache(maxsize=1024)
     def point(cls, state: int, states: int) -> "Distribution":
         """Point mass: the deterministic distribution of ``Det(state)``.
-        Built once per ``(state, N)``, as distributions are immutable."""
+        Built once per ``(state, N)``, as distributions are immutable, from
+        its integer tail ``(1, (1,) * state + (0,) * (N-1-state))``, so it
+        holds no ``Fraction`` until its entries are read."""
         if not 0 <= state < states:
             raise ValidationError(f"state {state} out of range for N={states}")
-        return cls(ONE if i == state else ZERO for i in range(states))
+        _check_states(states)
+        return _from_tail(1, (1,) * state + (0,) * (states - 1 - state))
 
     @classmethod
     @lru_cache(maxsize=1024)
     def shorthand(cls, p: Union[Fraction, int, str], states: int) -> "Distribution":
         """The usual shorthand: a bare ``p`` means ``(1-p, 0, ..., 0, p)``.
-        Built once per ``(p, N)``, as distributions are immutable."""
+        Built once per ``(p, N)``, as distributions are immutable, from its
+        integer tail ``(b, (a,) * (N-1))`` for ``p = a/b``, unread."""
         p = Fraction(p)
-        probs = [ZERO] * states
-        probs[0] = 1 - p
-        probs[-1] += p
-        return cls(probs)
+        _check_states(states)
+        return _from_tail(p.denominator, (p.numerator,) * (states - 1))
 
     @property
     def states(self) -> int:
@@ -163,6 +164,12 @@ class Distribution:
 
 _SET_PROBS, _SET_DEN, _SET_TAIL = (
     Distribution.__dict__[name].__set__ for name in Distribution.__slots__)
+
+
+def _check_states(states: int) -> None:
+    """``DimensionError`` unless there are at least 2 states."""
+    if states < 2:
+        raise DimensionError(f"need at least 2 states, got {states}")
 
 
 def _rational(value, where: str, error: type) -> Fraction:
@@ -769,7 +776,9 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
     integer numerator over the product of the switches' denominators, each
     switch's numerators and denominator read from its kept integer tail,
     and one ``Distribution`` is built from the summed numerators at the
-    end.
+    end, through the ``Fraction`` constructor: not through ``_from_tail``
+    or ``Distribution.point``, which the evaluator builds with, so that one
+    fault in either cannot make both evaluators agree on a wrong answer.
 
     The outcomes are walked as an odometer over one outcome dict, last
     switch fastest (the order of ``itertools.product``): advancing a digit
@@ -795,8 +804,9 @@ def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,
         digits.append((sw.id, tuple((s, w) for s, w in enumerate(_tail_numerators(d, tail))
                                     if w)))
         den *= d
-    if not digits:   # one joint outcome, of weight 1
-        return Distribution.point(resolve(root, states, assignment, {}), states)
+    if not digits:   # one joint outcome, of weight 1, built apart from the points
+        state = resolve(root, states, assignment, {})
+        return Distribution(ONE if i == state else ZERO for i in range(states))
     *digits, (last_id, last) = digits
     n, k = len(digits), 0   # digits k.. changed since the last outcome
     picks, prefix, outcome, counts = [0] * n, [1] * (n + 1), {}, [0] * states
@@ -847,19 +857,26 @@ def _to_tail(dist: Distribution, den: int = 0) -> tuple[int, tuple[int, ...]]:
 
 def _from_tail(den: int, tail: tuple[int, ...]) -> Distribution:
     """The ``Distribution`` of the integer tail ``(den, tail)``, reduced by one
-    gcd: the one checked integer constructor. A tail failing ``den >= T_1 >=
-    ... >= 0 < den`` raises ``_check_simplex``'s error for its numerators."""
-    levels = (den, *tail, 0)
-    if den <= 0 or not all(map(operator.ge, levels, levels[1:])):
-        _check_simplex(den, _tail_numerators(den, tail), "state {}".format, ValidationError)
-    g = math.gcd(den, *tail)
-    if g > 1:
-        den, tail = den // g, tuple([t // g for t in tail])
-    out = object.__new__(Distribution)
-    _SET_PROBS(out, None)
-    _SET_DEN(out, den)
-    _SET_TAIL(out, tail)
-    return out
+    gcd: the one checked integer constructor. ``den >= T_1 >= ... >= 0 <
+    den`` is checked in one pass over the tail; a tail failing it raises
+    ``_check_simplex``'s error for its numerators."""
+    low = den   # the level before ``t``, which ``t`` must not exceed
+    for t in tail:
+        if t > low:
+            break
+        low = t
+    else:
+        if low >= 0 and den > 0:
+            g = math.gcd(den, *tail)
+            if g > 1:
+                den, tail = den // g, tuple([t // g for t in tail])
+            out = object.__new__(Distribution)
+            _SET_PROBS(out, None)
+            _SET_DEN(out, den)
+            _SET_TAIL(out, tail)
+            return out
+    # out of order, a last level below 0 or den <= 0: this raises
+    _check_simplex(den, _tail_numerators(den, tail), "state {}".format, ValidationError)
 
 
 def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:

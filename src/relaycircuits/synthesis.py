@@ -122,10 +122,11 @@ class TargetSpec:
 
     def __post_init__(self):
         scale = self.base ** self.exponent
-        for p in self.dist:
-            if (p * scale).denominator != 1:
-                raise InvalidTargetError(
-                    f"{p} does not have denominator form x/{self.base}^{self.exponent}")
+        if scale % _to_tail(self.dist)[0]:   # D, the lcm of the denominators, must divide it
+            for p in self.dist:   # the first entry off the form, for the message
+                if (p * scale).denominator != 1:
+                    raise InvalidTargetError(
+                        f"{p} does not have denominator form x/{self.base}^{self.exponent}")
 
     @classmethod
     def from_dist(cls, dist: Distribution, base: Optional[int] = None) -> "TargetSpec":

@@ -27,7 +27,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import strategies as st
@@ -510,18 +510,29 @@ def rng() -> random.Random:
 
 @pytest.fixture
 def built(monkeypatch) -> list:
-    """The supports of the ``Distribution``s built through ``__init__`` from
-    here on, ``Distribution.point``'s cache emptied first. A ninth build
-    fails at once, so code that builds a table of N points at a large N
-    fails fast, not after N^2 work."""
-    supports, real = [], Distribution.__init__
+    """The supports of the ``Distribution``s built from here on through
+    ``__init__`` or ``Distribution.point``, which builds from an integer
+    tail: its cache is swapped for an empty one of the same size that
+    records each build. A ninth build fails at once, so code that builds a
+    table of N points at a large N fails fast, not after N^2 work."""
+    supports = []
 
-    def counted(self, probs):
-        real(self, probs)
-        supports.append(self.support())
+    def record(d):
+        supports.append(d.support())
         if len(supports) > 8:
             raise AssertionError(f"more than 8 distributions built: {supports}")
 
-    Distribution.point.cache_clear()
+    def counted(self, probs):
+        real_init(self, probs)
+        record(self)
+
+    def counted_point(cls, state, states):
+        d = real_point(cls, state, states)
+        record(d)
+        return d
+
+    real_init, real_point = Distribution.__init__, Distribution.point.__wrapped__
+    size = Distribution.point.cache_parameters()["maxsize"]
     monkeypatch.setattr(Distribution, "__init__", counted)
+    monkeypatch.setattr(Distribution, "point", classmethod(lru_cache(size)(counted_point)))
     return supports

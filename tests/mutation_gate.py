@@ -39,6 +39,14 @@ TAIL_TESTS = "tests/test_circuits.py::TestIntegerTails"
 GRAPH_TESTS = "tests/test_circuits.py::TestGraph"
 ORACLE_TESTS = "tests/test_circuits.py::TestOracleDenominators"
 INPUT_CORNER_TESTS = "tests/test_robustness.py::TestInputs"
+CANONICAL_TESTS = "tests/test_circuits.py::TestCanonicalTail"
+DISTRIBUTION_TESTS = "tests/test_circuits.py::TestDistribution"
+LATTICE = "relaycircuits/lattice.py"
+LATTICE_COMPOSE_TESTS = "tests/test_lattice.py::TestCompose"
+LATTICE_KERNEL_TEST = (
+    "tests/test_lattice.py::TestSearchMatchesReference::test_the_kernel_checks_each_result")
+SYNTHESIS = "relaycircuits/synthesis.py"
+CUT_TESTS = "tests/test_synthesis.py::TestCutOracle"
 UPG = "relaycircuits/upg.py"
 UPG_TESTS = "tests/test_upg.py::TestTruthTables"
 CODEC_TESTS = "tests/test_upg.py::TestIntegerCodec"
@@ -78,6 +86,26 @@ ROWS = (
      "    den = dp * dq\n    return _from_tail(den, tuple([",
      "    den = dp * dp\n    return _from_tail(den, tuple([",
      TAIL_TESTS),
+    # integer constructor: equal levels are refused as out of order
+    (CIRCUITS,
+     "        if t > low:\n            break",
+     "        if t >= low:\n            break",
+     CANONICAL_TESTS),
+    # integer constructor: a last level below 0 is let through
+    (CIRCUITS,
+     "        if low >= 0 and den > 0:",
+     "        if den > 0:",
+     CANONICAL_TESTS),
+    # integer constructor: a denominator of 0 is let through
+    (CIRCUITS,
+     "        if low >= 0 and den > 0:",
+     "        if low >= 0:",
+     CANONICAL_TESTS),
+    # point: the tail is one level too long, the mass one state too high
+    (CIRCUITS,
+     "(1,) * state + (0,) * (states - 1 - state)",
+     "(1,) * (state + 1) + (0,) * (states - 2 - state)",
+     DISTRIBUTION_TESTS),
     # bind list: an input's complement is dropped
     (CIRCUITS,
      "values.append(el.state if isinstance(el, Det) else el)",
@@ -123,6 +151,26 @@ ROWS = (
      "        if code == 2 and find(u) != find(v):",
      "        if False and find(u) != find(v):",
      GRAPH_TESTS),
+    # lattice kernel: a meet or join whose fields do not sum to full is let through
+    (LATTICE,
+     "    if meet % mod != full or join % mod != full:",
+     "    if False:",
+     LATTICE_KERNEL_TEST),
+    # lattice compose: a join reads the meet table
+    (LATTICE,
+     "        table = lattice._join\n",
+     "        table = lattice._meet\n",
+     LATTICE_COMPOSE_TESTS),
+    # synthesis cut: the left piece's levels are not lowered by the rest
+    (SYNTHESIS,
+     "tuple([b * t - rest for t in tail[:k]])",
+     "tuple([b * t for t in tail[:k]])",
+     CUT_TESTS),
+    # synthesis cut: the right piece's levels are not scaled by b
+    (SYNTHESIS,
+     "tuple([b * t for t in tail[k:]])",
+     "tuple([t for t in tail[k:]])",
+     CUT_TESTS),
     # row codec: a prefix that is not a multiple of 1/2^n is let through
     (UPG,
      "        if rest:\n",

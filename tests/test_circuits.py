@@ -110,6 +110,43 @@ class TestDistribution:
         assert Distribution.point(1, 3) == (0, 1, 0)
         assert Distribution.shorthand(1, 2) == (0, 1)
 
+    def test_points_and_shorthands_equal_their_fraction_forms(self):
+        """Built from their integer tails, every point and shorthand equals,
+        entry for entry, the distribution ``__init__`` builds from its
+        ``Fraction``s."""
+        for states in range(2, 8):
+            for s in range(states):
+                want = Distribution([F(int(i == s)) for i in range(states)])
+                got = Distribution.point(s, states)
+                assert _to_tail(got) == _to_tail(want) and got.probs == want.probs
+            for p in (F(0), F(1), F(1, 3), F(1, 2 ** 200), 1, "1/3"):
+                q = F(p)
+                want = Distribution([1 - q] + [0] * (states - 2) + [q])
+                got = Distribution.shorthand(p, states)
+                assert _to_tail(got) == _to_tail(want) and got.probs == want.probs
+
+    def test_points_and_shorthands_refuse_with_the_old_messages(self):
+        """Fewer than 2 states, a state out of range and a shorthand ``p``
+        outside [0, 1] are refused as ``__init__`` refused them."""
+        for make in (lambda: Distribution.point(0, 1),
+                     lambda: Distribution.shorthand(F(1, 3), 1)):
+            with pytest.raises(DimensionError) as exc:
+                make()
+            assert str(exc.value) == "need at least 2 states, got 1"
+        with pytest.raises(DimensionError) as exc:
+            Distribution.shorthand(0, 0)
+        assert str(exc.value) == "need at least 2 states, got 0"
+        for state, states in ((3, 3), (-1, 3), (1, 1), (0, 0)):
+            with pytest.raises(ValidationError) as exc:
+                Distribution.point(state, states)
+            assert type(exc.value) is ValidationError
+            assert str(exc.value) == f"state {state} out of range for N={states}"
+        for p, entry in ((F(3, 2), "-1/2"), (F(-1, 2), "3/2")):
+            for states in (2, 4):
+                with pytest.raises(ValidationError) as exc:
+                    Distribution.shorthand(p, states)
+                assert str(exc.value) == f"probabilities outside [0, 1]: state 0 is {entry}"
+
     def test_support_and_reverse(self):
         assert HALF3.support() == (0, 2)
         assert HALF3.reversed() == HALF3
@@ -222,6 +259,36 @@ class TestEvaluate:
         del built[:]
         report = worst_case_error(c, F(1, 100), assignment=assignment)
         assert report.nominal == out and built == [(3,)]
+
+    def test_the_built_fixture_stops_at_the_ninth_build(self, built):
+        """``built`` records points and ``__init__`` builds alike, a cached
+        point once, and fails at the ninth."""
+        for s in range(7):
+            Distribution.point(s, 10)
+        Distribution.point(0, 10)
+        Distribution([F(1, 2), F(1, 2)])
+        with pytest.raises(AssertionError, match="^more than 8 distributions built"):
+            Distribution.point(7, 10)
+        assert built == [(s,) for s in range(7)] + [(0, 1), (7,)]
+
+    def test_cached_points_stay_unread(self):
+        """Evaluating a parallel of 1,000 distinct Dets at N = 5,000 caches
+        1,000 points, each holding its integer tail alone: none has built
+        its N ``Fraction``s."""
+        states, count = 5_000, 1_000
+        Distribution.point.cache_clear()
+        try:
+            out = evaluate(Circuit(states, parallel(*map(det, range(count)))))
+            assert _to_tail(out) == (1, (1,) * (count - 1) + (0,) * (states - count))
+            info = Distribution.point.cache_info()
+            assert info.currsize == count
+            points = [Distribution.point(s, states) for s in range(count)]
+            assert Distribution.point.cache_info().misses == info.misses   # the cached ones
+            assert all(d._probs is None for d in points)
+            assert all(d._den == 1 and len(d._tail) == states - 1 and sum(d._tail) == s
+                       for s, d in enumerate(points))
+        finally:
+            Distribution.point.cache_clear()
 
     def test_the_first_unbound_input_in_slot_order_raises(self):
         """Inputs in sp leaves, in a graph label holding a pswitch and in
@@ -412,10 +479,13 @@ class TestCanonicalTail:
             assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
             assert_canonical(evaluate(c, assignment), unread=True)   # a graph's result
             assert_canonical(evaluate_oracle(c, assignment))
+        # points and shorthands come from their tails, unread until read
+        Distribution.point.cache_clear()
+        Distribution.shorthand.cache_clear()
         for states in (2, 3, 5):
             for s in range(states):
-                assert_canonical(Distribution.point(s, states))
-            assert_canonical(Distribution.shorthand(F(3, 9), states))
+                assert_canonical(Distribution.point(s, states), unread=True)
+            assert_canonical(Distribution.shorthand(F(3, 9), states), unread=True)
         assert_canonical(perturb_dist(Distribution([F(1, 2), 0, F(1, 2)]), F(1, 6)), unread=True)
         assert_canonical(perturb_dist(Distribution([F(1, 2), F(1, 2)]), F(1, 2)), unread=True)
 
@@ -442,6 +512,9 @@ class TestCanonicalTail:
         with pytest.raises(ValidationError) as exc:
             _from_tail(4, (1, 2))   # numerators 3, -1, 2
         assert str(exc.value) == "probabilities outside [0, 1]: state 1 is -1/4"
+        with pytest.raises(ValidationError) as exc:
+            _from_tail(4, (2, -1))   # in order, but the last level below 0
+        assert str(exc.value) == "probabilities outside [0, 1]: state 2 is -1/4"
         with pytest.raises(ValidationError) as exc:   # a tail's numerators always sum to D
             Distribution([F(1, 4)] * 3)
         assert str(exc.value) == "probabilities sum to 3/4, not 1"
@@ -475,7 +548,10 @@ class TestCanonicalTail:
         p, q = Distribution([F(1, 6), F(1, 3), F(1, 2)]), Distribution(["1/4", 0, "3/4"])
         makers = (lambda: p, lambda: compose_series(p, q), lambda: compose_parallel(p, q),
                   lambda: Distribution.point(1, 3))
-        assert [make()._probs is None for make in makers] == [False, True, True, False]
+        # so that no earlier test has read the point, or the cut's shorthand below
+        Distribution.point.cache_clear()
+        Distribution.shorthand.cache_clear()
+        assert [make()._probs is None for make in makers] == [False, True, True, True]
         for make in makers:
             for round_trip in round_trips:
                 d = make()
@@ -488,9 +564,9 @@ class TestCanonicalTail:
             for name in (*Distribution.__slots__, "probs"):
                 with pytest.raises(AttributeError, match="immutable"):
                     setattr(d, name, None)
-        # reassemble_cut's leaves are cut pieces nobody has read
+        # reassemble_cut's leaves are cut pieces and a shorthand nobody has read
         cut = reassemble_cut(Distribution([F(1, 9), F(5, 9), F(3, 9)]), F(1, 3))
-        assert [sw.dist._probs is None for sw in cut.pswitches()] == [True, False, True]
+        assert [sw.dist._probs is None for sw in cut.pswitches()] == [True, True, True]
         circuits = [random_sp_circuit(rng, 3, 5),
                     Circuit(3, random_graph_node(rng, 3, IdGen())),
                     state_reduction(Distribution([F(1, 8), F(1, 2), F(3, 8)])).circuit, cut]
@@ -502,7 +578,7 @@ class TestCanonicalTail:
                     [_to_tail(sw.dist) for sw in c.pswitches()]
                 assignment = {f"x{i}": 1 for i in range(3)}
                 assert evaluate(twin, assignment) == evaluate(c, assignment)
-        assert [sw.dist._probs is None for sw in cut.pswitches()] == [True, False, True]
+        assert [sw.dist._probs is None for sw in cut.pswitches()] == [True, True, True]
 
 
 def denominators(rng, states, dens):

@@ -457,3 +457,15 @@ class TestTargetSpec:
     def test_mismatched_form_rejected(self):
         with pytest.raises(InvalidTargetError):
             TargetSpec(Distribution([F(1, 3), F(2, 3)]), 2, 4)
+        # the message names the first entry off the form
+        for probs, base, exponent, entry in (([F(1, 3), F(2, 3)], 2, 4, "1/3"),
+                                             ([0, F(1, 4), F(1, 12), F(2, 3)], 2, 2, "1/12"),
+                                             ([F(1, 8), F(7, 8)], 2, 2, "1/8")):
+            with pytest.raises(InvalidTargetError) as exc:
+                TargetSpec(Distribution(probs), base, exponent)
+            assert str(exc.value) == \
+                f"{entry} does not have denominator form x/{base}^{exponent}"
+        for probs, base, exponent in (([F(1, 4), F(3, 4)], 2, 2), ([F(1, 6), F(5, 6)], 6, 3),
+                                      ([1, 0], 2, 0), ([F(1, 12), F(11, 12)], 6, 2)):
+            spec = TargetSpec(Distribution(probs), base, exponent)
+            assert (spec.base, spec.exponent) == (base, exponent)
