@@ -93,9 +93,7 @@ class Distribution:
         """The entries as plain reduced ``Fraction``s, built on first read."""
         ps = self._probs
         if ps is None:
-            den = self._den
-            ps = tuple([Fraction(n, den) if n else ZERO
-                        for n in _tail_numerators(den, self._tail)])
+            ps = _tail_fractions(self._den, self._tail)
             _SET_PROBS(self, ps)
         return ps
 
@@ -156,7 +154,8 @@ class Distribution:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.probs)
+        # hash(self.probs), as d == d.probs, but an unread d stays unread
+        return hash(self._probs or _tail_fractions(self._den, self._tail))
 
     def __repr__(self) -> str:
         return "Distribution(%s)" % ", ".join(map(_printable, self.probs))
@@ -877,6 +876,11 @@ def _from_tail(den: int, tail: tuple[int, ...]) -> Distribution:
             return out
     # out of order, a last level below 0 or den <= 0: this raises
     _check_simplex(den, _tail_numerators(den, tail), "state {}".format, ValidationError)
+
+
+def _tail_fractions(den: int, tail: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Per-state probabilities as plain reduced ``Fraction``s, ``ZERO`` for 0."""
+    return tuple([Fraction(n, den) if n else ZERO for n in _tail_numerators(den, tail)])
 
 
 def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:

@@ -21,7 +21,9 @@ denominators, every distribution of at most k leaves has a denominator
 dividing L^k, so its numerators over L^max_switches, packed into one int
 with a spare bit per field, are exact rational equality, and a pair's meet
 and join take one multiply-add per nonzero numerator, with no gcd and no
-``Fraction`` per composition.
+``Fraction`` per composition. Each operand is read from its key's fields,
+and only a found witness is composed again, by the public rule
+``compose_lattice``, as the search's check of its answer.
 """
 
 from __future__ import annotations
@@ -358,12 +360,19 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     they give a pair's meet and join in one multiply-add per nonzero
     ``(j, q)`` of the right operand (``_meet_join``), each result checked
     to sum to ``full`` and looked up with no gcd.
-    Only a new distribution below the budget becomes an operand, built by
-    the public rule :func:`compose_lattice`. One first reached at
-    ``max_switches`` is recorded by its key alone, and its witness text is
-    formatted only if it is the target. The target must live on the
-    search's lattice; one whose denominator does not divide ``full`` is
-    not realizable within the budget.
+    Only a new distribution below the budget becomes an operand: its
+    numerators over L^size are its key's fields, each divided exactly by
+    L^(max_switches - size), and checked to sum to L^size; no
+    ``LatticeDistribution`` is built. An entry keeps its parts (left entry,
+    op, right entry) in place of a distribution. One first reached at
+    ``max_switches`` is recorded by its key and parts alone, and its
+    witness text is formatted only if it is the target. A found witness is
+    folded from the leaves' distributions through the public rule
+    :func:`compose_lattice`, and must equal the target, else
+    ``LatticeError``: the one check of the answer that does not run through
+    the packed keys. The target must live on the search's lattice; one
+    whose denominator does not divide ``full`` is not realizable within
+    the budget.
     """
     lattice, target = spec.lattice, spec.target
     if target.lattice is not lattice and target.lattice != lattice:
@@ -382,19 +391,17 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     unit = lcm(*[dist._den for dist, _ in base])
     full = unit ** last
     w = full.bit_length() + 1
-    mod, split = (1 << w) - 1, w * n
+    mod, split, shifts = (1 << w) - 1, w * n, range(0, w * n, w)
     # points[i][j]: the packed meet of the points i and j, their join above
     points = [[(1 << w * m) + (1 << split + w * j) for m, j in zip(*rows)]
               for rows in zip(lattice._meet, lattice._join)]
 
-    def entry(dist: LatticeDistribution, expr: str, size: int) -> tuple:
-        # (distribution, witness, support, complement of the elements above
-        #  the whole support, nonzero (index, numerator) pairs over L^size,
-        #  and, if it can be a left operand, its images over L^size)
-        den = unit ** size
-        scale = den // dist._den
-        nums = [x * scale for x in dist._num]
-        if min(nums) < 0 or sum(nums) != den:
+    def entry(source, expr: str, size: int, nums: list) -> tuple:
+        # (source, witness, support, complement of the elements above the
+        #  whole support, nonzero (index, numerator) pairs over L^size, and,
+        #  if it can be a left operand, its images over L^size); the source
+        #  is a leaf's distribution or the (left entry, op, right entry) parts
+        if min(nums) < 0 or sum(nums) != unit ** size:
             raise _not_a_distribution(full)
         support, above, pairs = 0, -1, []
         for i, x in enumerate(nums):
@@ -404,13 +411,14 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
                 pairs.append((i, x))
         images = ([sum([x * points[i][j] for i, x in pairs]) for j in range(n)]
                   if 2 * size <= last else None)
-        return dist, expr, support, ~above, tuple(pairs), images
+        return source, expr, support, ~above, tuple(pairs), images
 
-    # seen maps a distribution's packed key to (leaves, witness), the
-    # witness of a distribution first reached at the budget kept as its
-    # (left, symbol, right) parts; by_size[k] lists the entries of the
-    # operands first reached with exactly k < max_switches leaves
-    seen: dict[int, tuple[int, Union[str, tuple]]] = {}
+    # seen maps a distribution's packed key to (leaves, source, witness), the
+    # witness None for a distribution first reached at the budget until it is
+    # the target; by_size[k] lists the entries of the operands first reached
+    # with exactly k < max_switches leaves
+    seen: dict[int, tuple] = {}
+    cap = spec.max_explored
     by_size: dict[int, list[tuple]] = {k: [] for k in range(1, last + 1)}
     def packed(dist: LatticeDistribution) -> int:
         # dist's key: its numerators over full, a multiple of its denominator
@@ -418,28 +426,36 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
         return sum([x * scale << w * e for e, x in enumerate(dist._num)])
 
     for dist, name in base:
-        leaf = entry(dist, name, 1)   # checks dist before it is packed
+        scale = unit // dist._den
+        # entry checks dist before it is packed
+        leaf = entry(dist, name, 1, [x * scale for x in dist._num])
         key = packed(dist)
         if key not in seen:
-            seen[key] = (1, name)
+            seen[key] = (1, dist, name)
             by_size[1].append(leaf)
 
     def record(key: int, size: int, pe: tuple, op: str, qe: tuple) -> None:
-        # a new distribution: at the budget it is kept by its key and witness
-        # parts alone; below it, it is built as an operand
-        if len(seen) >= spec.max_explored:
+        # a new distribution: at the budget it is kept by its key and parts
+        # alone; below it, its operand entry is read from its key's fields
+        # over full, each divided exactly by L^(max_switches - size)
+        if len(seen) >= cap:
             raise CapacityError(
                 f"search up to {last} switches explored more than "
                 f"{spec.max_explored} distributions; raise SearchSpec.max_explored "
                 "(CLI --max-explored)")
-        parts = (pe[1], "*" if op == "meet" else "+", qe[1])
+        source = (pe, op, qe)
         if size == last:
-            seen[key] = (size, parts)
+            seen[key] = (size, source, None)
             return
-        dist = compose_lattice(pe[0], qe[0], op)
-        expr = "({} {} {})".format(*parts)
-        seen[key] = (size, expr)
-        by_size[size].append(entry(dist, expr, size))
+        lift, nums = unit ** (last - size), []
+        for shift in shifts:
+            x, rest = divmod(key >> shift & mod, lift)
+            if rest:
+                raise _not_a_distribution(full)
+            nums.append(x)
+        expr = _witness_text(source)
+        seen[key] = (size, source, expr)
+        by_size[size].append(entry(source, expr, size, nums))
 
     for size in range(2, last + 1):
         lift = unit ** (last - size)
@@ -464,10 +480,38 @@ def search_expressible(spec: SearchSpec) -> SearchResult:
     hit = seen.get(packed(target)) if full % target._den == 0 else None
     if hit is None:
         return SearchResult(False, None, None, len(seen), last)
-    size, expr = hit
-    if type(expr) is tuple:   # first reached at the budget
-        expr = "({} {} {})".format(*expr)
+    size, source, expr = hit
+    if expr is None:   # first reached at the budget
+        expr = _witness_text(source)
+    if _fold_witness(source) != target:
+        raise LatticeError(f"search witness {expr} does not compose to the target")
     return SearchResult(True, expr, size, len(seen), last)
+
+
+def _witness_text(parts: tuple) -> str:
+    """``(left op right)`` from two entries' witnesses, ``*`` for a meet
+    and ``+`` for a join."""
+    pe, op, qe = parts
+    return "({} {} {})".format(pe[1], "*" if op == "meet" else "+", qe[1])
+
+
+def _fold_witness(source) -> LatticeDistribution:
+    """The distribution of a search witness, composed by the public rule
+    :func:`compose_lattice` from its leaves' distributions, with no
+    recursion: ``source`` is a leaf's distribution or the ``(left entry,
+    op, right entry)`` parts of a composition, an entry's source first."""
+    todo, values = [source], []
+    while todo:
+        item = todo.pop()
+        if type(item) is tuple:   # fold the left source, then the right, then compose
+            pe, op, qe = item
+            todo += (op, qe[0], pe[0])
+        elif type(item) is str:
+            q = values.pop()
+            values.append(compose_lattice(values.pop(), q, item))
+        else:
+            values.append(item)
+    return values[0]
 
 
 def lattice_to_json(lattice: Lattice) -> dict:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from relaycircuits import (
     Circuit, Det, Distribution, Edge, Graph, IdGen, InvalidPerturbationError,
@@ -40,6 +40,12 @@ from relaycircuits import (
 from relaycircuits.circuits import (
     _connected, _fold, _input_value, _show, _tail_numerators, _to_tail,
 )
+
+# tests/mutation_gate.py runs its targets under this profile: a mutant needs
+# one failing example, not a shrunk one, and no example saved by an earlier
+# run, so each row takes the same time here as on a fresh checkout
+settings.register_profile("mutation-gate", database=None, phases=[
+    phase for phase in Phase if phase not in (Phase.shrink, Phase.explain)])
 
 
 def series_direct(p: Distribution, q: Distribution) -> Distribution:

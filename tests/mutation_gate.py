@@ -1,13 +1,20 @@
 """Mutation gate: each row breaks a fast path on purpose, and a test must fail.
 
-    python3 tests/mutation_gate.py
+    python3 tests/mutation_gate.py              # every row
+    python3 tests/mutation_gate.py lattice.py   # only the rows on files ending so
 
 Run it from anywhere; it needs pytest and hypothesis, as the tests do.
 Each row of ``ROWS`` is ``(file, exact old text, new text, pytest
 target)``, the file relative to ``src/``. For each row the script copies
 ``src/`` to a temporary directory, replaces the one occurrence of the old
-text, and runs ``pytest -x`` on the target against that copy. The row's
-mutant is killed when pytest reports a failing test (exit status 1).
+text, and runs ``pytest -x`` on the target against that copy, under the
+hypothesis profile ``mutation-gate`` (``tests/conftest.py``: no shrinking
+and no example database, so a row's time does not depend on earlier
+runs). The row's
+mutant is killed when pytest reports a failing test (exit status 1). Each
+row's verdict is printed with the seconds its pytest run took. Given file
+names, the script runs only the rows whose file ends with one of them, and
+their targets on the unmutated copy; a name that selects no row fails.
 
 The gate fails, with exit status 1, when:
 - a row's old text is missing from its file, or found more than once, so
@@ -45,6 +52,12 @@ LATTICE = "relaycircuits/lattice.py"
 LATTICE_COMPOSE_TESTS = "tests/test_lattice.py::TestCompose"
 LATTICE_KERNEL_TEST = (
     "tests/test_lattice.py::TestSearchMatchesReference::test_the_kernel_checks_each_result")
+LATTICE_OPERAND_TEST = (
+    "tests/test_lattice.py::TestSearchProperty::test_an_operand_read_from_its_key_is_checked")
+LATTICE_WITNESS_TEST = (
+    "tests/test_lattice.py::TestSearchProperty::test_the_witness_is_checked_by_compose_lattice")
+LATTICE_TEXT_TEST = "tests/test_lattice.py::TestSearch::test_chain_control_three_quarters"
+RESOLVER_TESTS = "tests/test_circuits.py::TestGeneratedResolver"
 SYNTHESIS = "relaycircuits/synthesis.py"
 CUT_TESTS = "tests/test_synthesis.py::TestCutOracle"
 UPG = "relaycircuits/upg.py"
@@ -126,6 +139,11 @@ ROWS = (
      "value = point(value, states)",
      "value = point(states - 1 - value, states)",
      UPG_TESTS),
+    # generated resolver: series writes a max and parallel a min
+    (CIRCUITS,
+     '"<" if kind is _SERIES else ">"',
+     '">" if kind is _SERIES else "<"',
+     RESOLVER_TESTS),
     # oracle: the weights' common denominator is left at 1
     (CIRCUITS,
      "        den *= d\n",
@@ -156,6 +174,26 @@ ROWS = (
      "    if meet % mod != full or join % mod != full:",
      "    if False:",
      LATTICE_KERNEL_TEST),
+    # lattice operand: a key field that L^(budget - size) does not divide is let through
+    (LATTICE,
+     "            if rest:\n",
+     "            if False:\n",
+     LATTICE_OPERAND_TEST + "[remainder]"),
+    # lattice operand: numerators that do not sum to L^size are let through
+    (LATTICE,
+     "        if min(nums) < 0 or sum(nums) != unit ** size:",
+     "        if min(nums) < 0:",
+     LATTICE_OPERAND_TEST + "[sum]"),
+    # lattice witness: the fold through compose_lattice is not compared with the target
+    (LATTICE,
+     "    if _fold_witness(source) != target:",
+     "    if False:",
+     LATTICE_WITNESS_TEST),
+    # lattice witness: the text writes a meet as + and a join as *
+    (LATTICE,
+     '"*" if op == "meet" else "+"',
+     '"+" if op == "meet" else "*"',
+     LATTICE_TEXT_TEST),
     # lattice compose: a join reads the meet table
     (LATTICE,
      "        table = lattice._join\n",
@@ -171,6 +209,11 @@ ROWS = (
      "tuple([b * t for t in tail[k:]])",
      "tuple([t for t in tail[k:]])",
      CUT_TESTS),
+    # UPG builder: a selector chain's branch takes the max of selector and value
+    (UPG,
+     "self.states, opt_series(self.states, sel, value), guarded)",
+     "self.states, opt_parallel(self.states, sel, value), guarded)",
+     UPG_TESTS),
     # row codec: a prefix that is not a multiple of 1/2^n is let through
     (UPG,
      "        if rest:\n",
@@ -192,7 +235,7 @@ ROWS = (
 def run_pytest(src: Path, target: str) -> int:
     """pytest's exit status for ``target``, importing the library from ``src``."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "-o", f"pythonpath={src}", target]
+               "--hypothesis-profile=mutation-gate", "-o", f"pythonpath={src}", target]
     try:
         return subprocess.run(command, cwd=ROOT, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
@@ -205,16 +248,28 @@ def copy_src(tmp: str, name: str) -> Path:
                                 ignore=shutil.ignore_patterns("__pycache__")))
 
 
-def main() -> int:
+def timed_pytest(src: Path, target: str) -> tuple[int, float]:
+    """:func:`run_pytest`'s exit status and the seconds it took."""
+    start = time.perf_counter()
+    code = run_pytest(src, target)
+    return code, time.perf_counter() - start
+
+
+def main(names: list[str]) -> int:
     start, failures = time.perf_counter(), []
+    rows = [(i, row) for i, row in enumerate(ROWS, 1)
+            if not names or row[0].endswith(tuple(names))]
+    if not rows:
+        print(f"FAIL: no row's file ends with any of {names}")
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
         clean = copy_src(tmp, "clean")
-        for target in dict.fromkeys(row[3] for row in ROWS):
-            code = run_pytest(clean, target)
-            print(f"unmutated  {target}: pytest exit {code}")
+        for target in dict.fromkeys(row[3] for _, row in rows):
+            code, seconds = timed_pytest(clean, target)
+            print(f"unmutated  {target}: pytest exit {code}  {seconds:.1f} s")
             if code != 0:
                 failures.append(f"{target} fails on the unmutated source (exit {code})")
-        for i, (file, old, new, target) in enumerate(ROWS, 1):
+        for i, (file, old, new, target) in rows:
             mutant = copy_src(tmp, f"mutant{i}")
             path = mutant / file
             text = path.read_text(encoding="utf-8")
@@ -224,17 +279,18 @@ def main() -> int:
                 failures.append(f"row {i}: old text found {found} times in {file}")
                 continue
             path.write_text(text.replace(old, new), encoding="utf-8")
-            code = run_pytest(mutant, target)
+            code, seconds = timed_pytest(mutant, target)
             verdict = "killed" if code == 1 else f"NOT killed (pytest exit {code})"
-            print(f"row {i}: {verdict}  {file}: {old.splitlines()[-1].strip()!r}")
+            print(f"row {i}: {verdict}  {seconds:.1f} s  {file}: "
+                  f"{old.splitlines()[-1].strip()!r}")
             if code != 1:
                 failures.append(f"row {i} not killed by {target} (exit {code})")
             shutil.rmtree(mutant)
-    print(f"{len(ROWS)} rows in {time.perf_counter() - start:.1f} s")
+    print(f"{len(rows)} rows in {time.perf_counter() - start:.1f} s")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -456,6 +456,23 @@ class TestCanonicalTail:
         assert_canonical(flipped, unread=True)
         assert flipped.reversed() == p
 
+    def test_hashing_builds_no_fractions(self):
+        """Hashing an unread distribution, or a synthesized node that holds
+        unread ones, keeps them unread, and gives the hash of the entries
+        that a later read builds, as ``d == d.probs``."""
+        point = _from_tail(1, (1,) + (0,) * 4_998)   # point(1, 5000), fresh
+        hashed = hash(point)
+        assert point._probs is None
+        assert hashed == hash(point.probs) == hash(point) == hash(Distribution.point(1, 5_000))
+        node = state_reduction(Distribution([F(1, 3), F(1, 5), F(7, 15)])).circuit.root
+        dists = [el.dist for el in circuits_module.elements(node) if isinstance(el, Pswitch)]
+        assert dists and all(d._probs is None for d in dists)
+        hashed = hash(node)
+        assert all(d._probs is None for d in dists)
+        for d in dists:
+            d.probs
+        assert hash(node) == hashed
+
     @given(data=st.data(), states=st.integers(2, 3))
     def test_equality_is_equality_of_the_integer_form(self, data, states):
         draw = lambda: data.draw(distributions(states=states, max_denom=4))

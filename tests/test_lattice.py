@@ -774,13 +774,16 @@ class TestSearchProperty:
                               include_deterministic) == [expected, expected]
 
     def test_only_operands_are_built(self, monkeypatch):
-        """``compose_lattice`` builds each distribution first reached below
-        the budget once, and none first reached at it."""
+        """Operands are read from the kernel's keys, so ``compose_lattice``
+        runs only to re-check a found witness: never on a miss, and once per
+        composition of the witness, ``switches_used - 1`` times, on a hit,
+        whether the witness was an operand or first reached at the budget."""
         dia = Lattice.diamond()
         switch = LatticeDistribution(dia, [F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
-        explored = {budget: search_expressible(SearchSpec(
-            dia, (switch,), switch, max_switches=budget)).explored_distributions
-            for budget in (1, 3, 4)}
+        antichain = LatticeDistribution(dia, [0, F(1, 2), F(1, 2), 0])
+        meet = compose_lattice(switch, switch, "meet")
+        three = compose_lattice(meet, switch, "join")
+        four = compose_lattice(three, LatticeDistribution.point(dia, "01"), "meet")
         calls = []
 
         def counting(p, q, op):
@@ -788,10 +791,53 @@ class TestSearchProperty:
             return compose_lattice(p, q, op)
 
         monkeypatch.setattr(lattice_module, "compose_lattice", counting)
-        target = LatticeDistribution(dia, [0, F(1, 2), F(1, 2), 0])
-        res = search_expressible(SearchSpec(dia, (switch,), target, max_switches=4))
-        assert res.explored_distributions == explored[4] > explored[3]
-        assert len(calls) == explored[3] - explored[1] > 0
+        res = search_expressible(SearchSpec(dia, (switch,), antichain, max_switches=4))
+        assert not res.realizable and res.explored_distributions == 74 and calls == []
+        for target, budget, used in ((switch, 3, 1), (meet, 3, 2), (three, 3, 3),
+                                     (three, 4, 3), (four, 4, 4)):
+            calls.clear()
+            res = search_expressible(SearchSpec(dia, (switch,), target, max_switches=budget))
+            assert res.realizable and res.switches_used == used
+            assert len(calls) == used - 1
+
+    def test_the_witness_is_checked_by_compose_lattice(self, monkeypatch):
+        """A kernel that hands back the join's key as the meet's, and the
+        meet's as the join's, labels each result with the wrong operation:
+        the witness found, composed again by ``compose_lattice``, is not the
+        target, and the search raises ``LatticeError``."""
+        kernel = lattice_module._meet_join
+
+        def swapped(images, pairs, split, mod, full):
+            meet, join = kernel(images, pairs, split, mod, full)
+            return join, meet
+
+        dia = Lattice.diamond()
+        switch = LatticeDistribution(dia, [F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
+        target = compose_lattice(switch, switch, "meet")
+        monkeypatch.setattr(lattice_module, "_meet_join", swapped)
+        with pytest.raises(LatticeError, match=(
+                r"^search witness \(s0 \+ s0\) does not compose to the target$")):
+            search_expressible(SearchSpec(dia, (switch,), target, max_switches=2))
+
+    @pytest.mark.parametrize("stray", [1, 4], ids=["remainder", "sum"])
+    def test_an_operand_read_from_its_key_is_checked(self, monkeypatch, stray):
+        """An operand's numerators over L^size are its key's fields divided
+        by L^(budget - size), here 4: a stray 1 in a meet's first field
+        leaves a remainder, and a stray 4 divides exactly but breaks the sum
+        of L^size. Either raises ``LatticeError`` as the first meet is read,
+        before the kernel composes the bad operand again."""
+        kernel, calls = lattice_module._meet_join, []
+
+        def corrupting(images, pairs, split, mod, full):
+            calls.append(pairs)
+            meet, join = kernel(images, pairs, split, mod, full)
+            return meet + stray, join
+
+        dia = Lattice.diamond()
+        monkeypatch.setattr(lattice_module, "_meet_join", corrupting)
+        with pytest.raises(LatticeError, match="^numerators over 64 are not a distribution$"):
+            search_expressible(SearchSpec(dia, (uniform(dia),), uniform(dia), max_switches=3))
+        assert len(calls) == 1
 
     def test_pair_kernel_matches_compose_lattice(self, monkeypatch, rng):
         """Every pair the search hands ``_meet_join`` gets the numerators of
