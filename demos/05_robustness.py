@@ -5,6 +5,8 @@ states. Output probabilities are multilinear in the drifts, so the exact
 worst case sits at a sign corner; searching all corners shows boundary
 states off by at most 2*epsilon and interior states by 3*epsilon for the
 dyadic construction, q*epsilon and (q+1)*epsilon for base-q circuits.
+Past the corner cap, two evaluations (every switch at -epsilon, then at
++epsilon) bound every state, exactly at the first and last.
 """
 
 import itertools
@@ -59,3 +61,14 @@ for denom in (3, 9):
         worst_interior = max(worst_interior, r.per_state_max_error[1])
 print(f"  worst boundary error observed: {worst_boundary} (bound {3 * eps})")
 print(f"  worst interior error observed: {worst_interior} (bound {4 * eps})")
+
+print()
+print("a 200-round binary synthesis, far past the corner cap, in interval mode:")
+scale = 2 ** 200
+deep = synth_binary_nstate(Distribution([F(1, scale), F(scale - 2, scale), F(1, scale)])).circuit
+r = worst_case_error(deep, eps, mode="interval")
+v = check_bounds(r, "binary")
+below = int(eps / r.max_error()).bit_length() - 1
+print(f"  {len(deep.pswitches())} pswitches; exact per state: {r.exact}")
+print(f"  largest error bound below eps / 2^{below}; bounds proven = {v.passed}, "
+      f"undecided states: {list(v.undecided_states)}")

@@ -116,10 +116,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    circuit = netlist.load(args.netlist)
-    epsilon = parse_rational(args.epsilon)
-    report = worst_case_error(circuit, epsilon, mode=args.mode, trials=args.trials,
-                              corner_cap=args.corner_cap, seed=args.seed,
+    report = worst_case_error(netlist.load(args.netlist), parse_rational(args.epsilon),
+                              mode=args.mode, corner_cap=args.corner_cap,
                               assignment=_parse_assignment(args.assign),
                               graph_cap=args.graph_cap)
     payload = report.to_json()
@@ -225,11 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="worst-case error under switch noise")
     p.add_argument("--netlist", required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--mode", choices=["corners", "sampled"], default="corners")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--mode", choices=["corners", "interval"], default="corners")
     p.add_argument("--corner-cap", type=int, default=DEFAULT_CORNER_CAP,
                    help="corners mode: cap on the pswitch count m; it tries 2^m corners")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assign", default="", help=ASSIGN_HELP)
     p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP, help=GRAPH_CAP_HELP)
     p.add_argument("--family", default=None,

@@ -7,10 +7,11 @@ state gains some signed error and the high active state loses it, so
 
 Because every pswitch instance appears once, each output probability is
 multilinear in the per-switch errors, so the worst deviation over the error
-box is attained at a sign corner; ``worst_case_error`` searches corners
-exactly. ``check_bounds`` compares the observed per-state deviations to the
-linear bounds: boundary states within 2*eps and interior within 3*eps for
-the dyadic construction, q*eps and (q+1)*eps for base-q circuits.
+box is attained at a sign corner; ``worst_case_error`` searches corners, or
+bounds each state from the two uniform corners, exactly at states 0 and N-1.
+``check_bounds`` compares the per-state deviations to the linear bounds:
+boundary states within 2*eps and interior within 3*eps for the dyadic
+construction, q*eps and (q+1)*eps for base-q circuits.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import frontier
 from .circuits import (
@@ -56,12 +56,14 @@ class PerturbationModel:
 
 @dataclass
 class ErrorReport:
-    """Per-state worst deviations from the nominal output distribution."""
+    """Per-state worst deviations from the nominal output distribution, or
+    upper bounds on them where ``exact`` is false."""
     epsilon: Fraction
     nominal: Distribution
     per_state_max_error: tuple[Fraction, ...]
     worst_assignment: PerturbationModel
     exhaustive: bool
+    exact: tuple[bool, ...]
 
     def max_error(self) -> Fraction:
         return max(self.per_state_max_error)
@@ -73,18 +75,22 @@ class ErrorReport:
             "per_state_max_error": [format_rational(e) for e in self.per_state_max_error],
             "worst_assignment": {pid: format_rational(e)
                                  for pid, e in sorted(self.worst_assignment.assignments.items())},
-            "exhaustive": self.exhaustive,
+            "exhaustive": self.exhaustive,   # then every state is exact
+            **({} if self.exhaustive else {"exact": list(self.exact)}),
         }
 
 
 @dataclass
 class BoundVerdict:
+    """``passed`` means proven: a state over its bound is failing where its
+    error is exact and undecided where it is only an upper bound."""
     family: str
     base: int
     bound_boundary: Fraction
     bound_interior: Fraction
     passed: bool
     failing_states: tuple[int, ...]
+    undecided_states: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -93,6 +99,7 @@ class BoundVerdict:
             "bound_interior": format_rational(self.bound_interior),
             "bounds_hold": self.passed,
             "failing_states": list(self.failing_states),
+            "undecided_states": list(self.undecided_states),
         }
 
 
@@ -145,17 +152,15 @@ def _perturbed_tail(dist: Distribution, error: Fraction, den: int) -> tuple[int,
 
 
 def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
-                     mode: str = "corners", trials: int = 200,
-                     corner_cap: int = DEFAULT_CORNER_CAP,
-                     seed: int = 0,
+                     mode: str = "corners", corner_cap: int = DEFAULT_CORNER_CAP,
                      assignment: Optional[Assignment] = None,
                      graph_cap: int = DEFAULT_GRAPH_CAP) -> ErrorReport:
-    """Largest per-state deviation over the error box, exactly or sampled.
+    """Largest per-state deviation over the error box: searched exactly over
+    every corner, or bounded from the two uniform corners.
 
     ``assignment`` binds the circuit's inputs, as in ``evaluate``; an input
     carries no error, so in both modes it is the point of its bound state,
-    as a Det is. ``graph_cap`` is passed to every ``evaluate`` call, the
-    nominal one and each sampled one.
+    as a Det is. ``graph_cap`` is passed to every ``evaluate`` call.
 
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
     exact by multilinearity but capped at ``corner_cap`` switches. It folds
@@ -170,20 +175,22 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     alive at once. The worst corner is picked by whole-column passes that
     build no column and no per-corner tuple (see ``_worst_corner``), as
     integers over the root's denominator; the sign of the j-th of the m
-    ids at corner c is bit m - 1 - j of c, 1 meaning +eps.
-    ``sampled`` mode draws ``trials`` (at least 1) assignments from a
-    rational grid plus random corners, and evaluates each perturbed
-    circuit; its report is flagged non-exhaustive. In both modes the worst assignment is the first,
-    in the order tried, of largest deviation; corners are tried in
-    ``itertools.product`` order over the pswitch ids, first id slowest.
-    A negative ``corner_cap`` is a ``ValidationError`` in both modes.
+    ids at corner c is bit m - 1 - j of c, 1 meaning +eps. The worst
+    assignment is the first of largest deviation in ``itertools.product``
+    order over the pswitch ids, first id slowest; every state is exact.
+
+    ``interval`` mode has no cap and evaluates twice more, every pswitch at
+    -eps, then at +eps: these corners give each tail level its maximum and
+    minimum over the box (see ``_interval_bound``), so states 0 and N - 1
+    are exact and an interior state gets an upper bound, exact where one
+    corner reaches it. The worst assignment is the corner, -eps first, that
+    reaches the larger error. A negative ``corner_cap`` is a
+    ``ValidationError`` in both modes.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InvalidPerturbationError(f"epsilon must be >= 0, got {_show(epsilon)}")
     check_cap("corner_cap", corner_cap)
-    if mode == "sampled" and trials < 1:
-        raise ValidationError(f"sampled mode needs trials >= 1, got {trials}")
     ids = [sw.id for sw in circuit.pswitches()]
     nominal = evaluate(circuit, assignment, graph_cap)
     if mode == "corners":
@@ -191,38 +198,42 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
             raise CapacityError(
                 f"{len(ids)} pswitches need 2^{len(ids)} sign corners, corner cap is "
                 f"{corner_cap} pswitches; raise corner_cap (CLI --corner-cap) or "
-                f"use sampled mode (CLI --mode sampled)")
+                f"use interval mode (CLI --mode interval)")
         den, levels = _corner_outputs(circuit, epsilon, assignment or {})
         best, corner = _worst_corner(den, levels, _tail_numerators(*_to_tail(nominal, den)))
         last = len(ids) - 1
         worst = {pid: epsilon if corner >> (last - j) & 1 else -epsilon
                  for j, pid in enumerate(ids)}
-        exhaustive = True
-    elif mode == "sampled":
-        den = 1
-        candidates = list(_sampled_assignments(ids, epsilon, trials, seed))
-        outputs = (evaluate(perturb(circuit, PerturbationModel(epsilon, a)), assignment,
-                            graph_cap) for a in candidates)
-        errors = ([abs(a - b) for a, b in zip(out, nominal)] for out in outputs)
-        best, worst = _select(circuit.states, candidates, errors)
-        exhaustive = False
+        exact = (True,) * circuit.states
+    elif mode == "interval":
+        corners = [dict.fromkeys(ids, e) for e in (-epsilon, epsilon)]
+        high, low = (evaluate(perturb(circuit, PerturbationModel(epsilon, c)), assignment,
+                              graph_cap) for c in corners)
+        den, best, exact, low_wins = _interval_bound(nominal, high, low)
+        worst = corners[low_wins]
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     return ErrorReport(epsilon, nominal, tuple(Fraction(b, den) for b in best),
-                       PerturbationModel(epsilon, worst), exhaustive)
+                       PerturbationModel(epsilon, worst), mode == "corners", exact)
 
 
-def _select(states: int, candidates: Iterable, errors: Iterable[list]) -> tuple[list, object]:
-    """Per-state maxima of ``errors``, and the first candidate whose largest
-    error is the largest of all; both streams run in the same order."""
-    best = [0] * states
-    worst, worst_mag = None, -1
-    for candidate, errs in zip(candidates, errors):
-        best = list(map(max, best, errs))
-        mag = max(errs)
-        if mag > worst_mag:
-            worst, worst_mag = candidate, mag
-    return best, worst
+def _interval_bound(nominal: Distribution, high: Distribution,
+                    low: Distribution) -> tuple[int, list[int], tuple[bool, ...], bool]:
+    """``(D, bounds, exact, low_wins)`` over one denominator D, from the
+    outputs with every tail level at its maximum (``high``) and its minimum,
+    as a switch's levels fall with its error and a composition's rise with
+    its children's. With the shifts dT^hi = T^high - T and dT^lo = T^low - T,
+    0 at T_0 = D and T_N = 0, state j's error dT_j - dT_(j+1) is at most
+    max(dT_j^hi - dT_(j+1)^lo, dT_(j+1)^hi - dT_j^lo) in magnitude, exact
+    where a corner reaches it, as at states 0 and N - 1, where one shift is
+    0. ``low_wins``: the +eps corner reaches the larger error."""
+    den = math.lcm(nominal._den, high._den, low._den)
+    tail = _to_tail(nominal, den)[1]
+    up, down = ((0, *map(operator.sub, _to_tail(d, den)[1], tail), 0) for d in (high, low))
+    bounds = [max(up[j] - down[j + 1], up[j + 1] - down[j]) for j in range(len(tail) + 1)]
+    reached = [[abs(s[j] - s[j + 1]) for j in range(len(tail) + 1)] for s in (up, down)]
+    exact = tuple(b in pair for b, pair in zip(bounds, zip(*reached)))
+    return den, bounds, exact, max(reached[1]) > max(reached[0])
 
 
 def _worst_corner(den: int, levels: list[list[int]],
@@ -358,21 +369,6 @@ def _outer(columns: list[list[int]]) -> list[int]:
     return reduce(lambda left, right: [a * b for a in left for b in right], columns)
 
 
-def _sampled_assignments(ids: list[str], epsilon: Fraction, trials: int, seed: int):
-    rng = random.Random(seed)
-    grid = 8
-    if ids:
-        yield {pid: -epsilon for pid in ids}
-        yield {pid: epsilon for pid in ids}
-    else:
-        yield {}
-    for _ in range(trials):
-        if rng.random() < Fraction(1, 2):
-            yield {pid: rng.choice((-1, 1)) * epsilon for pid in ids}
-        else:
-            yield {pid: Fraction(rng.randint(-grid, grid), grid) * epsilon for pid in ids}
-
-
 def check_bounds(report: ErrorReport, family: str, q: int = 2) -> BoundVerdict:
     """Verdict on the linear error bounds for the given circuit family.
 
@@ -388,7 +384,8 @@ def check_bounds(report: ErrorReport, family: str, q: int = 2) -> BoundVerdict:
         raise ValidationError(f"denominator family needs q >= 2, got {q}")
     boundary, interior = q * report.epsilon, (q + 1) * report.epsilon
     n = len(report.per_state_max_error)
-    failing = tuple(
-        i for i, err in enumerate(report.per_state_max_error)
-        if err > (boundary if i in (0, n - 1) else interior))
-    return BoundVerdict(family, q, boundary, interior, not failing, failing)
+    over = [i for i, err in enumerate(report.per_state_max_error)
+            if err > (boundary if i in (0, n - 1) else interior)]
+    return BoundVerdict(family, q, boundary, interior, not over,
+                        tuple(i for i in over if report.exact[i]),
+                        tuple(i for i in over if not report.exact[i]))

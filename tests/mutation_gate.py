@@ -46,6 +46,7 @@ TAIL_TESTS = "tests/test_circuits.py::TestIntegerTails"
 GRAPH_TESTS = "tests/test_circuits.py::TestGraph"
 ORACLE_TESTS = "tests/test_circuits.py::TestOracleDenominators"
 INPUT_CORNER_TESTS = "tests/test_robustness.py::TestInputs"
+INTERVAL_TEST = "tests/test_robustness.py::TestInterval::test_matches_corner_search"
 CANONICAL_TESTS = "tests/test_circuits.py::TestCanonicalTail"
 DISTRIBUTION_TESTS = "tests/test_circuits.py::TestDistribution"
 LATTICE = "relaycircuits/lattice.py"
@@ -154,6 +155,16 @@ ROWS = (
      "else _input_value(el, states, assignment)",
      "else _input_value(el, states, {})",
      INPUT_CORNER_TESTS),
+    # interval mode: the +eps corner is evaluated at -eps
+    (ROBUSTNESS,
+     "for e in (-epsilon, epsilon)]",
+     "for e in (-epsilon, -epsilon)]",
+     INTERVAL_TEST),
+    # interval bound: dT_j^hi is paired with dT_j^lo instead of dT_(j+1)^lo
+    (ROBUSTNESS,
+     "max(up[j] - down[j + 1],",
+     "max(up[j] - down[j],",
+     INTERVAL_TEST),
     # frontier DP: a done terminal alone in its block is carried, not dropped
     (FRONTIER,
      "(s_done and labels.count(labels[0]) == 1)",

@@ -21,7 +21,7 @@ from relaycircuits import (
 )
 from relaycircuits import cli, netlist
 from relaycircuits.cli import EXIT_CAPACITY, run
-from conftest import random_graph_node, random_sp_circuit
+from conftest import deep_binary_circuit, random_graph_node, random_sp_circuit
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
 HALF3 = Distribution([F(1, 2), 0, F(1, 2)])
@@ -134,14 +134,14 @@ UPG = ["upg", "--states", "2", "--bits", "2", "--construction", "reduced_sp"]
 
 @pytest.mark.parametrize("command, flag, name", [
     (["robustness", "--epsilon", "1/100"], "--corner-cap", "corner_cap"),
-    (["robustness", "--epsilon", "1/100", "--mode", "sampled"], "--corner-cap", "corner_cap"),
+    (["robustness", "--epsilon", "1/100", "--mode", "interval"], "--corner-cap", "corner_cap"),
     (["oracle-eval"], "--max-outcomes", "max_outcomes"),
     (["lattice-search"], "--max-explored", "max_explored"),
     (["lattice-search"], "--max-elements", "max_elements"),
     (UPG, "--graph-cap", "graph_cap"),
     (UPG + ["--target", "1/4,3/4"], "--graph-cap", "graph_cap"),
     (["robustness", "--epsilon", "1/100"], "--graph-cap", "graph_cap"),
-], ids=["robustness-corners", "robustness-sampled", "oracle-eval", "lattice-max-explored",
+], ids=["robustness-corners", "robustness-interval", "oracle-eval", "lattice-max-explored",
         "lattice-max-elements", "upg", "upg-target", "robustness-graph-cap"])
 def test_a_negative_cap_exits_2(capsys, three_state_path, diamond_files, command, flag, name):
     if command[0] == "lattice-search":
@@ -187,7 +187,10 @@ def test_oracle_eval_max_outcomes_exit_code(capsys, tmp_path):
     ["eval", "--netlist", "n.json", "--max-outcomes", "4"],
     ["oracle-eval", "--netlist", "n.json", "--graph-cap", "4"],
     ["robustness", "--netlist", "n.json", "--epsilon", "1/100", "--mode", "sample"],
-], ids=["eval-max-outcomes", "oracle-eval-graph-cap", "robustness-mode-sample"])
+    ["robustness", "--netlist", "n.json", "--epsilon", "1/100", "--trials", "40"],
+    ["robustness", "--netlist", "n.json", "--epsilon", "1/100", "--seed", "11"],
+], ids=["eval-max-outcomes", "oracle-eval-graph-cap", "robustness-mode-sample",
+        "robustness-trials", "robustness-seed"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -274,15 +277,6 @@ def test_robustness(capsys, three_state_path):
     assert all("/" in e or e == "0" for e in doc["per_state_max_error"])
 
 
-def test_robustness_sampled_seeded(capsys, three_state_path):
-    args = ["robustness", "--netlist", three_state_path, "--epsilon", "1/100",
-            "--mode", "sampled", "--trials", "40", "--seed", "11"]
-    run(args)
-    first = capsys.readouterr().out
-    run(args)
-    assert capsys.readouterr().out == first
-
-
 def test_robustness_corner_cap(capsys, tmp_path):
     """17 pswitches pass the default cap of 16 only with a raised --corner-cap."""
     ids = IdGen()
@@ -299,22 +293,46 @@ def test_robustness_corner_cap(capsys, tmp_path):
     assert run(args) == EXIT_CAPACITY
     err = capsys.readouterr().err
     assert err == ("error: 17 pswitches need 2^17 sign corners, corner cap is 16 "
-                   "pswitches; raise corner_cap (CLI --corner-cap) or use sampled "
-                   "mode (CLI --mode sampled)\n")
+                   "pswitches; raise corner_cap (CLI --corner-cap) or use interval "
+                   "mode (CLI --mode interval)\n")
     code, doc = run_json(capsys, args + ["--corner-cap", "17"])
     assert code == 0 and doc["exhaustive"] is True
     assert len(doc["worst_assignment"]) == 17
 
 
+def test_robustness_past_the_corner_cap(capsys, tmp_path):
+    """A 41-pswitch binary synthesis is refused by corner search, which
+    names interval mode, and proven within its bounds by interval mode."""
+    circuit = deep_binary_circuit(21)
+    assert len(circuit.pswitches()) == 41
+    path = tmp_path / "deep.json"
+    netlist.save(circuit, path)
+    args = ["robustness", "--netlist", str(path), "--epsilon", "1/100", "--family", "binary"]
+    assert run(args) == EXIT_CAPACITY
+    assert "use interval mode (CLI --mode interval)" in capsys.readouterr().err
+    code, doc = run_json(capsys, args + ["--mode", "interval"])
+    assert code == 0 and doc["exhaustive"] is False
+    assert doc["exact"][0] is True and doc["exact"][-1] is True and len(doc["exact"]) == 3
+    assert doc["bounds_hold"] is True and doc["undecided_states"] == []
+    assert doc["nominal"] == ["1/2097152", "1048575/1048576", "1/2097152"]
+
+
+def test_robustness_help_lists_two_modes(capsys):
+    with pytest.raises(SystemExit):
+        run(["robustness", "--help"])
+    out = capsys.readouterr().out
+    assert "--mode {corners,interval}" in out
+    assert "--trials" not in out and "--seed" not in out
+
+
 def test_robustness_graph_cap(capsys, tmp_path):
     """21 parallel s-t pswitch edges pass the default graph cap of 20 only
-    with a raised --graph-cap, which reaches the sampled evaluations too."""
+    with a raised --graph-cap, which reaches the perturbed evaluations too."""
     ids = IdGen()
     edges = tuple(Edge("s", "t", pswitch(HALF2, ids())) for _ in range(21))
     path = tmp_path / "wide.json"
     netlist.save(Circuit(2, Graph("s", "t", edges)), path)
-    argv = ["robustness", "--netlist", str(path), "--epsilon", "1/100",
-            "--mode", "sampled", "--trials", "2"]
+    argv = ["robustness", "--netlist", str(path), "--epsilon", "1/100", "--mode", "interval"]
     assert run(argv) == EXIT_CAPACITY
     assert capsys.readouterr().err.endswith("raise graph_cap (CLI --graph-cap)\n")
     code, doc = run_json(capsys, argv + ["--graph-cap", "30"])
@@ -324,7 +342,7 @@ def test_robustness_graph_cap(capsys, tmp_path):
 
 def test_robustness_of_a_upg_row(capsys, tmp_path):
     """``robustness --assign`` binds a UPG's inputs as ``eval --assign`` does:
-    the same nominal, and corners mode bounds sampled mode."""
+    the same nominal, and interval mode bounds corners mode."""
     assert run(["upg", "--states", "3", "--bits", "2", "--construction", "reduced_sp"]) == 0
     path = tmp_path / "upg.json"
     path.write_text(capsys.readouterr().out)
@@ -339,10 +357,9 @@ def test_robustness_of_a_upg_row(capsys, tmp_path):
         assert code == 0 and nominal == target.split(",")
         code, corners = run_json(capsys, robustness + assign)
         assert code == 0 and corners["nominal"] == nominal and corners["exhaustive"]
-        code, sampled = run_json(capsys, robustness + assign + ["--mode", "sampled",
-                                                                "--trials", "40"])
-        assert code == 0 and sampled["nominal"] == nominal
-        assert all(F(s) <= F(c) for s, c in zip(sampled["per_state_max_error"],
+        code, interval = run_json(capsys, robustness + assign + ["--mode", "interval"])
+        assert code == 0 and interval["nominal"] == nominal
+        assert all(F(s) >= F(c) for s, c in zip(interval["per_state_max_error"],
                                                 corners["per_state_max_error"]))
 
 
@@ -772,13 +789,6 @@ def test_malformed_netlist_fields_exit_2(capsys, tmp_path, command, old, new, fi
         path.write_text(WELL_FORMED)
         assign = ["--assign", "r=1"] if "eval" in command else []
         assert run([command, "--netlist", str(path), *assign]) == 0
-
-
-@pytest.mark.parametrize("trials", ["0", "-5"])
-def test_robustness_sampled_refuses_fewer_than_one_trial(capsys, three_state_path, trials):
-    assert run(["robustness", "--netlist", three_state_path, "--epsilon", "1/100",
-                "--mode", "sampled", "--trials", trials]) == 2
-    assert f"trials >= 1, got {trials}" in capsys.readouterr().err
 
 
 # One value of each JSON type, some at its edges: json.dumps writes the

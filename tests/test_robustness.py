@@ -16,12 +16,12 @@ from relaycircuits import (
     InvalidPerturbationError, Leaf, MissingAssignmentError, Parallel,
     PerturbationModel, Pswitch, UpgSpec, ValidationError, build_upg, check_bounds,
     det, encode_input, evaluate, parallel, perturb, perturb_dist, pswitch, series,
-    synth_binary_nstate, denominator_reduction, worst_case_error,
+    synth_binary_nstate, composite_synthesis, denominator_reduction, worst_case_error,
 )
 from relaycircuits.circuits import _input_value, _rebuild
 from conftest import (
-    corner_table_reference, grid_graph, map_pswitches, perturb_dist_reference,
-    random_graph_node, random_sp_circuit,
+    corner_table_reference, deep_binary_circuit, grid_graph, map_pswitches,
+    perturb_dist_reference, random_graph_node, random_sp_circuit,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -220,12 +220,12 @@ class TestWorstCase:
     def test_corner_cap(self):
         ids = IdGen()
         c = Circuit(2, series(*[pswitch(HALF2, ids()) for _ in range(5)]))
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="use interval mode"):
             worst_case_error(c, EPS, corner_cap=4)
-        report = worst_case_error(c, EPS, mode="sampled", trials=20, corner_cap=4)
-        assert not report.exhaustive
+        report = worst_case_error(c, EPS, mode="interval", corner_cap=4)
+        assert not report.exhaustive and report.exact == (True, True)
 
-    @pytest.mark.parametrize("mode", ["corners", "sampled"])
+    @pytest.mark.parametrize("mode", ["corners", "interval"])
     def test_negative_corner_cap_is_a_validation_error(self, mode):
         c = Circuit(2, pswitch(HALF2, "a"))
         with pytest.raises(ValidationError, match="^corner_cap must be >= 0, got -1$"):
@@ -234,14 +234,14 @@ class TestWorstCase:
 
     def test_graph_cap_reaches_every_evaluation(self, monkeypatch):
         """Three parallel pswitch edges: ``graph_cap=2`` refuses them in both
-        modes, and ``graph_cap=3`` reaches the nominal and each sampled
-        ``evaluate`` call."""
+        modes, and ``graph_cap=3`` reaches the nominal and both perturbed
+        ``evaluate`` calls of interval mode."""
         ids = IdGen()
         c = Circuit(2, Graph("s", "t", tuple(Edge("s", "t", pswitch(HALF2, ids()))
                                              for _ in range(3))))
-        for mode in ("corners", "sampled"):
+        for mode in ("corners", "interval"):
             with pytest.raises(CapacityError, match="graph has 3 edges .*cap is 2;"):
-                worst_case_error(c, EPS, mode=mode, trials=2, graph_cap=2)
+                worst_case_error(c, EPS, mode=mode, graph_cap=2)
         caps, real = [], robustness_module.evaluate
 
         def spy(circuit, assignment=None, graph_cap=None):
@@ -249,30 +249,19 @@ class TestWorstCase:
             return real(circuit, assignment, graph_cap)
 
         monkeypatch.setattr(robustness_module, "evaluate", spy)
-        report = worst_case_error(c, EPS, mode="sampled", trials=3, graph_cap=3)
-        assert len(caps) > 1 and set(caps) == {3} and not report.exhaustive
+        report = worst_case_error(c, EPS, mode="interval", graph_cap=3)
+        assert len(caps) == 3 and set(caps) == {3} and not report.exhaustive
 
-    @pytest.mark.parametrize("trials", [0, -5])
-    def test_sampled_needs_a_trial(self, trials):
-        c = Circuit(2, parallel(pswitch(HALF2, "a"), pswitch(HALF2, "b")))
-        with pytest.raises(ValidationError, match=f"trials >= 1, got {trials}"):
-            worst_case_error(c, EPS, mode="sampled", trials=trials)
-        assert worst_case_error(c, EPS, mode="sampled", trials=1).max_error() <= EPS + EPS * EPS
-
-    def test_sampled_never_exceeds_corners(self):
-        """Multilinearity: interior grid points stay below the corner max."""
+    def test_interval_never_below_corners(self):
+        """The two uniform corners bound every corner: equal to corner
+        search at states 0 and N-1, at least as large inside."""
         target = Distribution([F(5, 8), F(1, 4), F(1, 8)])
         c = synth_binary_nstate(target).circuit
         corners = worst_case_error(c, EPS, mode="corners")
-        sampled = worst_case_error(c, EPS, mode="sampled", trials=300, seed=7)
-        for s, c_ in zip(sampled.per_state_max_error, corners.per_state_max_error):
-            assert s <= c_
-
-    def test_sampled_deterministic_under_seed(self):
-        c = synth_binary_nstate(Distribution([F(5, 8), F(3, 8)])).circuit
-        a = worst_case_error(c, EPS, mode="sampled", trials=50, seed=3)
-        b = worst_case_error(c, EPS, mode="sampled", trials=50, seed=3)
-        assert a.per_state_max_error == b.per_state_max_error
+        interval = worst_case_error(c, EPS, mode="interval")
+        bounds, exact = interval.per_state_max_error, corners.per_state_max_error
+        assert all(b >= e for b, e in zip(bounds, exact))
+        assert (bounds[0], bounds[-1]) == (exact[0], exact[-1])
 
     def test_states_tied_at_the_maximum_report_the_first_corner(self):
         # states 1 and 2 both reach 297/4096: state 1 first at corner 6
@@ -375,10 +364,9 @@ class TestInputs:
         circuit = build_upg(UpgSpec(3, 2, "reduced_sp"))
         assignment = encode_input(target, 2).assignment()
         corners = worst_case_error(circuit, EPS, assignment=assignment)
-        sampled = worst_case_error(circuit, EPS, mode="sampled", trials=60,
-                                   assignment=assignment)
-        assert corners.nominal == sampled.nominal == evaluate(circuit, assignment) == target
-        assert all(s <= c for s, c in zip(sampled.per_state_max_error,
+        interval = worst_case_error(circuit, EPS, mode="interval", assignment=assignment)
+        assert corners.nominal == interval.nominal == evaluate(circuit, assignment) == target
+        assert all(s >= c for s, c in zip(interval.per_state_max_error,
                                           corners.per_state_max_error))
         assert ((corners.nominal, corners.per_state_max_error,
                  corners.worst_assignment.assignments)
@@ -400,13 +388,12 @@ class TestInputs:
                      report.worst_assignment.assignments) == corner_reference(fixed, EPS))
             assert ((report.per_state_max_error, report.worst_assignment.assignments)
                     == corner_table_reference(fixed, EPS))
-            sampled = worst_case_error(circuit, EPS, mode="sampled", trials=10,
-                                       assignment=assignment)
-            assert sampled.per_state_max_error == worst_case_error(
-                fixed, EPS, mode="sampled", trials=10).per_state_max_error
+            interval = worst_case_error(circuit, EPS, mode="interval", assignment=assignment)
+            assert interval.per_state_max_error == worst_case_error(
+                fixed, EPS, mode="interval").per_state_max_error
             checked += 1
 
-    @pytest.mark.parametrize("mode", ["corners", "sampled"])
+    @pytest.mark.parametrize("mode", ["corners", "interval"])
     def test_an_unbound_input_is_refused(self, mode):
         circuit = build_upg(UpgSpec(3, 2, "reduced_sp"))
         with pytest.raises(MissingAssignmentError, match="^input 'r0' is unbound$"):
@@ -529,6 +516,114 @@ class TestWideCornerWalk:
         assert peak < 7 * 2 ** 20
 
 
+def interval_circuits(count):
+    """``(circuit, assignment, epsilon)``: sp circuits and nested graphs
+    with inputs, N from 2 to 5, at most 12 two-point pswitches, epsilon
+    1/16, 1/32 or 1/64."""
+    rng = random.Random(20261022)
+    out = []
+    while len(out) < count:
+        states = rng.randint(2, 5)
+        if len(out) % 2:
+            root = random_graph_node(rng, states, IdGen())
+        else:
+            root = random_sp_circuit(rng, states, 12, max_support_product=5 ** 12).root
+        circuit = Circuit(states, two_point(root, rng, states, keep_inputs=True))
+        if len(circuit.pswitches()) <= 12:
+            assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
+            out.append((circuit, assignment, rng.choice((F(1, 16), F(1, 32), F(1, 64)))))
+    return out
+
+
+def composite_circuit(rounds):
+    """The composite synthesis of (t, 1 - 2t, t) with t = 1/6^rounds."""
+    t = F(1, 6 ** rounds)
+    return composite_synthesis(Distribution([t, 1 - 2 * t, t])).circuit
+
+
+class TestInterval:
+    """Interval mode bounds each state from the two uniform corners, with
+    no cap: exact at states 0 and N-1, an upper bound inside."""
+
+    def test_matches_corner_search(self):
+        """Against corner search and the row-major corner table: equal at
+        states 0 and N-1, at least as large inside, and flagged exact
+        exactly where equal; the worst assignment is a uniform corner."""
+        above = 0
+        circuits = interval_circuits(300)
+        for circuit, assignment, epsilon in circuits:
+            interval = worst_case_error(circuit, epsilon, mode="interval",
+                                        assignment=assignment)
+            corners = worst_case_error(circuit, epsilon, assignment=assignment)
+            reference = corner_table_reference(bound_inputs(circuit, assignment), epsilon)
+            assert reference == (corners.per_state_max_error,
+                                 corners.worst_assignment.assignments)
+            bounds, exact = interval.per_state_max_error, reference[0]
+            assert interval.nominal == corners.nominal
+            assert (bounds[0], bounds[-1]) == (exact[0], exact[-1])
+            assert all(b >= e for b, e in zip(bounds, exact))
+            assert interval.exact == tuple(b == e for b, e in zip(bounds, exact))
+            assert len(set(interval.worst_assignment.assignments.values())) <= 1
+            above += sum(b > e for b, e in zip(bounds, exact))
+        assert above > 50
+        assert sum(isinstance(c.root, Graph) for c, _, _ in circuits) == 150
+        assert sum(bool(c.input_names()) for c, _, _ in circuits) > 50
+        assert {c.states for c, _, _ in circuits} == {2, 3, 4, 5}
+        assert max(len(c.pswitches()) for c, _, _ in circuits) == 12
+
+    def test_a_200_round_binary_synthesis(self):
+        """399 pswitches, far past the corner cap: the bounds are proven."""
+        circuit = deep_binary_circuit(200)
+        assert len(circuit.pswitches()) == 399
+        with pytest.raises(CapacityError, match=re.escape("(CLI --mode interval)")):
+            worst_case_error(circuit, EPS)
+        report = worst_case_error(circuit, EPS, mode="interval")
+        verdict = check_bounds(report, "binary")
+        assert verdict.passed and verdict.undecided_states == ()
+        assert report.exact[0] and report.exact[-1] and not report.exhaustive
+
+    def test_a_100_round_composite_synthesis(self):
+        circuit = composite_circuit(100)
+        assert len(circuit.pswitches()) == 499
+        report = worst_case_error(circuit, EPS, mode="interval")
+        verdict = check_bounds(report, "binary")
+        assert verdict.passed and verdict.undecided_states == ()
+        assert report.nominal == evaluate(circuit)
+
+    @pytest.mark.parametrize("states, max_bits", [(3, 5), (4, 4)])
+    def test_every_small_binary_synthesis(self, states, max_bits):
+        """Every target over 2^n, n from 1 to ``max_bits``: 780 for N=3 and
+        1,179 for N=4, each proven within 2*eps and 3*eps."""
+        checked = 0
+        for bits in range(1, max_bits + 1):
+            for cuts in itertools.combinations_with_replacement(range(2 ** bits + 1), states - 1):
+                xs = [b - a for a, b in zip((0, *cuts), (*cuts, 2 ** bits))]
+                target = Distribution([F(x, 2 ** bits) for x in xs])
+                report = worst_case_error(synth_binary_nstate(target).circuit, EPS,
+                                          mode="interval")
+                verdict = check_bounds(report, "binary")
+                assert verdict.passed and verdict.undecided_states == (), target
+                checked += 1
+        assert checked == {3: 780, 4: 1179}[states]
+
+    def test_invalid_corner_raises(self):
+        # +1/4 drives the first switch's low state to 9/8, as in corners mode
+        c = Circuit(2, series(pswitch([F(7, 8), F(1, 8)], "a"), pswitch(HALF2, "b")))
+        with pytest.raises(InvalidPerturbationError) as interval:
+            worst_case_error(c, F(1, 4), mode="interval")
+        with pytest.raises(InvalidPerturbationError) as corners:
+            worst_case_error(c, F(1, 4))
+        assert str(interval.value) == str(corners.value)
+
+    def test_json_flags_the_exact_states(self):
+        circuit = synth_binary_nstate(Distribution([F(5, 8), F(1, 4), F(1, 8)])).circuit
+        corners = worst_case_error(circuit, EPS).to_json()
+        interval = worst_case_error(circuit, EPS, mode="interval").to_json()
+        assert "exact" not in corners and corners["exhaustive"] is True
+        assert interval["exhaustive"] is False
+        assert len(interval["exact"]) == 3 and interval["exact"][::2] == [True, True]
+
+
 class TestCheckBounds:
     def test_binary_family(self):
         target = Distribution([F(5, 8), F(1, 4), F(1, 8)])
@@ -562,7 +657,22 @@ class TestCheckBounds:
         report.per_state_max_error = (F(5, 100), F(5, 100))
         verdict = check_bounds(report, "binary")
         assert not verdict.passed
-        assert verdict.failing_states == (0, 1)
+        assert verdict.failing_states == (0, 1) and verdict.undecided_states == ()
+
+    def test_an_upper_bound_over_the_limit_is_undecided(self):
+        """An interior bound past (q+1)*eps proves nothing: undecided, not
+        failing, unless it is exact; the verdict does not pass."""
+        c = synth_binary_nstate(Distribution([F(5, 8), F(1, 4), F(1, 8)])).circuit
+        report = worst_case_error(c, EPS, mode="interval")
+        assert check_bounds(report, "binary").passed
+        report.per_state_max_error = (F(5, 100), F(5, 100), F(1, 100))
+        report.exact = (True, False, True)
+        verdict = check_bounds(report, "binary")
+        assert not verdict.passed
+        assert (verdict.failing_states, verdict.undecided_states) == ((0,), (1,))
+        assert verdict.to_json()["undecided_states"] == [1]
+        report.exact = (True, True, True)
+        assert check_bounds(report, "binary").failing_states == (0, 1)
 
     def test_bounds_not_vacuous(self):
         """Some binary circuit pushes a boundary state past one epsilon."""
