@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import reprlib
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -94,8 +93,7 @@ class Distribution:
         """The entries as plain reduced ``Fraction``s, built on first read."""
         ps = self._probs
         if ps is None:
-            ps = tuple([Fraction(n, self._den) if n else ZERO
-                        for n in _tail_numerators(self._den, self._tail)])
+            ps = _tail_fractions(self._den, self._tail)
             _SET_PROBS(self, ps)
         return ps
 
@@ -156,16 +154,8 @@ class Distribution:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # hash(self.probs), as d == d.probs, from the entries' integer hashes
-        # as Fraction.__hash__ takes them, with no Fraction built: n/D' is
-        # n * D'^-1 mod P over the reduced D', or inf where P divides D'. With
-        # P^a the power of P in D, that is n/P^a * (D/P^a)^-1 where P^a divides n
-        den, p, power = self._den, sys.hash_info.modulus, 1
-        while den % (power * p) == 0:
-            power *= p
-        inv = pow(den // power, -1, p)
-        return hash(tuple([n // power * inv % p if n % power == 0 else sys.hash_info.inf
-                           for n in _tail_numerators(den, self._tail)]))
+        # hash(self.probs), as d == d.probs, but an unread d stays unread
+        return hash(self._probs or _tail_fractions(self._den, self._tail))
 
     def __repr__(self) -> str:
         return "Distribution(%s)" % ", ".join(map(_printable, self.probs))
@@ -530,11 +520,10 @@ class Plan:
 def _resolver_factory(source: str) -> Callable:
     """The ``make`` function that ``source`` defines, compiled once per
     source; plans of one shape share its code and bind their own constants.
-    Fresh plans of one shape come from each newly built graph circuit and
-    from ``perturb``, which rebuilds every node, so each of interval
-    robustness's two perturbed copies brings new plans for the circuit's
-    fixed graph labels: compiling per plan made such traffic about twice
-    as slow as the interpreted resolver, and this cache brings it near."""
+    ``perturb`` rebuilds every node, so each of interval robustness's two
+    perturbed copies brings new plans for the circuit's fixed graph labels,
+    as does each freshly built graph circuit: compiling per plan made both
+    about twice as slow as the interpreted resolver; this cache undoes that."""
     namespace: dict = {}
     exec(compile(source, "<resolver>", "exec"), namespace)
     return namespace["make"]
@@ -887,6 +876,11 @@ def _from_tail(den: int, tail: tuple[int, ...]) -> Distribution:
             return out
     # out of order, a last level below 0 or den <= 0: this raises
     _check_simplex(den, _tail_numerators(den, tail), "state {}".format, ValidationError)
+
+
+def _tail_fractions(den: int, tail: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Per-state probabilities as plain reduced ``Fraction``s, ``ZERO`` for 0."""
+    return tuple([Fraction(n, den) if n else ZERO for n in _tail_numerators(den, tail)])
 
 
 def _tail_numerators(den: int, tail: tuple[int, ...]) -> tuple[int, ...]:

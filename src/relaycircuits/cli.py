@@ -116,8 +116,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    report = worst_case_error(netlist.load(args.netlist), parse_rational(args.epsilon),
-                              mode=args.mode, corner_cap=args.corner_cap,
+    circuit = netlist.load(args.netlist)
+    epsilon = parse_rational(args.epsilon)
+    report = worst_case_error(circuit, epsilon, mode=args.mode, corner_cap=args.corner_cap,
                               assignment=_parse_assignment(args.assign),
                               graph_cap=args.graph_cap)
     payload = report.to_json()
@@ -224,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--netlist", required=True)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--mode", choices=["corners", "interval"], default="corners")
-    p.add_argument("--corner-cap", type=int, default=DEFAULT_CORNER_CAP,
-                   help="corners mode: cap on the pswitch count m; it tries 2^m corners")
+    p.add_argument("--corner-cap", type=int, default=None,
+                   help=f"corners mode only: pswitch count cap, {DEFAULT_CORNER_CAP} by default")
     p.add_argument("--assign", default="", help=ASSIGN_HELP)
     p.add_argument("--graph-cap", type=int, default=DEFAULT_GRAPH_CAP, help=GRAPH_CAP_HELP)
     p.add_argument("--family", default=None,

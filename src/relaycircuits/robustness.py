@@ -75,8 +75,8 @@ class ErrorReport:
             "per_state_max_error": [format_rational(e) for e in self.per_state_max_error],
             "worst_assignment": {pid: format_rational(e)
                                  for pid, e in sorted(self.worst_assignment.assignments.items())},
-            "exhaustive": self.exhaustive,   # then every state is exact
-            **({} if self.exhaustive else {"exact": list(self.exact)}),
+            "exhaustive": self.exhaustive,
+            "exact": list(self.exact),
         }
 
 
@@ -152,7 +152,7 @@ def _perturbed_tail(dist: Distribution, error: Fraction, den: int) -> tuple[int,
 
 
 def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
-                     mode: str = "corners", corner_cap: int = DEFAULT_CORNER_CAP,
+                     mode: str = "corners", corner_cap: Optional[int] = None,
                      assignment: Optional[Assignment] = None,
                      graph_cap: int = DEFAULT_GRAPH_CAP) -> ErrorReport:
     """Largest per-state deviation over the error box: searched exactly over
@@ -163,7 +163,8 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     as a Det is. ``graph_cap`` is passed to every ``evaluate`` call.
 
     ``corners`` mode evaluates all sign patterns in {-eps, +eps}^m, which is
-    exact by multilinearity but capped at ``corner_cap`` switches. It folds
+    exact by multilinearity but capped at ``corner_cap`` switches
+    (``DEFAULT_CORNER_CAP`` where it is None). It folds
     the circuit's plan once, bottom up, on integer tails (see
     ``_corner_table``), with no recursion: every node yields, for each level
     k, one column holding its ``T_k`` at every sign corner of the
@@ -184,12 +185,15 @@ def worst_case_error(circuit: Circuit, epsilon: Union[Fraction, str, int],
     minimum over the box (see ``_interval_bound``), so states 0 and N - 1
     are exact and an interior state gets an upper bound, exact where one
     corner reaches it. The worst assignment is the corner, -eps first, that
-    reaches the larger error. A negative ``corner_cap`` is a
-    ``ValidationError`` in both modes.
+    reaches the larger error. As it reads no cap, a ``corner_cap`` given
+    with it is a ``ValidationError``, as is a negative one in corners mode.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InvalidPerturbationError(f"epsilon must be >= 0, got {_show(epsilon)}")
+    if mode == "interval" and corner_cap is not None:
+        raise ValidationError("corner_cap (CLI --corner-cap) is read only in corners mode")
+    corner_cap = DEFAULT_CORNER_CAP if corner_cap is None else corner_cap
     check_cap("corner_cap", corner_cap)
     ids = [sw.id for sw in circuit.pswitches()]
     nominal = evaluate(circuit, assignment, graph_cap)

@@ -6,7 +6,6 @@ import json
 import math
 import pickle
 import re
-import sys
 import tracemalloc
 import weakref
 from fractions import Fraction as F
@@ -473,29 +472,6 @@ class TestCanonicalTail:
         for d in dists:
             d.probs
         assert hash(node) == hashed
-
-    def test_hash_is_the_hash_of_the_entries(self, monkeypatch):
-        """``hash(d) == hash(d.probs)`` from the entries' integer hashes, on
-        unread and read distributions, with D prime to the hash modulus P,
-        divisible by P, or by P^2, where an entry's reduced denominator may
-        keep P (its hash is inf) or lose it; no ``Fraction`` is built."""
-        p = sys.hash_info.modulus
-        cases = [(F(1, p), F(p - 1, p)), (F(1, 2 * p), F(1, 2), F(p - 1, 2 * p)),
-                 (F(2, p * p), F(1, p), F(p * p - p - 2, p * p)), (F(1, 3), 0, F(2, 3)),
-                 (1, 0, 0, 0), (F(5, 8), F(1, 4), F(1, 8)), (F(1, 2 ** 200), 1 - F(1, 2 ** 200))]
-        read = [Distribution(probs) for probs in cases]
-        unread = [_from_tail(d._den, d._tail) for d in read]
-        expected = [hash(tuple(F(x) for x in probs)) for probs in cases]
-        assert {hash(F(1, p)), hash(F(1, 2 * p))} == {sys.hash_info.inf}
-
-        def refuse(*_):
-            raise AssertionError("hashing built a Fraction")
-
-        monkeypatch.setattr(circuits_module, "Fraction", refuse)
-        assert [hash(d) for d in unread] == [hash(d) for d in read] == expected
-        assert all(d._probs is None for d in unread)
-        monkeypatch.undo()
-        assert [hash(d.probs) for d in unread] == expected
 
     @given(data=st.data(), states=st.integers(2, 3))
     def test_equality_is_equality_of_the_integer_form(self, data, states):

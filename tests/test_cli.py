@@ -134,14 +134,13 @@ UPG = ["upg", "--states", "2", "--bits", "2", "--construction", "reduced_sp"]
 
 @pytest.mark.parametrize("command, flag, name", [
     (["robustness", "--epsilon", "1/100"], "--corner-cap", "corner_cap"),
-    (["robustness", "--epsilon", "1/100", "--mode", "interval"], "--corner-cap", "corner_cap"),
     (["oracle-eval"], "--max-outcomes", "max_outcomes"),
     (["lattice-search"], "--max-explored", "max_explored"),
     (["lattice-search"], "--max-elements", "max_elements"),
     (UPG, "--graph-cap", "graph_cap"),
     (UPG + ["--target", "1/4,3/4"], "--graph-cap", "graph_cap"),
     (["robustness", "--epsilon", "1/100"], "--graph-cap", "graph_cap"),
-], ids=["robustness-corners", "robustness-interval", "oracle-eval", "lattice-max-explored",
+], ids=["robustness-corners", "oracle-eval", "lattice-max-explored",
         "lattice-max-elements", "upg", "upg-target", "robustness-graph-cap"])
 def test_a_negative_cap_exits_2(capsys, three_state_path, diamond_files, command, flag, name):
     if command[0] == "lattice-search":
@@ -315,6 +314,16 @@ def test_robustness_past_the_corner_cap(capsys, tmp_path):
     assert doc["exact"][0] is True and doc["exact"][-1] is True and len(doc["exact"]) == 3
     assert doc["bounds_hold"] is True and doc["undecided_states"] == []
     assert doc["nominal"] == ["1/2097152", "1048575/1048576", "1/2097152"]
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "16"])
+def test_robustness_interval_refuses_a_corner_cap(capsys, three_state_path, cap):
+    """Interval mode reads no corner cap, so any --corner-cap is refused."""
+    argv = ["robustness", "--netlist", three_state_path, "--epsilon", "1/100"]
+    assert run(argv + ["--mode", "interval", "--corner-cap", cap]) == 2
+    assert capsys.readouterr().err == (
+        "error: corner_cap (CLI --corner-cap) is read only in corners mode\n")
+    assert run(argv + ["--mode", "interval"]) == 0
 
 
 def test_robustness_help_lists_two_modes(capsys):

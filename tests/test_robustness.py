@@ -222,15 +222,21 @@ class TestWorstCase:
         c = Circuit(2, series(*[pswitch(HALF2, ids()) for _ in range(5)]))
         with pytest.raises(CapacityError, match="use interval mode"):
             worst_case_error(c, EPS, corner_cap=4)
-        report = worst_case_error(c, EPS, mode="interval", corner_cap=4)
+        report = worst_case_error(c, EPS, mode="interval")
         assert not report.exhaustive and report.exact == (True, True)
 
-    @pytest.mark.parametrize("mode", ["corners", "interval"])
-    def test_negative_corner_cap_is_a_validation_error(self, mode):
+    @pytest.mark.parametrize("mode, refused, message, accepted", [
+        ("corners", [-1], r"must be >= 0, got -1", {"corner_cap": 0}),
+        ("interval", [-1, 0, 16], r"\(CLI --corner-cap\) is read only in corners mode", {}),
+    ], ids=["corners", "interval"])
+    def test_negative_corner_cap_is_a_validation_error(self, mode, refused, message, accepted):
+        """Corners mode refuses a negative cap and takes 0; interval mode
+        reads no cap, so it refuses every cap given to it."""
         c = Circuit(2, pswitch(HALF2, "a"))
-        with pytest.raises(ValidationError, match="^corner_cap must be >= 0, got -1$"):
-            worst_case_error(c, EPS, mode=mode, corner_cap=-1)
-        assert worst_case_error(Circuit(2, det(1)), EPS, mode=mode, corner_cap=0)
+        for cap in refused:
+            with pytest.raises(ValidationError, match=f"^corner_cap {message}$"):
+                worst_case_error(c, EPS, mode=mode, corner_cap=cap)
+        assert worst_case_error(Circuit(2, det(1)), EPS, mode=mode, **accepted)
 
     def test_graph_cap_reaches_every_evaluation(self, monkeypatch):
         """Three parallel pswitch edges: ``graph_cap=2`` refuses them in both
@@ -619,7 +625,7 @@ class TestInterval:
         circuit = synth_binary_nstate(Distribution([F(5, 8), F(1, 4), F(1, 8)])).circuit
         corners = worst_case_error(circuit, EPS).to_json()
         interval = worst_case_error(circuit, EPS, mode="interval").to_json()
-        assert "exact" not in corners and corners["exhaustive"] is True
+        assert corners["exact"] == [True] * 3 and corners["exhaustive"] is True
         assert interval["exhaustive"] is False
         assert len(interval["exact"]) == 3 and interval["exact"][::2] == [True, True]
 
