@@ -711,23 +711,33 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
              graph_cap: int = DEFAULT_GRAPH_CAP) -> Distribution:
     """Exact output distribution of a circuit.
 
-    The bind list of the circuit's cached plan (see :func:`_compile`) is
-    run in two passes, with no recursion, so any depth works. The first
-    fills the slots in slot order: a pswitch with its distribution, and a
-    Det, a bound input or a graph label without a pswitch (once
-    :func:`resolve`d) with the point distribution of its state, from
+    The bind list of the circuit's cached plan (see :func:`_compile`) is run
+    in two passes, with no recursion, so any depth works. The first fills
+    the slots in slot order: a pswitch with its distribution, and a Det, a
+    bound input or a graph label without a pswitch (once :func:`resolve`d)
+    with its state, a Det's or an input's taken as an ``int`` through
+    ``operator.index``, so a ``bool`` or ``IntEnum`` state is its int and a
+    ``float`` one a ``TypeError``. So inputs are read, and the first unbound
+    one raises, in slot order. The second runs the series, parallel and
+    graph steps outside those labels, in slot order. A series step folds its
+    state operands to one state c with ``min``, and its distribution
+    operands with ``compose_series``. The min of X and state N-1 is X, and
+    with state 0 it is 0, so c = N-1 gives the distribution, c = 0 or no
+    distribution operand gives the state c, and any other c gives
+    ``compose_series(dist, Distribution.point(c, N))``. A parallel step is
+    the mirror image, with ``max`` and ``compose_parallel``, 0 and N-1
+    swapped. A graph step takes its state operands as their points, and a
+    state at the root is returned as its point, from
     ``Distribution.point``'s cache, so only the points reached are built.
-    So inputs are read, and the first unbound one raises, in slot order.
-    The second runs the series, parallel and graph steps outside those
-    labels, in slot order: series/parallel steps compose their children's
-    distributions. Edge labels of a graph are independent (pswitch ids are
-    unique), and the graph's output is >= k exactly when s and t are
-    joined by edges whose label is >= k. So each level's P(X >= k) is a
-    two-terminal reliability, found by a frontier DP over the graph's
-    edges' kept integer tails (see :func:`frontier.levels`), in which the
-    edges that are certain or impossible at that level are contracted or
-    dropped and only the others branch; its transitions are memoized
-    across levels, graphs and calls.
+    Any other result may be an operand's own distribution (a pswitch's,
+    say), which is immutable.
+    Edge labels of a graph are independent (pswitch ids are unique), and the
+    graph's output is >= k exactly when s and t are joined by edges whose
+    label is >= k. So each level's P(X >= k) is a two-terminal reliability,
+    found by a frontier DP over the graph's edges' kept integer tails (see
+    :func:`frontier.levels`), in which the edges that are certain or
+    impossible at that level are contracted or dropped and only the others
+    branch; its transitions are memoized across levels, graphs and calls.
     ``graph_cap`` bounds, per graph, the number of edges whose label holds
     a pswitch, so that no edge of the DP holds more than 2^that states; if
     the widest graph has more, ``CapacityError`` is raised before any work.
@@ -740,27 +750,38 @@ def evaluate(circuit: Circuit, assignment: Optional[Assignment] = None,
         raise CapacityError(
             f"graph has {plan.widest} edges holding pswitches (up to 2^{plan.widest} "
             f"frontier states per edge), cap is {graph_cap}; raise graph_cap (CLI --graph-cap)")
-    point, vals = Distribution.point, [None] * len(plan.steps)
+    point, index, vals = Distribution.point, operator.index, [None] * len(plan.steps)
     for slot, kind, value in zip(*plan.fills):
         if kind is _INPUT:
-            value = point(_input_value(value, states, assignment), states)
+            value = index(_input_value(value, states, assignment))
         elif kind is _DET:
-            value = point(value, states)
+            value = index(value)
         elif kind is _LABEL:
-            value = point(resolve(value, states, assignment, {}), states)
+            value = resolve(value, states, assignment, {})
         vals[slot] = value
     for slot in plan.composites:
         step = plan.steps[slot]
         kind = step[0]
         if kind is _GRAPH:
             _, s, t, ends, kids = step
-            dens, tails = zip(*map(_to_tail, map(vals.__getitem__, kids)))
+            dens, tails = zip(*[_to_tail(v if isinstance(v, Distribution) else point(v, states))
+                                for v in map(vals.__getitem__, kids)])
             vals[slot] = _from_tail(math.prod(dens),
                                     frontier.levels(s, t, ends, states, dens, tails))
+            continue
+        if kind is _SERIES:   # min: state N-1 is its unit and state 0 absorbs
+            compose, fold, unit, zero = compose_series, min, states - 1, 0
         else:
-            compose = compose_series if kind is _SERIES else compose_parallel
-            vals[slot] = reduce(compose, map(vals.__getitem__, step[1]))
-    return vals[-1]
+            compose, fold, unit, zero = compose_parallel, max, 0, states - 1
+        kids = [vals[k] for k in step[1]]
+        dists = [v for v in kids if isinstance(v, Distribution)]
+        c = fold([v for v in kids if not isinstance(v, Distribution)], default=unit)
+        if dists and c != zero:
+            dist = reduce(compose, dists)
+            c = dist if c == unit else compose(dist, point(c, states))
+        vals[slot] = c
+    out = vals[-1]
+    return out if isinstance(out, Distribution) else point(out, states)
 
 
 def evaluate_oracle(circuit: Circuit, assignment: Optional[Assignment] = None,

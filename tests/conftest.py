@@ -384,13 +384,44 @@ def random_graph_node(rng: random.Random, states: int, ids: IdGen,
             return inp(f"x{rng.randrange(3)}", rng.random() < 0.5)
         return pswitch(random_distribution(rng, states, max_denom=4), ids())
 
+    return random_graph(rng, lambda: label(depth))
+
+
+def random_graph(rng: random.Random, label) -> Graph:
+    """A connected s-t graph: a path through 0 to 2 inner vertices plus 0 to
+    3 random edges, shuffled, each labelled ``label()`` in edge order."""
     inner = [f"v{i}" for i in range(rng.randint(0, 2))]
     path = ["s", *inner, "t"]
     pairs = list(zip(path, path[1:]))
     for _ in range(rng.randint(0, 3)):
         pairs.append(tuple(rng.sample(path, 2)))
     rng.shuffle(pairs)
-    return Graph("s", "t", tuple(Edge(u, v, label(depth)) for u, v in pairs))
+    return Graph("s", "t", tuple(Edge(u, v, label()) for u, v in pairs))
+
+
+def random_state_node(rng: random.Random, states: int, ids: IdGen, depth: int = 3):
+    """A random node mixing pswitches with Det and input (``x0..x3``)
+    leaves, whose states are 0, N-1 or any: series and parallel steps of 2
+    to 4 children, so some fold only states and some mix states with
+    distributions, and, while ``depth`` allows, graphs whose labels are
+    often a single Det or input."""
+
+    def leaf():
+        roll = rng.random()
+        if roll < 0.35:
+            return pswitch(random_distribution(rng, states, max_denom=4), ids())
+        if roll < 0.7:
+            return det(rng.choice((0, states - 1, rng.randrange(states))))
+        return inp(f"x{rng.randrange(4)}", rng.random() < 0.5)
+
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return leaf()
+    if roll < 0.45:
+        return random_graph(rng, lambda: leaf() if rng.random() < 0.5 else random_state_node(
+            rng, states, ids, depth - 1))
+    kids = [random_state_node(rng, states, ids, depth - 1) for _ in range(rng.randint(2, 4))]
+    return series(*kids) if rng.random() < 0.5 else parallel(*kids)
 
 
 def map_pswitches(node, fn):

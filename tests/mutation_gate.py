@@ -44,6 +44,7 @@ ROBUSTNESS = "relaycircuits/robustness.py"
 COMPOSE_TESTS = "tests/test_circuits.py::TestCompose"
 TAIL_TESTS = "tests/test_circuits.py::TestIntegerTails"
 GRAPH_TESTS = "tests/test_circuits.py::TestGraph"
+STATE_TEST = "tests/test_circuits.py::TestEvaluate::test_states_match_the_oracle"
 ORACLE_TESTS = "tests/test_circuits.py::TestOracleDenominators"
 INPUT_CORNER_TESTS = "tests/test_robustness.py::TestInputs"
 INTERVAL_TEST = "tests/test_robustness.py::TestInterval::test_matches_corner_search"
@@ -130,16 +131,27 @@ ROWS = (
      "((slots, c), (kinds, _LABEL)",
      "((slots, c - 1), (kinds, _LABEL)",
      GRAPH_TESTS),
-    # binding: a graph label without a pswitch takes the point of N-1-state
+    # binding: a graph label without a pswitch takes the state N-1-state
     (CIRCUITS,
-     "value = point(resolve(value, states, assignment, {}), states)",
-     "value = point(states - 1 - resolve(value, states, assignment, {}), states)",
+     "value = resolve(value, states, assignment, {})",
+     "value = states - 1 - resolve(value, states, assignment, {})",
      GRAPH_TESTS),
-    # binding: a Det takes the point of N-1-state
+    # binding: a Det takes the state N-1-state
     (CIRCUITS,
-     "value = point(value, states)",
-     "value = point(states - 1 - value, states)",
+     "value = index(value)",
+     "value = states - 1 - index(value)",
      UPG_TESTS),
+    # step rule: series folds its state operands with max
+    (CIRCUITS,
+     "compose_series, min, states - 1, 0",
+     "compose_series, max, states - 1, 0",
+     STATE_TEST),
+    # step rule: parallel swaps its unit and absorbing state, so c = N-1
+    # returns the distribution (and c = 0 the state 0)
+    (CIRCUITS,
+     "compose_parallel, max, 0, states - 1",
+     "compose_parallel, max, states - 1, 0",
+     STATE_TEST),
     # generated resolver: series writes a max and parallel a min
     (CIRCUITS,
      '"<" if kind is _SERIES else ">"',

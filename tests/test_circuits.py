@@ -1,6 +1,7 @@
 """Circuit core: composition rules, evaluation, duality, remap, clamp."""
 
 import copy
+import enum
 import itertools
 import json
 import math
@@ -36,7 +37,7 @@ from conftest import (
     canonical_tail_reference, deep_binary_circuit, distributions, graph_reference,
     grid_graph, map_pswitches, mixed_distributions, multigraph_levels,
     parallel_direct, random_distribution, random_graph_node, random_sp_circuit,
-    resolve_reference, series_direct, tail_complement, tail_series,
+    random_state_node, resolve_reference, series_direct, tail_complement, tail_series,
 )
 
 HALF2 = Distribution([F(1, 2), F(1, 2)])
@@ -272,18 +273,21 @@ class TestEvaluate:
         assert built == [(s,) for s in range(7)] + [(0, 1), (7,)]
 
     def test_cached_points_stay_unread(self):
-        """Evaluating a parallel of 1,000 distinct Dets at N = 5,000 caches
-        1,000 points, each holding its integer tail alone: none has built
-        its N ``Fraction``s."""
+        """Evaluating a parallel of 1,000 distinct Dets at N = 5,000 folds
+        their states to one, so it caches one point, the root's; the other
+        999 built through ``Distribution.point`` are cached beside it, and
+        each holds its integer tail alone: none has built its N
+        ``Fraction``s."""
         states, count = 5_000, 1_000
         Distribution.point.cache_clear()
         try:
             out = evaluate(Circuit(states, parallel(*map(det, range(count)))))
             assert _to_tail(out) == (1, (1,) * (count - 1) + (0,) * (states - count))
-            info = Distribution.point.cache_info()
-            assert info.currsize == count
+            assert Distribution.point.cache_info().currsize == 1
             points = [Distribution.point(s, states) for s in range(count)]
-            assert Distribution.point.cache_info().misses == info.misses   # the cached ones
+            info = Distribution.point.cache_info()
+            assert info.currsize == count and info.misses == count
+            assert points[-1] is out
             assert all(d._probs is None for d in points)
             assert all(d._den == 1 and len(d._tail) == states - 1 and sum(d._tail) == s
                        for s, d in enumerate(points))
@@ -355,6 +359,72 @@ class TestEvaluate:
         for _ in range(60):
             c = random_sp_circuit(rng, rng.randint(2, 4), 6, max_support_product=512)
             assert evaluate(c) == evaluate_oracle(c)
+
+    def test_states_match_the_oracle(self, rng):
+        """Det and input leaves evaluate as states: on random sp and nested
+        graph circuits at N = 2..5, whose Det and input states are 0, N-1
+        or any, ``evaluate`` equals the oracle and each result is canonical.
+        Among them are steps folding only states, steps of 3 or 4 children
+        mixing states with distributions, state roots and graph labels that
+        are one Det or input."""
+        def fixed(node):   # pswitch-free sp: evaluates to a state
+            return all(s[0] in ("series", "parallel") or s[0] == "leaf"
+                       and not isinstance(s[1], Pswitch) for s in node.plan.steps)
+
+        def tally(node):
+            if isinstance(node, Graph):
+                for e in node.edges:
+                    seen["leaf label"] += isinstance(e.label, Leaf) and not isinstance(
+                        e.label.element, Pswitch)
+                    tally(e.label)
+            elif isinstance(node, (Series, Parallel)):
+                flags = [fixed(k) for k in node.children]
+                seen["state step"] += all(flags)
+                seen["mixed step"] += len(flags) > 2 and any(flags) and not all(flags)
+                for k in node.children:
+                    tally(k)
+
+        seen = dict.fromkeys(("state step", "mixed step", "state root", "leaf label"), 0)
+        checked = 0
+        while checked < 300:
+            states = rng.randint(2, 5)
+            c = Circuit(states, random_state_node(rng, states, IdGen()))
+            if math.prod(len(p.dist.support()) for p in c.pswitches()) > 512:
+                continue
+            assignment = {f"x{i}": rng.randrange(states) for i in range(4)}
+            out = evaluate(c, assignment)
+            assert out == evaluate_oracle(c, assignment)
+            assert_canonical(out, unread=out._probs is None)
+            seen["state root"] += fixed(c.root)
+            tally(c.root)
+            checked += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_bool_and_int_enum_states(self):
+        """A Det state or an assignment value may be a ``bool`` or an
+        ``IntEnum``: it is a state like the int it equals. A ``float`` is
+        a ``TypeError``, even beside a state that would decide the step."""
+        class S(enum.IntEnum):
+            LO, MID, HI = 0, 1, 2
+
+        half = Distribution.shorthand("1/2", 3)
+        c = Circuit(3, series(pswitch(half, "p"), Leaf(Det(True))))
+        assert evaluate(c) == evaluate_oracle(c) == (F(1, 2), F(1, 2), 0)
+        values = (*S, True, False)
+        for state, a, b in itertools.product(values, repeat=3):
+            label = Graph("s", "t", (Edge("s", "m", det(state)), Edge("m", "t", inp("b")),
+                                     Edge("s", "t", pswitch(half, "q"))))
+            for root in (det(state), parallel(det(state), inp("a", True)),
+                         series(pswitch(half, "p"), det(state), inp("a")),
+                         parallel(label, series(inp("a"), det(S.MID)))):
+                c = Circuit(3, root)
+                out = evaluate(c, {"a": a, "b": b})
+                assert out == evaluate_oracle(c, {"a": a, "b": b})
+                assert_canonical(out, unread=out._probs is None)
+        for root, assignment in ((parallel(det(2), Leaf(Det(1.5))), {}),
+                                 (parallel(det(2), inp("a")), {"a": 1.0})):
+            with pytest.raises(TypeError):
+                evaluate(Circuit(3, root), assignment)
 
     def test_duplicate_pswitch_id_rejected(self):
         with pytest.raises(ValidationError):
@@ -895,8 +965,11 @@ class TestGraph:
 
     def test_calls_follow_the_tree(self, monkeypatch, rng):
         """One resolve per graph label without a pswitch that no other such
-        label holds, n - 1 compositions per n-child step outside them, and
-        none inside them, counted from the node tree."""
+        label holds, and none of the steps inside them; outside them, an
+        n-child step whose states fold to c composes its d distribution
+        operands in d - 1 calls, and then c in one more where c clamps them
+        (0 < c < N-1), none where c absorbs them or there are none. Counted
+        from the node tree."""
         calls: dict = {}
 
         def counted(name):
@@ -907,39 +980,59 @@ class TestGraph:
                 return real(*args)
             return call
 
-        def expected(root):
-            want, inside, todo = {}, 0, [root]
-            while todo:
-                node = todo.pop()
-                if isinstance(node, Graph):
-                    for e in node.edges:
-                        if any(s[0] == "leaf" and isinstance(s[1], Pswitch)
-                               for s in e.label.plan.steps):
-                            todo.append(e.label)
-                        else:
-                            want["resolve"] = want.get("resolve", 0) + 1
-                            inside += sum(s[0] != "leaf" for s in e.label.plan.steps)
-                elif isinstance(node, (Series, Parallel)):
-                    name = "compose_series" if isinstance(node, Series) else "compose_parallel"
-                    want[name] = want.get(name, 0) + len(node.children) - 1
-                    todo.extend(node.children)
-            return want, inside
+        def expected(node, states, assignment, want):
+            """``node``'s state, or None for a distribution, with the calls
+            evaluating it makes added to ``want``; ``want["inside"]``
+            counts the steps inside fixed labels."""
+            if isinstance(node, Leaf):
+                el = node.element
+                if isinstance(el, Pswitch):
+                    return None
+                if isinstance(el, Det):
+                    return el.state
+                s = assignment[el.name]
+                return states - 1 - s if el.complemented else s
+            if isinstance(node, Graph):
+                for e in node.edges:
+                    steps = e.label.plan.steps
+                    if any(s[0] == "leaf" and isinstance(s[1], Pswitch) for s in steps):
+                        expected(e.label, states, assignment, want)
+                    else:
+                        want["resolve"] = want.get("resolve", 0) + 1
+                        want["inside"] += sum(s[0] != "leaf" for s in steps)
+                return None
+            kids = [expected(k, states, assignment, want) for k in node.children]
+            fixed = [k for k in kids if k is not None]
+            if isinstance(node, Series):
+                name, unit, zero = "compose_series", states - 1, 0
+                c = min(fixed, default=unit)
+            else:
+                name, unit, zero = "compose_parallel", 0, states - 1
+                c = max(fixed, default=unit)
+            dists = len(kids) - len(fixed)
+            if not dists or c == zero:
+                return c
+            want[name] = want.get(name, 0) + dists - 1 + (c != unit)
+            return None
 
         for name in ("resolve", "compose_series", "compose_parallel"):
             monkeypatch.setattr(circuits_module, name, counted(name))
-        skipped = 0
+        skipped = clamps = 0
         for _ in range(150):
             states, ids = rng.randint(2, 4), IdGen()
             g = random_graph_node(rng, states, ids, depth=3)
             root = series(parallel(g, inp("x0")),
                           pswitch(Distribution.shorthand(F(1, 3), states), ids()))
             assignment = {f"x{i}": rng.randrange(states) for i in range(3)}
-            want, inside = expected(root)
+            want = {"inside": 0}
+            expected(root, states, assignment, want)
+            skipped += want.pop("inside")
+            want = {k: v for k, v in want.items() if v}
             calls.clear()
             evaluate(Circuit(states, root), assignment)
             assert calls == want
-            skipped += inside
-        assert skipped > 50
+            clamps += 0 < assignment["x0"] < states - 1
+        assert skipped > 50 and clamps > 20
 
     def test_eval_equals_oracle_random_graphs(self, rng):
         checked = 0
